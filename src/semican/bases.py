@@ -8,6 +8,10 @@ values of its lift at the generic point of every conormal component: the
 matrix m of the canonical basis against the semicanonical one.  Twisting by
 orbit-dimension signs turns m into the characteristic-cycle multiplicities n,
 which must be nonnegative integers with unit diagonal.
+
+The lift is linear, so it is one transfer matrix T with mat_pi = mat_e . T
+on the monomial value matrices; T is solved once from independent word rows
+and checked exactly against every word row.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .core import DimVector, Orbit, PiModClass, enumerate_orbits, orbit_dim
-from .qcount import eval_word
+from .core import (DimVector, Orbit, PiModClass, compositions,
+                   enumerate_orbits, orbit_dim, pi_classes)
+from .qcount import euler_counts
 
 
 @dataclass(frozen=True)
@@ -46,22 +51,10 @@ class MonomialWord:
         return "*".join(f"{v}^{m}" if m > 1 else str(v) for v, m in self.letters)
 
 
-def _compositions(d1: int, d2: int):
-    if d1 == 0 and d2 == 0:
-        yield ()
-        return
-    if d1 > 0:
-        for rest in _compositions(d1 - 1, d2):
-            yield (1,) + rest
-    if d2 > 0:
-        for rest in _compositions(d1, d2 - 1):
-            yield (2,) + rest
-
-
 def spanning_words(dim: DimVector) -> list[MonomialWord]:
     """Deterministic spanning set: all ungrouped compositions plus the grouped
     sandwiches 1^a 2^d2 1^c and 2^a 1^d1 2^c."""
-    words = {MonomialWord.from_composition(c) for c in _compositions(dim.d1, dim.d2)}
+    words = {MonomialWord.from_composition(c) for c in compositions(dim.d1, dim.d2)}
     for a in range(dim.d1 + 1):
         letters = []
         if a:
@@ -99,15 +92,6 @@ class ConstructibleFnE:
 
     def value(self, r: int) -> Fraction:
         return self.values[r]
-
-
-def pi_classes(dim: DimVector) -> list[PiModClass]:
-    """All pair classes (r, s) with r + s <= min(d1, d2), in a fixed order."""
-    out = []
-    for r in range(dim.rank_bound + 1):
-        for s in range(dim.rank_bound - r + 1):
-            out.append(PiModClass(dim, r, s))
-    return out
 
 
 @dataclass(frozen=True)
@@ -168,22 +152,16 @@ class ConjectureViolation(AssertionError):
     """A structural consequence of the multiplicity identity failed."""
 
 
-def monomial_matrix_E(dim: DimVector, words) -> list[list[Fraction]]:
+def monomial_matrix_E(dim: DimVector, words) -> list[list[int]]:
     """Row per word, column per orbit rank; entries are flag counts at q = 1."""
     orbits = enumerate_orbits(dim)
-    return [
-        [Fraction(eval_word(w.letters, o, "E").at_one()) for o in orbits]
-        for w in words
-    ]
+    return [euler_counts(w.letters, orbits, "E") for w in words]
 
 
-def monomial_matrix_Pi(dim: DimVector, words) -> list[list[Fraction]]:
+def monomial_matrix_Pi(dim: DimVector, words) -> list[list[int]]:
     """Row per word, column per pair class, flag counts at q = 1."""
     classes = pi_classes(dim)
-    return [
-        [Fraction(eval_word(w.letters, c, "Pi").at_one()) for c in classes]
-        for w in words
-    ]
+    return [euler_counts(w.letters, classes, "Pi") for w in words]
 
 
 def smallness_check(dim: DimVector, r: int, side: str) -> bool:
@@ -231,6 +209,8 @@ def express_in_monomials(f: ConstructibleFnE, words,
     Underdetermined systems get the pivoted minimal solution in the given
     word order.  Raises SpanningError when some orbit direction is missing.
     A precomputed monomial matrix can be passed to skip the counting DP.
+    The pipeline lifts through transfer_matrix; this stays as the reference
+    the transfer matrix is tested against.
     """
     if mat_e is None:
         mat_e = monomial_matrix_E(f.dim, words)
@@ -243,42 +223,114 @@ def express_in_monomials(f: ConstructibleFnE, words,
     return ratlin.solve_pivoted(system, list(f.values))
 
 
-def psi_inverse(f: ConstructibleFnE, words, mats=None) -> ConstructibleFnLambda:
-    """Lift f to the pair variety by reusing its monomial coefficients on the
-    pair-side flag counts."""
-    mat_e, mat_pi = mats if mats is not None else (None, None)
-    coeffs = express_in_monomials(f, words, mat_e)
-    if mat_pi is None:
-        mat_pi = monomial_matrix_Pi(f.dim, words)
-    n = len(pi_classes(f.dim))
-    values = [sum((c * mat_pi[i][j] for i, c in enumerate(coeffs)), Fraction(0))
-              for j in range(n)]
-    return ConstructibleFnLambda(f.dim, tuple(values))
+@dataclass(frozen=True)
+class RowMismatch:
+    """A word whose pair-side row differs from its E-side row times T."""
+
+    word: MonomialWord
+    cls: PiModClass
+    lhs: Fraction  # pair-side flag count
+    rhs: Fraction  # (E-side row . T) at the same class
+
+    def __str__(self):
+        return (f"word {self.word}, class ({self.cls.r},{self.cls.s}): "
+                f"{self.lhs} != {self.rhs}")
 
 
-def m_coefficients(dim: DimVector, words=None, mats=None) -> ExpansionMatrix:
-    """m[r', r] = value of the lifted IC stalk function of orbit r at the
-    generic pair class (r', min - r') of the r'-component."""
+@dataclass(frozen=True)
+class TransferMatrix:
+    """The lift to the pair variety as one matrix: mat_pi = mat_e . T.
+
+    Row per orbit rank, column per pair class in pi_classes order.
+    `mismatch` is the first word row, in word order, where the identity
+    fails; None means every word row satisfies it exactly.
+    """
+
+    dim: DimVector
+    entries: tuple[tuple[Fraction, ...], ...]
+    mismatch: RowMismatch | None
+
+    def apply(self, values) -> tuple[Fraction, ...]:
+        """f . T: pair-side values of the lift of the E-side values f."""
+        return tuple(
+            sum((Fraction(v) * t for v, t in zip(values, col)), Fraction(0))
+            for col in zip(*self.entries)
+        )
+
+    def section_failures(self) -> list[int]:
+        """Ranks r whose (r, 0) column of T is not the unit vector at r."""
+        classes = pi_classes(self.dim)
+        out = []
+        for r in range(self.dim.rank_bound + 1):
+            j = classes.index(PiModClass(self.dim, r, 0))
+            if any(row[j] != (1 if rp == r else 0)
+                   for rp, row in enumerate(self.entries)):
+                out.append(r)
+        return out
+
+
+def transfer_matrix(dim: DimVector, words=None, mats=None) -> TransferMatrix:
+    """Solve for T on independent word rows, then check every word row.
+
+    The first rank_bound + 1 independent E-side rows, in word order, give a
+    square system solved once for all pair classes.  Every word row is then
+    compared exactly, in integers after clearing the denominators of T.
+    Raises SpanningError when the E-side rows do not reach every orbit rank.
+    """
     if words is None:
         words = spanning_words(dim)
+    if mats is None:
+        mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
+    mat_e, mat_pi = mats
+    n_orbits = dim.rank_bound + 1
+    picked, covered = ratlin.independent_rows(mat_e, n_orbits)
+    if len(picked) < n_orbits:
+        raise SpanningError(
+            dim, [r for r in range(n_orbits) if r not in covered])
+    t = ratlin.solve_square([mat_e[i] for i in picked],
+                            [mat_pi[i] for i in picked])
+    mismatch = _first_mismatch(words, mat_e, mat_pi, pi_classes(dim), t)
+    return TransferMatrix(dim, tuple(tuple(row) for row in t), mismatch)
+
+
+def _first_mismatch(words, mat_e, mat_pi, classes, t) -> RowMismatch | None:
+    scale = math.lcm(*(v.denominator for row in t for v in row))
+    cols = [[int(v * scale) for v in col] for col in zip(*t)]
+    for w, row_e, row_pi in zip(words, mat_e, mat_pi):
+        for cls, col, lhs in zip(classes, cols, row_pi):
+            rhs = sum(e * c for e, c in zip(row_e, col))
+            if rhs != lhs * scale:
+                return RowMismatch(w, cls, Fraction(lhs), Fraction(rhs, scale))
+    return None
+
+
+def psi_inverse(f: ConstructibleFnE, words=None,
+                transfer: TransferMatrix | None = None) -> ConstructibleFnLambda:
+    """Lift f to the pair variety: its values times the transfer matrix."""
+    if transfer is None:
+        transfer = transfer_matrix(f.dim, words)
+    return ConstructibleFnLambda(f.dim, transfer.apply(f.values))
+
+
+def m_coefficients(dim: DimVector, words=None,
+                   transfer: TransferMatrix | None = None) -> ExpansionMatrix:
+    """m[r', r] = value of the lifted IC stalk function of orbit r at the
+    generic pair class (r', min - r') of the r'-component."""
+    if transfer is None:
+        transfer = transfer_matrix(dim, words)
     bound = dim.rank_bound
-    cols = []
-    for r in range(bound + 1):
-        lifted = psi_inverse(canonical_fn(dim, r), words, mats)
-        cols.append([lifted.value(rp, bound - rp) for rp in range(bound + 1)])
-    entries = tuple(tuple(cols[r][rp] for r in range(bound + 1))
+    classes = pi_classes(dim)
+    generic = [classes.index(PiModClass(dim, rp, bound - rp))
+               for rp in range(bound + 1)]
+    cols = [transfer.apply(canonical_fn(dim, r).values)
+            for r in range(bound + 1)]
+    entries = tuple(tuple(cols[r][generic[rp]] for r in range(bound + 1))
                     for rp in range(bound + 1))
     return ExpansionMatrix(dim, entries)
 
 
-def cc_multiplicities(dim: DimVector, words=None, mats=None) -> ExpansionMatrix:
-    """n[r', r] = (-1)^(dim orbit r' - dim orbit r) * m[r', r].
-
-    Validates the structure forced by the multiplicity identity: unit
-    diagonal, integrality, nonnegativity, and support r' <= r.  Any failure
-    raises ConjectureViolation rather than passing silently.
-    """
-    m = m_coefficients(dim, words, mats)
+def sign_twist(dim: DimVector, m) -> ExpansionMatrix:
+    """n[r', r] = (-1)^(dim orbit r' - dim orbit r) * m[r', r]."""
     bound = dim.rank_bound
     dims = [orbit_dim(Orbit(dim, r)) for r in range(bound + 1)]
     entries = tuple(
@@ -288,10 +340,15 @@ def cc_multiplicities(dim: DimVector, words=None, mats=None) -> ExpansionMatrix:
         )
         for rp in range(bound + 1)
     )
-    n = ExpansionMatrix(dim, entries)
+    return ExpansionMatrix(dim, entries)
+
+
+def check_multiplicities(n: ExpansionMatrix) -> None:
+    """Raise ConjectureViolation unless n has unit diagonal, integer
+    nonnegative entries, and support r' <= r."""
     problems = []
-    for rp in range(bound + 1):
-        for r in range(bound + 1):
+    for rp in range(n.size):
+        for r in range(n.size):
             v = n.entry(rp, r)
             if rp == r and v != 1:
                 problems.append(f"n[{rp},{r}] = {v} != 1 on the diagonal")
@@ -302,5 +359,25 @@ def cc_multiplicities(dim: DimVector, words=None, mats=None) -> ExpansionMatrix:
             if v < 0:
                 problems.append(f"n[{rp},{r}] = {v} negative")
     if problems:
-        raise ConjectureViolation(f"on {dim}: " + "; ".join(problems))
+        raise ConjectureViolation(f"on {n.dim}: " + "; ".join(problems))
+
+
+def cc_multiplicities(dim: DimVector, words=None,
+                      transfer: TransferMatrix | None = None
+                      ) -> ExpansionMatrix:
+    """n = the sign twist of m, validated.
+
+    Checks the lift on every word row, then the structure forced by the
+    multiplicity identity: unit diagonal, integrality, nonnegativity, and
+    support r' <= r.  Any failure raises ConjectureViolation rather than
+    passing silently.
+    """
+    if transfer is None:
+        transfer = transfer_matrix(dim, words)
+    if transfer.mismatch is not None:
+        raise ConjectureViolation(
+            f"on {dim}: pair-side row is not the E-side row times T at "
+            f"{transfer.mismatch}")
+    n = sign_twist(dim, m_coefficients(dim, transfer=transfer))
+    check_multiplicities(n)
     return n

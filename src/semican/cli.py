@@ -9,19 +9,16 @@ schema_version field.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import ratlin
-from .bases import (ConjectureViolation, cc_multiplicities, m_coefficients,
-                    monomial_matrix_E, monomial_matrix_Pi, pi_classes,
-                    spanning_words)
+from .bases import (ConjectureViolation, SpanningError, check_multiplicities,
+                    m_coefficients, monomial_matrix_E, monomial_matrix_Pi,
+                    sign_twist, spanning_words, transfer_matrix)
 from .core import (DimVector, Orbit, PiModClass, dual_orbit, enumerate_orbits,
                    orbit_dim, sign_parity)
 from .geom import PairPoint, conormal_dimension, hessian_rank_check, \
@@ -47,86 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# monomial matrix cache
-
-def _cache_dir() -> Path:
-    env = os.environ.get("SEMICAN_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "semican"
-
-
-def _cache_key(dim: DimVector, words) -> str:
-    payload = f"{dim.d1},{dim.d2}|" + ";".join(str(w) for w in words)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def monomial_matrices(dim: DimVector, words, use_cache: bool = True):
-    """E-side and pair-side monomial value matrices, disk-cached by content."""
-    path = _cache_dir() / f"{_cache_key(dim, words)}.json"
-    if use_cache and path.exists():
-        data = json.loads(path.read_text())
-        mat_e = [[Fraction(v) for v in row] for row in data["mat_e"]]
-        mat_pi = [[Fraction(v) for v in row] for row in data["mat_pi"]]
-        return mat_e, mat_pi
-    mat_e = monomial_matrix_E(dim, words)
-    mat_pi = monomial_matrix_Pi(dim, words)
-    if use_cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "dim": [dim.d1, dim.d2],
-            "words": [str(w) for w in words],
-            "mat_e": [[_fr(v) for v in row] for row in mat_e],
-            "mat_pi": [[_fr(v) for v in row] for row in mat_pi],
-        }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
-    return mat_e, mat_pi
-
-
-# ---------------------------------------------------------------------------
 # verify pipeline
 
-def _section_check(dim, mat_e, mat_pi) -> bool:
-    classes = pi_classes(dim)
-    section_cols = {r: classes.index(PiModClass(dim, r, 0))
-                    for r in range(dim.rank_bound + 1)}
-    system = ratlin.transpose(mat_e)
-    for i in range(len(mat_e)):
-        coeffs = ratlin.solve_pivoted(system, [row[i] for row in system])
-        for r, col in section_cols.items():
-            lifted = sum(
-                (c * mat_pi[w][col] for w, c in enumerate(coeffs)), Fraction(0)
-            )
-            if lifted != mat_e[i][r]:
-                return False
-    return True
-
-
-def _kernel_check(dim, mat_e, mat_pi, seed: int, n_vectors: int = 100) -> bool:
-    basis = ratlin.kernel_basis(ratlin.transpose(mat_e))
-    if not basis:
-        return True
-    rng = random.Random(seed)
-    n_classes = len(mat_pi[0]) if mat_pi else 0
-    for _ in range(n_vectors):
-        combo = [rng.randint(-9, 9) for _ in basis]
-        vec = [
-            sum((c * b[w] for c, b in zip(combo, basis)), Fraction(0))
-            for w in range(len(mat_e))
-        ]
-        for j in range(n_classes):
-            if sum((vec[w] * mat_pi[w][j] for w in range(len(vec))),
-                   Fraction(0)) != 0:
-                return False
-    return True
-
-
 def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
-               sep_samples: int = 500, use_cache: bool = True,
-               exhaustive_sep_bound: int = 3) -> dict:
+               sep_samples: int = 500, exhaustive_sep_bound: int = 3) -> dict:
     """Run every check for one dimension vector and assemble the report."""
     dim = DimVector(d1, d2)
     timings: dict[str, float] = {}
@@ -140,35 +61,38 @@ def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
 
     stage("monomial_matrices")
     words = spanning_words(dim)
-    mat_e, mat_pi = monomial_matrices(dim, words, use_cache)
+    mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
     done("monomial_matrices")
 
-    stage("m_n_matrices")
-    m = m_coefficients(dim, words, mats=(mat_e, mat_pi))
-    m_ok = m.is_unitriangular() and m.is_integral()
-    if not m_ok:
-        failed.append("m_structure")
-    try:
-        n = cc_multiplicities(dim, words, mats=(mat_e, mat_pi))
-        n_entries = n.entries
-    except ConjectureViolation as exc:
-        failed.append(f"n_structure ({exc})")
-        dims = [orbit_dim(Orbit(dim, r)) for r in range(dim.rank_bound + 1)]
-        n_entries = tuple(
-            tuple(m.entry(rp, r) * (1 if (dims[rp] - dims[r]) % 2 == 0 else -1)
-                  for r in range(dim.rank_bound + 1))
-            for rp in range(dim.rank_bound + 1)
-        )
-    done("m_n_matrices")
-
     stage("section_kernel")
-    section_ok = _section_check(dim, mat_e, mat_pi)
-    if not section_ok:
-        failed.append("section_identity")
-    kernel_ok = _kernel_check(dim, mat_e, mat_pi, seed)
-    if not kernel_ok:
-        failed.append("kernel_invariance")
+    section_ok = kernel_ok = False
+    try:
+        transfer = transfer_matrix(dim, words, mats)
+    except SpanningError as exc:
+        transfer = None
+        failed.append(f"spanning (missing ranks {exc.missing})")
+    else:
+        bad_sections = transfer.section_failures()
+        section_ok = not bad_sections
+        failed.extend(f"section_identity (r={r})" for r in bad_sections)
+        kernel_ok = transfer.mismatch is None
+        if not kernel_ok:
+            failed.append(f"kernel_invariance ({transfer.mismatch})")
     done("section_kernel")
+
+    stage("m_n_matrices")
+    m_entries = n_entries = ()
+    if transfer is not None:
+        m = m_coefficients(dim, transfer=transfer)
+        if not (m.is_unitriangular() and m.is_integral()):
+            failed.append("m_structure")
+        n = sign_twist(dim, m)
+        try:
+            check_multiplicities(n)
+        except ConjectureViolation as exc:
+            failed.append(f"n_structure ({exc})")
+        m_entries, n_entries = m.entries, n.entries
+    done("m_n_matrices")
 
     stage("parity")
     parity_ok = all(sign_parity(o) % 2 == 0 for o in enumerate_orbits(dim))
@@ -241,7 +165,7 @@ def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
         "schema_version": SCHEMA_VERSION,
         "dim": [d1, d2],
         "seed": seed,
-        "m_matrix": [[_fr(v) for v in row] for row in m.entries],
+        "m_matrix": [[_fr(v) for v in row] for row in m_entries],
         "n_matrix": [[_fr(v) for v in row] for row in n_entries],
         "section_ok": section_ok,
         "kernel_ok": kernel_ok,
@@ -309,7 +233,7 @@ def cmd_verify(args) -> int:
         return 1
     report = run_verify(
         args.d1, args.d2, seed=args.seed, skip_wreg=args.skip_wreg,
-        sep_samples=args.sep_samples, use_cache=not args.no_cache,
+        sep_samples=args.sep_samples,
     )
     text = json.dumps(report, indent=2)
     if args.out:
@@ -389,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance sample size above the exhaustive bound")
     p.add_argument("--max-dim", type=int, default=4,
                    help="largest vertex dimension accepted")
-    p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out", help="write the JSON report to a file")
     p.set_defaults(func=cmd_verify)
 

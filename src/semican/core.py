@@ -83,9 +83,32 @@ class ConormalComponent:
         return PiModClass(o.dim, o.r, o.dim.rank_bound - o.r)
 
 
+def compositions(d1: int, d2: int):
+    """Every sequence of d1 letters 1 and d2 letters 2, in lexicographic
+    order; seeded samples over these sequences depend on that order."""
+    if d1 == 0 and d2 == 0:
+        yield ()
+        return
+    if d1 > 0:
+        for rest in compositions(d1 - 1, d2):
+            yield (1,) + rest
+    if d2 > 0:
+        for rest in compositions(d1, d2 - 1):
+            yield (2,) + rest
+
+
 def enumerate_orbits(dim: DimVector) -> list[Orbit]:
     """All orbits for `dim`, in increasing closure order (rank 0 first)."""
     return [Orbit(dim, r) for r in range(dim.rank_bound + 1)]
+
+
+def pi_classes(dim: DimVector) -> list[PiModClass]:
+    """All pair classes (r, s) with r + s <= min(d1, d2), in a fixed order."""
+    out = []
+    for r in range(dim.rank_bound + 1):
+        for s in range(dim.rank_bound - r + 1):
+            out.append(PiModClass(dim, r, s))
+    return out
 
 
 def orbit_dim(o: Orbit) -> int:

@@ -4,7 +4,8 @@ Every fiber met while peeling one-dimensional (or grouped) subrepresentations
 off a rank-classified representation is an iterated Grassmannian bundle, so
 its number of F_q-points is a polynomial in q with nonnegative integer
 coefficients, and evaluating at q = 1 gives its Euler characteristic.  The
-word evaluator below runs that peeling as a memoized dynamic program.
+word evaluator below runs that peeling as a memoized dynamic program;
+euler_counts runs the same peeling at q = 1 over integers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import DimVector, Orbit, PiModClass
+from .core import DimVector, Orbit, PiModClass, enumerate_orbits, pi_classes
 
 
 class QPoly:
@@ -276,12 +277,42 @@ def _eval(word: Word, cls, side: str) -> QPoly:
     return total
 
 
-def eval_word(word: Word, cls, side: str) -> QPoly:
-    """Counting polynomial of flags of type `word` on the class `cls`.
+def _classes(dim: DimVector, side: str) -> list:
+    return enumerate_orbits(dim) if side == "E" else pi_classes(dim)
 
-    The leftmost letter is the innermost subrepresentation.  The word's
-    vertex content must match the dimension vector of `cls`.
-    """
+
+@lru_cache(maxsize=None)
+def _class_index(dim: DimVector, side: str) -> dict:
+    return {c: i for i, c in enumerate(_classes(dim, side))}
+
+
+@lru_cache(maxsize=None)
+def _steps_at_one(dim: DimVector, vertex: int, b: int, side: str):
+    """Per class of `dim`, its sub_grouped steps as (child index, count at
+    q = 1), with children indexed in the class order of their dimension."""
+    child_dim = (DimVector(dim.d1 - b, dim.d2) if vertex == 1
+                 else DimVector(dim.d1, dim.d2 - b))
+    index = _class_index(child_dim, side)
+    return tuple(
+        tuple((index[s.child], s.count.at_one())
+              for s in sub_grouped(c, vertex, b, side))
+        for c in _classes(dim, side)
+    )
+
+
+@lru_cache(maxsize=None)
+def _count_row(word: Word, side: str) -> tuple[int, ...]:
+    """Euler characteristics of flags of type `word` on every class of the
+    word's content, in class order."""
+    if not word:
+        return (1,)  # the single class of dimension (0, 0)
+    (vertex, mult), rest = word[0], word[1:]
+    below = _count_row(rest, side)
+    steps = _steps_at_one(DimVector(*word_content(word)), vertex, mult, side)
+    return tuple(sum(n * below[j] for j, n in cls_steps) for cls_steps in steps)
+
+
+def _checked_word(word, cls, side: str) -> Word:
     word = tuple((int(v), int(m)) for v, m in word)
     if any(v not in (1, 2) or m < 1 for v, m in word):
         raise ValueError(f"malformed word {word}")
@@ -293,7 +324,34 @@ def eval_word(word: Word, cls, side: str) -> QPoly:
         raise TypeError("side 'E' expects an Orbit class")
     if side == "Pi" and not isinstance(cls, PiModClass):
         raise TypeError("side 'Pi' expects a PiModClass")
-    return _eval(word, cls, side)
+    return word
+
+
+def eval_word(word: Word, cls, side: str) -> QPoly:
+    """Counting polynomial of flags of type `word` on the class `cls`.
+
+    The leftmost letter is the innermost subrepresentation.  The word's
+    vertex content must match the dimension vector of `cls`.
+    """
+    return _eval(_checked_word(word, cls, side), cls, side)
+
+
+def euler_counts(word: Word, classes, side: str) -> list[int]:
+    """Euler characteristics, eval_word(word, c, side).at_one(), for each
+    class c of one dimension vector, computed over Python ints.
+
+    The same peeling as eval_word, with each step count taken at q = 1 once
+    and the word recursion memoised per suffix as one row over all classes.
+    """
+    classes = list(classes)
+    if not classes:
+        return []
+    first = classes[0]
+    if any(c.dim != first.dim or type(c) is not type(first) for c in classes):
+        raise ValueError("classes must share one dimension vector and kind")
+    row = _count_row(_checked_word(word, first, side), side)
+    index = _class_index(first.dim, side)
+    return [row[index[c]] for c in classes]
 
 
 def transitions(word: Word, cls, side: str) -> dict:

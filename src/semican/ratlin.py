@@ -118,3 +118,47 @@ def solve_pivoted(a, b) -> Row:
     for c, r in piv_of_col.items():
         x[c] = m[r][n_cols]
     return x
+
+
+def independent_rows(a, limit: int) -> tuple[list[int], list[int]]:
+    """Rows of `a` picked greedily in the given order while each is
+    independent of those before it, stopping once `limit` are picked.
+
+    Returns the picked row indices and the pivot columns they reach; with
+    fewer than `limit` rows picked, the pivot columns are those of the whole
+    row space.  Elimination is fraction-free, so integer rows stay integer.
+    """
+    basis: list[tuple[int, list]] = []  # (pivot column, reduced row)
+    picked = []
+    for i, row in enumerate(a):
+        v = list(row)
+        for c, b in basis:
+            f = v[c]
+            if f:
+                p = b[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        basis.append((c, v))
+        picked.append(i)
+        if len(picked) == limit:
+            break
+    return picked, sorted(c for c, _ in basis)
+
+
+def solve_square(a, b) -> list[Row]:
+    """The X with a X = b, for square invertible `a` and `b` given by rows.
+
+    Raises InconsistentSystem when `a` is singular.
+    """
+    n = len(a)
+    m = [list(map(Fraction, ra)) + list(map(Fraction, rb))
+         for ra, rb in zip(a, b)]
+    pivots = _echelonize(m)
+    for k, (r, c) in enumerate(pivots):
+        if c != k:
+            raise InconsistentSystem(r)
+    if len(pivots) < n:
+        raise InconsistentSystem(len(pivots))
+    return [row[n:] for row in m]

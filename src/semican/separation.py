@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DimVector
+from .core import DimVector, compositions
 from .sympoly import (BilinearForm, BilinearityError, MultiPoly, VarId,
                       bilinear_decompose, expand_trace)
 
@@ -132,22 +132,10 @@ def enumerate_matchings(shape: FlagShape) -> list[NormalFormY]:
 
 def enumerate_instances(dim: DimVector):
     """Every (composition, normal-form y0) pair for this dimension vector."""
-    for a in _compositions(dim.d1, dim.d2):
+    for a in compositions(dim.d1, dim.d2):
         shape = flag_shape(a)
         for m in enumerate_matchings(shape):
             yield a, m
-
-
-def _compositions(d1: int, d2: int):
-    if d1 == 0 and d2 == 0:
-        yield ()
-        return
-    if d1 > 0:
-        for rest in _compositions(d1 - 1, d2):
-            yield (1,) + rest
-    if d2 > 0:
-        for rest in _compositions(d1, d2 - 1):
-            yield (2,) + rest
 
 
 @dataclass(frozen=True)

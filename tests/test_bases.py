@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from semican.bases import (ConjectureViolation, ConstructibleFnE,
                            cc_multiplicities, express_in_monomials,
                            m_coefficients, monomial_matrix_E,
                            monomial_matrix_Pi, pi_classes, psi_inverse,
-                           smallness_check, spanning_words)
-from semican.core import DimVector
+                           smallness_check, spanning_words, transfer_matrix)
+from semican.core import DimVector, PiModClass
 from semican.qcount import gauss_binom
 
 
@@ -220,6 +221,51 @@ def test_lift_independent_of_solution():
         assert a.values == b.values
 
 
+def test_transfer_matrix_integral_with_identity_section():
+    dim = DimVector(5, 5)
+    t = transfer_matrix(dim)
+    assert t.mismatch is None
+    assert all(v.denominator == 1 for row in t.entries for v in row)
+    classes = pi_classes(dim)
+    for r in range(dim.rank_bound + 1):
+        j = classes.index(PiModClass(dim, r, 0))
+        assert [row[j] for row in t.entries] == \
+            [1 if rp == r else 0 for rp in range(dim.rank_bound + 1)]
+    assert t.section_failures() == []
+
+
+def test_transfer_matrix_witnesses():
+    dim = DimVector(2, 2)
+    words = spanning_words(dim)
+    classes = pi_classes(dim)
+    mat_e = monomial_matrix_E(dim, words)
+
+    # one corrupted pair-side entry in a row outside the solved square system
+    mat_pi = monomial_matrix_Pi(dim, words)
+    j = classes.index(PiModClass(dim, 0, 2))
+    mat_pi[-1][j] += 1
+    t = transfer_matrix(dim, words, (mat_e, mat_pi))
+    assert t.mismatch.word == words[-1]
+    assert t.mismatch.cls == PiModClass(dim, 0, 2)
+    assert t.mismatch.lhs == t.mismatch.rhs + 1
+    assert t.section_failures() == []
+    with pytest.raises(ConjectureViolation, match=re.escape(str(words[-1]))):
+        cc_multiplicities(dim, transfer=t)
+
+    # a consistently rescaled (1, 0) column: every row agrees, the section not
+    mat_pi = monomial_matrix_Pi(dim, words)
+    j = classes.index(PiModClass(dim, 1, 0))
+    for row_pi, row_e in zip(mat_pi, mat_e):
+        row_pi[j] = 2 * row_e[1]
+    t = transfer_matrix(dim, words, (mat_e, mat_pi))
+    assert t.mismatch is None
+    assert t.section_failures() == [1]
+
+    with pytest.raises(SpanningError) as exc:
+        transfer_matrix(DimVector(1, 1), [W((1, 1), (2, 1))])
+    assert exc.value.missing == [1]
+
+
 # ---------------------------------------------------------------------------
 # m and n
 
@@ -239,6 +285,28 @@ def test_m_matrix_structure():
             m = m_coefficients(DimVector(d1, d2))
             assert m.is_unitriangular()
             assert m.is_integral()
+
+
+def test_m_matches_monomial_expansion_oracle():
+    # m through T equals stalk functions expressed in monomials and summed
+    # against the pair-side matrix at the generic classes
+    for d1 in range(4):
+        for d2 in range(4):
+            if d1 + d2 == 0:
+                continue
+            dim = DimVector(d1, d2)
+            words = spanning_words(dim)
+            mat_pi = monomial_matrix_Pi(dim, words)
+            classes = pi_classes(dim)
+            bound = dim.rank_bound
+            m = m_coefficients(dim, words)
+            for r in range(bound + 1):
+                coeffs = express_in_monomials(canonical_fn(dim, r), words)
+                for rp in range(bound + 1):
+                    j = classes.index(PiModClass(dim, rp, bound - rp))
+                    expected = sum((c * row[j] for c, row in zip(coeffs, mat_pi)),
+                                   Fraction(0))
+                    assert m.entry(rp, r) == expected
 
 
 def test_cc_multiplicities():

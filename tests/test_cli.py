@@ -1,8 +1,9 @@
 import json
-import os
 from pathlib import Path
 
 import semican.cli as cli
+from semican.bases import spanning_words
+from semican.core import DimVector
 from semican.separation import enumerate_matchings, flag_shape
 
 
@@ -89,7 +90,7 @@ def _normalized(report_text: str) -> str:
 def test_verify_matches_golden_file(capsys):
     golden = Path(__file__).parent / "golden" / "verify_1_1.json"
     code, out, _ = run(capsys, "verify", "--d1", "1", "--d2", "1",
-                       "--seed", "1", "--skip-wreg", "--no-cache")
+                       "--seed", "1", "--skip-wreg")
     assert code == 0
     assert _normalized(out) + "\n" == golden.read_text()
 
@@ -102,27 +103,6 @@ def test_verify_reports_byte_stable(capsys):
                           "--seed", "7", "--skip-wreg")
     assert code == 0
     assert _normalized(first) == _normalized(second)
-
-
-def test_verify_uses_cache(capsys):
-    cache_dir = Path(os.environ["SEMICAN_CACHE_DIR"])
-    code, first, _ = run(capsys, "verify", "--d1", "2", "--d2", "1",
-                         "--skip-wreg")
-    assert code == 0
-    cached = list(cache_dir.glob("*.json"))
-    assert cached, "expected a cache entry"
-    code, second, _ = run(capsys, "verify", "--d1", "2", "--d2", "1",
-                          "--skip-wreg")
-    assert code == 0
-    assert _normalized(first) == _normalized(second)
-
-
-def test_verify_no_cache(capsys):
-    cache_dir = Path(os.environ["SEMICAN_CACHE_DIR"])
-    code, _, _ = run(capsys, "verify", "--d1", "1", "--d2", "1",
-                     "--skip-wreg", "--no-cache")
-    assert code == 0
-    assert not list(cache_dir.glob("*.json"))
 
 
 def test_verify_dimension_bound(capsys):
@@ -140,6 +120,39 @@ def test_verify_reports_failure_with_exit_2(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--d1", "1", "--d2", "1")
     assert code == 2
     assert "section_identity" in err
+
+
+def test_verify_lift_failure_names_word(capsys, monkeypatch):
+    words = spanning_words(DimVector(2, 2))
+    real = cli.monomial_matrix_Pi
+
+    def corrupted(dim, ws):
+        mat = real(dim, ws)
+        mat[-1][-1] += 1
+        return mat
+
+    monkeypatch.setattr(cli, "monomial_matrix_Pi", corrupted)
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL" and not report["kernel_ok"]
+    witness = report["failed_checks"][0]
+    assert witness.startswith(f"kernel_invariance (word {words[-1]}, class ")
+    assert witness in err
+    assert "Traceback" not in err
+
+
+def test_verify_spanning_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "spanning_words",
+                        lambda dim: spanning_words(dim)[:1])
+    code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["failed_checks"][0] == "spanning (missing ranks [1])"
+    assert not report["section_ok"] and not report["kernel_ok"]
+    assert "spanning (missing ranks [1])" in err
 
 
 def test_separate_single(capsys):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semican.core import DimVector, Orbit, PiModClass
-from semican.qcount import (QPoly, StepCount, eval_word, gauss_binom,
-                            q_factorial, q_int, sub_grouped, sub_simple_E,
-                            sub_simple_Pi, transitions, word_content)
+from semican.bases import spanning_words
+from semican.core import (DimVector, Orbit, PiModClass, enumerate_orbits,
+                          pi_classes)
+from semican.qcount import (QPoly, StepCount, eval_word, euler_counts,
+                            gauss_binom, q_factorial, q_int, sub_grouped,
+                            sub_simple_E, sub_simple_Pi, transitions,
+                            word_content)
 
 # ---------------------------------------------------------------------------
 # QPoly ring
@@ -235,6 +238,32 @@ def test_eval_word_content_mismatch():
         eval_word(((1, 1), (2, 2)), E(1, 1, 0), "E")
     with pytest.raises(TypeError):
         eval_word(((1, 1), (2, 1)), Pi(1, 1, 0, 0), "E")
+
+
+def test_euler_counts_match_eval_word_at_one():
+    # the integer q = 1 count is the counting polynomial evaluated at 1
+    for d1 in range(5):
+        for d2 in range(5):
+            dim = DimVector(d1, d2)
+            for side, classes in (("E", enumerate_orbits(dim)),
+                                  ("Pi", pi_classes(dim))):
+                for w in spanning_words(dim):
+                    expected = [eval_word(w.letters, c, side).at_one()
+                                for c in classes]
+                    assert euler_counts(w.letters, classes, side) == expected
+                    # any subset of classes, in any order
+                    assert euler_counts(w.letters, classes[::-1], side) == \
+                        expected[::-1]
+
+
+def test_euler_counts_validation():
+    with pytest.raises(ValueError):
+        euler_counts(((1, 1), (2, 2)), [E(1, 1, 0)], "E")
+    with pytest.raises(ValueError):
+        euler_counts(((1, 1), (2, 1)), [E(1, 1, 0), E(2, 1, 0)], "E")
+    with pytest.raises(TypeError):
+        euler_counts(((1, 1), (2, 1)), [Pi(1, 1, 0, 0)], "E")
+    assert euler_counts(((1, 1), (2, 1)), [], "E") == []
 
 
 def _words_for(d1, d2, max_group=2):
