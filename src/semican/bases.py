@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import ratlin
 from .core import (DimVector, Orbit, PiModClass, compositions,
                    enumerate_orbits, orbit_dim, pi_classes)
-from .qcount import euler_counts
+from .qcount import euler_counts, word_content
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class MonomialWord:
 
     @property
     def content(self) -> DimVector:
-        c1 = sum(m for v, m in self.letters if v == 1)
-        c2 = sum(m for v, m in self.letters if v == 2)
-        return DimVector(c1, c2)
+        return DimVector(*word_content(self.letters))
 
     def __str__(self):
         return "*".join(f"{v}^{m}" if m > 1 else str(v) for v, m in self.letters)
@@ -283,8 +281,9 @@ def transfer_matrix(dim: DimVector, words=None, mats=None) -> TransferMatrix:
         mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
     mat_e, mat_pi = mats
     n_orbits = dim.rank_bound + 1
-    picked, covered = ratlin.independent_rows(mat_e, n_orbits)
+    picked, basis = ratlin.echelon(mat_e, n_orbits)
     if len(picked) < n_orbits:
+        covered = {c for c, _ in basis}
         raise SpanningError(
             dim, [r for r in range(n_orbits) if r not in covered])
     t = ratlin.solve_square([mat_e[i] for i in picked],

@@ -10,6 +10,7 @@ by nature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ def _act_x(h, z):
     """Action of a Lie algebra basis element on a map V1 -> V2: h2 z - z h1."""
     side, a, b = h
     d2, d1 = len(z), len(z[0]) if z else 0
-    out = [[Fraction(0)] * d1 for _ in range(d2)]
+    out = [[0] * d1 for _ in range(d2)]
     if side == 2:
         for j in range(d1):
             out[a][j] = z[b][j]
@@ -85,7 +86,7 @@ def _act_y(h, z):
     """Action on a map V2 -> V1: h1 z - z h2."""
     side, a, b = h
     d1, d2 = len(z), len(z[0]) if z else 0
-    out = [[Fraction(0)] * d2 for _ in range(d1)]
+    out = [[0] * d2 for _ in range(d1)]
     if side == 1:
         for j in range(d2):
             out[a][j] = z[b][j]
@@ -95,21 +96,27 @@ def _act_y(h, z):
     return out
 
 
-def _pair(a, b) -> Fraction:
+def _pair(a, b):
     """Trace pairing of a map V1 -> V2 against a map V2 -> V1."""
-    return sum(
-        (a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b))),
-        Fraction(0),
-    )
+    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b)))
+
+
+def _form_b(ux, vy):
+    """Matrix of pairings <u, v> of the x-side against the y-side tangents."""
+    return [[_pair(u, v) for v in vy] for u in ux]
 
 
 def bilinear_form_B(p: PairPoint):
     """Matrix of (h1, h2) -> <h1 . x, h2 . y> on the symmetry Lie algebra."""
-    d1, d2 = p.dim.d1, p.dim.d2
-    basis = _gl_basis(d1, d2)
-    ux = [_act_x(h, p.x) for h in basis]
-    vy = [_act_y(h, p.y) for h in basis]
-    return [[_pair(u, v) for v in vy] for u in ux]
+    basis = _gl_basis(p.dim.d1, p.dim.d2)
+    return _form_b([_act_x(h, p.x) for h in basis],
+                   [_act_y(h, p.y) for h in basis])
+
+
+def _integer_multiple(z):
+    """z times the lcm of its denominators, as a matrix of ints."""
+    scale = math.lcm(*(v.denominator for row in z for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in z]
 
 
 def expected_hessian_rank(p: PairPoint) -> int:
@@ -136,37 +143,21 @@ def hessian_rank_check(p: PairPoint) -> bool:
         )
     if conormal_dimension(p) != dim.d1 * dim.d2:
         raise GenericityError("pair is not a smooth point of one component")
+    # Twice the form at integer multiples of x and y: every block is bilinear
+    # in (x, y), so the ranks are those at p and every entry is an int.
+    x, y = _integer_multiple(p.x), _integer_multiple(p.y)
     basis = _gl_basis(dim.d1, dim.d2)
     n = len(basis)
-    ux = [_act_x(h, p.x) for h in basis]
-    vy = [_act_y(h, p.y) for h in basis]
-    half = Fraction(1, 2)
-    # diagonal blocks: <[u,[v,x]] + [v,[u,x]], y>/2 and the mirror on the y side
-    hxx = [
-        [
-            half
-            * (
-                _pair(_act_x(basis[a], _act_x(basis[b], p.x)), p.y)
-                + _pair(_act_x(basis[b], _act_x(basis[a], p.x)), p.y)
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    hyy = [
-        [
-            half
-            * (
-                _pair(p.x, _act_y(basis[a], _act_y(basis[b], p.y)))
-                + _pair(p.x, _act_y(basis[b], _act_y(basis[a], p.y)))
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    bmat = [[_pair(u, v) for v in vy] for u in ux]
-    full = [hxx[a] + bmat[a] for a in range(n)] + [
-        [bmat[b][a] for b in range(n)] + hyy[a] for a in range(n)
+    ux = [_act_x(h, x) for h in basis]
+    vy = [_act_y(h, y) for h in basis]
+    # diagonal blocks: <[u,[v,x]] + [v,[u,x]], y> and the mirror on the y side
+    gx = [[_pair(_act_x(h, u), y) for u in ux] for h in basis]
+    gy = [[_pair(x, _act_y(h, v)) for v in vy] for h in basis]
+    bmat = _form_b(ux, vy)
+    hxx = [[gx[a][b] + gx[b][a] for b in range(n)] for a in range(n)]
+    hyy = [[gy[a][b] + gy[b][a] for b in range(n)] for a in range(n)]
+    full = [hxx[a] + [2 * v for v in bmat[a]] for a in range(n)] + [
+        [2 * bmat[b][a] for b in range(n)] + hyy[a] for a in range(n)
     ]
     expected = expected_hessian_rank(p)
     # the mixed block alone must already carry the whole rank

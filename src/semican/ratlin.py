@@ -1,15 +1,21 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the rationals, by one integer elimination.
 
-Small systems only (a few dozen rows); plain fraction-free-of-surprises
-Gaussian elimination on lists of Fraction rows.  Pivot columns are taken in
-the given order, so solutions are reproducible.
+`echelon` is the only elimination routine.  It scales each row to integers,
+takes the rows in the given order and reduces each against the rows kept so
+far with the fraction-free step v <- p*v - f*b (Bareiss 1968, Math. Comp. 22),
+dividing by the gcd of the entries to keep them small.  The kept rows are the
+reduced row echelon form up to one nonzero integer per row.  That form is
+unique, so rank, pivot columns, kernel and solutions do not depend on the
+order of the steps; rationals are built only when a result is read off.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = list[Fraction]
+Basis = list[tuple[int, list[int]]]  # (pivot column, integer row)
 
 
 class InconsistentSystem(ValueError):
@@ -35,49 +41,59 @@ def mat_mul(a, b):
     return out
 
 
-def identity(n: int):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def _echelonize(m: list[Row]) -> list[tuple[int, int]]:
-    """Reduce `m` in place to row echelon form; returns (row, col) pivots."""
-    pivots = []
-    piv_r = 0
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    for c in range(n_cols):
-        for r in range(piv_r, n_rows):
-            if m[r][c] != 0:
-                break
-        else:
+def _primitive(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return v if g == 1 else [x // g for x in v]
+
+
+def echelon(a, limit: int | None = None) -> tuple[list[int], Basis]:
+    """Greedy fraction-free row reduction of `a`.
+
+    A row is picked when it is independent of the rows picked before it; the
+    routine stops after `limit` picks.  Returns the picked row indices and the
+    basis as (pivot column, integer row) pairs sorted by pivot column.  Each
+    basis row is zero at every other pivot column, so dividing it by its
+    pivot entry gives the reduced row echelon row.
+    """
+    picked: list[int] = []
+    basis: Basis = []
+    for i, row in enumerate(a):
+        scale = math.lcm(*(x.denominator for x in row))
+        v = [x.numerator * (scale // x.denominator) for x in row]
+        for c, b in basis:
+            f = v[c]
+            if f:
+                p = b[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
             continue
-        m[piv_r], m[r] = m[r], m[piv_r]
-        inv = 1 / m[piv_r][c]
-        m[piv_r] = [v * inv for v in m[piv_r]]
-        for r2 in range(n_rows):
-            if r2 != piv_r and m[r2][c] != 0:
-                f = m[r2][c]
-                m[r2] = [v - f * p for v, p in zip(m[r2], m[piv_r])]
-        pivots.append((piv_r, c))
-        piv_r += 1
-        if piv_r == n_rows:
+        v = _primitive(v)
+        p = v[c]
+        for k, (cb, b) in enumerate(basis):
+            f = b[c]
+            if f:
+                b = [p * x - f * y for x, y in zip(b, v)]
+                basis[k] = (cb, _primitive(b))
+        basis.append((c, v))
+        picked.append(i)
+        if len(picked) == limit:
             break
-    return pivots
+    basis.sort(key=lambda cb: cb[0])
+    return picked, basis
 
 
 def rank(a) -> int:
-    m = [list(map(Fraction, row)) for row in a]
-    return len(_echelonize(m))
+    return len(echelon(a)[1])
 
 
 def pivot_columns(a) -> list[int]:
     """Columns reached by elimination in the given column order."""
-    m = [list(map(Fraction, row)) for row in a]
-    return [c for _, c in _echelonize(m)]
+    return [c for c, _ in echelon(a)[1]]
 
 
 def kernel_basis(a) -> list[Row]:
@@ -85,18 +101,18 @@ def kernel_basis(a) -> list[Row]:
     if not a:
         return []
     n_cols = len(a[0])
-    m = [list(map(Fraction, row)) for row in a]
-    pivots = _echelonize(m)
-    piv_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(n_cols) if c not in piv_cols]
-    basis = []
-    for fc in free_cols:
+    basis = echelon(a)[1]
+    pivots = {c for c, _ in basis}
+    out = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
-        for c, r in piv_cols.items():
-            v[c] = -m[r][fc]
-        basis.append(v)
-    return basis
+        for c, b in basis:
+            v[c] = Fraction(-b[fc], b[c])
+        out.append(v)
+    return out
 
 
 def solve_pivoted(a, b) -> Row:
@@ -106,45 +122,14 @@ def solve_pivoted(a, b) -> Row:
     returned solution is deterministic.  Raises InconsistentSystem when b is
     outside the column span.
     """
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    m = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = _echelonize(m)
-    piv_of_col = {c: r for r, c in pivots if c < n_cols}
-    for r, c in pivots:
-        if c == n_cols:
-            raise InconsistentSystem(r)
+    n_cols = len(a[0]) if a else 0
+    basis = echelon([list(row) + [b[i]] for i, row in enumerate(a)])[1]
     x = [Fraction(0)] * n_cols
-    for c, r in piv_of_col.items():
-        x[c] = m[r][n_cols]
+    for k, (c, row) in enumerate(basis):
+        if c == n_cols:
+            raise InconsistentSystem(k)
+        x[c] = Fraction(row[n_cols], row[c])
     return x
-
-
-def independent_rows(a, limit: int) -> tuple[list[int], list[int]]:
-    """Rows of `a` picked greedily in the given order while each is
-    independent of those before it, stopping once `limit` are picked.
-
-    Returns the picked row indices and the pivot columns they reach; with
-    fewer than `limit` rows picked, the pivot columns are those of the whole
-    row space.  Elimination is fraction-free, so integer rows stay integer.
-    """
-    basis: list[tuple[int, list]] = []  # (pivot column, reduced row)
-    picked = []
-    for i, row in enumerate(a):
-        v = list(row)
-        for c, b in basis:
-            f = v[c]
-            if f:
-                p = b[c]
-                v = [p * x - f * y for x, y in zip(v, b)]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is None:
-            continue
-        basis.append((c, v))
-        picked.append(i)
-        if len(picked) == limit:
-            break
-    return picked, sorted(c for c, _ in basis)
 
 
 def solve_square(a, b) -> list[Row]:
@@ -153,12 +138,11 @@ def solve_square(a, b) -> list[Row]:
     Raises InconsistentSystem when `a` is singular.
     """
     n = len(a)
-    m = [list(map(Fraction, ra)) + list(map(Fraction, rb))
-         for ra, rb in zip(a, b)]
-    pivots = _echelonize(m)
-    for k, (r, c) in enumerate(pivots):
+    basis = echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])[1]
+    for k, (c, _) in enumerate(basis):
         if c != k:
-            raise InconsistentSystem(r)
-    if len(pivots) < n:
-        raise InconsistentSystem(len(pivots))
-    return [row[n:] for row in m]
+            raise InconsistentSystem(k)
+    if len(basis) < n:
+        raise InconsistentSystem(len(basis))
+    return [[Fraction(x, row[k]) for x in row[n:]]
+            for k, (_, row) in enumerate(basis)]

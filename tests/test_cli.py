@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import semican.cli as cli
+import semican.geom as geom
 from semican.bases import spanning_words
 from semican.core import DimVector
 from semican.separation import enumerate_matchings, flag_shape
@@ -153,6 +154,21 @@ def test_verify_spanning_failure(capsys, monkeypatch):
     assert report["failed_checks"][0] == "spanning (missing ranks [1])"
     assert not report["section_ok"] and not report["kernel_ok"]
     assert "spanning (missing ranks [1])" in err
+
+
+def test_verify_conormal_failure_names_class(capsys, monkeypatch):
+    monkeypatch.setattr(geom, "conormal_dimension", lambda p: 0)
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    assert report["geometry"]["conormal_ok"] is False
+    witness = report["failed_checks"][0]
+    assert witness == ("conormal_dimension (r=0: pair is not a smooth point "
+                       "of one component)")
+    assert witness in err
+    assert "Traceback" not in err
 
 
 def test_separate_single(capsys):

@@ -49,11 +49,11 @@ def test_hessian_rank_examples():
 
 
 def test_hessian_rank_exhaustive():
-    for d1 in range(1, 5):
-        for d2 in range(1, 5):
-            dim = DimVector(d1, d2)
-            for r in range(dim.rank_bound + 1):
-                assert hessian_rank_check(P(d1, d2, r, dim.rank_bound - r))
+    dims = [(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5)]
+    for d1, d2 in dims + [(5, 5), (3, 6), (2, 6)]:
+        dim = DimVector(d1, d2)
+        for r in range(dim.rank_bound + 1):
+            assert hessian_rank_check(P(d1, d2, r, dim.rank_bound - r))
 
 
 def test_hessian_genericity_guard():

@@ -1,0 +1,104 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from semican import ratlin
+
+F = Fraction
+
+
+def _rand_matrix(rng, n, m):
+    return [[F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m)]
+            for _ in range(n)]
+
+
+def _apply(a, v):
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
+
+
+def _products(rng, trials=40):
+    """Matrices A.B with A n x k, B k x m of full rank k, so rank(A.B) = k."""
+    for _ in range(trials):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(0, min(n, m))
+        while True:
+            a, b = _rand_matrix(rng, n, k), _rand_matrix(rng, k, m)
+            if ratlin.rank(a) == k and ratlin.rank(b) == k:
+                break
+        prod = ratlin.mat_mul(a, b) if k else [[F(0)] * m for _ in range(n)]
+        yield prod, k
+
+
+def test_rank_of_products():
+    assert ratlin.rank([[1, 2], [2, 4]]) == 1
+    assert ratlin.rank([[0, 0], [0, 0]]) == 0
+    assert ratlin.rank([]) == 0
+    for prod, k in _products(random.Random(1)):
+        assert ratlin.rank(prod) == k
+
+
+def test_kernel_basis():
+    for prod, k in _products(random.Random(2)):
+        n_cols = len(prod[0])
+        kernel = ratlin.kernel_basis(prod)
+        assert len(kernel) == n_cols - k
+        assert ratlin.rank(kernel) == len(kernel)
+        for v in kernel:
+            assert all(x == 0 for x in _apply(prod, v))
+
+
+def test_solve_pivoted():
+    rng = random.Random(3)
+    for prod, k in _products(rng):
+        n_cols = len(prod[0])
+        x0 = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n_cols)]
+        b = _apply(prod, x0)
+        x = ratlin.solve_pivoted(prod, b)
+        assert _apply(prod, x) == b
+        pivots = ratlin.pivot_columns(prod)
+        assert all(x[c] == 0 for c in range(n_cols) if c not in pivots)
+    # second equation is twice the first, with the wrong right-hand side
+    with pytest.raises(ratlin.InconsistentSystem) as exc:
+        ratlin.solve_pivoted([[1, 1], [2, 2]], [1, 3])
+    assert exc.value.row == 1
+
+
+def test_solve_square():
+    rng = random.Random(4)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a = _rand_matrix(rng, n, n)
+        if ratlin.rank(a) < n:
+            continue
+        b = _rand_matrix(rng, n, 3)
+        x = ratlin.solve_square(a, b)
+        assert ratlin.mat_mul(a, x) == b
+    with pytest.raises(ratlin.InconsistentSystem):
+        ratlin.solve_square([[1, 2], [2, 4]], [[1], [2]])
+    with pytest.raises(ratlin.InconsistentSystem):
+        ratlin.solve_square([[0, 0], [0, 0]], [[0], [0]])
+
+
+def test_echelon_picks_earliest_independent_rows():
+    a = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [0, 0, 5]]
+    picked, basis = ratlin.echelon(a)
+    assert picked == [1, 3, 5]
+    assert [c for c, _ in basis] == [0, 1, 2]
+    assert ratlin.echelon(a, limit=2)[0] == [1, 3]
+    # each basis row is zero at the other pivot columns
+    for c, row in basis:
+        assert all(row[c2] == 0 for c2, _ in basis if c2 != c)
+        assert row[c] != 0
+
+
+def test_rows_with_denominators():
+    a = [[F(1, 2), F(2, 3)], [F(3, 4), F(1)]]
+    assert ratlin.rank(a) == 1
+    assert ratlin.kernel_basis(a) == [[F(-4, 3), F(1)]]
+    assert ratlin.solve_pivoted(a, [F(1, 6), F(1, 4)]) == [F(1, 3), F(0)]
+    x = ratlin.solve_square([[F(1, 2), F(0)], [F(2, 3), F(1, 5)]],
+                            [[F(1)], [F(1)]])
+    assert x == [[F(2)], [F(-5, 3)]]
+    picked, basis = ratlin.echelon([[F(1, 2), F(2, 3)], [F(3, 2), F(2)]])
+    assert picked == [0] and basis == [(0, [3, 4])]
