@@ -27,7 +27,9 @@ from .separation import (NormalFormY, SeparationError, back_substitute,
                          build_and_separate, enumerate_instances,
                          enumerate_matchings, flag_shape, validate_matching)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# largest vertex dimension at which verify separates every instance
+EXHAUSTIVE_SEP_BOUND = 3
 
 
 def _fr(x) -> str:
@@ -47,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 # verify pipeline
 
 def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
-               sep_samples: int = 500, exhaustive_sep_bound: int = 3) -> dict:
+               sep_samples: int = 500) -> dict:
     """Run every check for one dimension vector and assemble the report."""
     dim = DimVector(d1, d2)
     timings: dict[str, float] = {}
@@ -102,32 +104,30 @@ def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
 
     stage("separation")
     instances = list(enumerate_instances(dim))
-    sampled = max(d1, d2) > exhaustive_sep_bound
+    sampled = max(d1, d2) > EXHAUSTIVE_SEP_BOUND
     if sampled:
         rng = random.Random(seed)
         instances = rng.sample(instances, min(sep_samples, len(instances)))
-    sep_bilinear = sep_chi = sep_subst = sep_critical = True
+    bilinear_fail = subst_fail = None  # first witness of each kind
     for a, y0 in instances:
         try:
             rep = build_and_separate(a, y0)
-        except SeparationError:
-            sep_bilinear = False
+        except SeparationError as exc:
+            bilinear_fail = bilinear_fail or str(exc)
             continue
-        sep_chi = sep_chi and rep.chi_phi == 1
-        sep_critical = sep_critical and rep.critical_ok
-        if back_substitute(a, y0, rep.separated) != rep.trace:
-            sep_subst = False
+        if subst_fail is None and \
+                back_substitute(a, y0, rep.separated) != rep.trace:
+            subst_fail = f"composition {a}, y0 {list(rep.y0)}"
     separation = {
         "instances": len(instances),
         "sampled": sampled,
-        "bilinear_ok": sep_bilinear,
-        "chi_all_one": sep_chi,
-        "substitution_ok": sep_subst,
-        "critical_ok": sep_critical,
+        "bilinear_ok": bilinear_fail is None,
+        "substitution_ok": subst_fail is None,
     }
-    for key in ("bilinear_ok", "chi_all_one", "substitution_ok", "critical_ok"):
-        if not separation[key]:
-            failed.append(f"separation_{key}")
+    if bilinear_fail:
+        failed.append(f"separation_bilinear_ok ({bilinear_fail})")
+    if subst_fail:
+        failed.append(f"separation_substitution_ok ({subst_fail})")
     done("separation")
 
     stage("appendix_b")
@@ -271,21 +271,24 @@ def cmd_separate(args) -> int:
               f"expected ({args.d1}, {args.d2})", file=sys.stderr)
         return 1
     shape = flag_shape(comp)
-    if args.all:
-        reports = [build_and_separate(comp, y0).to_dict()
-                   for y0 in enumerate_matchings(shape)]
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "reports": reports}, indent=2))
-        return 0
+    if not args.all:
+        try:
+            y0 = _parse_y0(args.y0)
+            validate_matching(shape, y0)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     try:
-        y0 = _parse_y0(args.y0)
-        validate_matching(shape, y0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = build_and_separate(comp, y0)
-    out = report.to_dict()
-    out["schema_version"] = SCHEMA_VERSION
+        if args.all:
+            out = {"schema_version": SCHEMA_VERSION,
+                   "reports": [build_and_separate(comp, m).to_dict()
+                               for m in enumerate_matchings(shape)]}
+        else:
+            out = {**build_and_separate(comp, y0).to_dict(),
+                   "schema_version": SCHEMA_VERSION}
+    except SeparationError as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(out, indent=2))
     return 0
 
@@ -340,7 +343,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, SeparationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -208,7 +208,12 @@ def normal_form(shape: FlagShape, y) -> tuple[NormalFormY, BorelCertificate]:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Everything the separation of one instance produces."""
+    """Everything the separation of one instance produces.
+
+    The certificate is `bilinear`: `separated` is exactly bilinear in
+    (w1, w2) with coefficients in vc, so its Hessian rank is even at every
+    coefficient value and chi = 1 at the chart origin.
+    """
 
     composition: tuple[int, ...]
     y0: tuple[tuple[int, int], ...]
@@ -219,11 +224,7 @@ class SeparationReport:
     trace: MultiPoly
     separated: MultiPoly
     change_of_variables: tuple[tuple[str, str], ...]
-    bilinear_ok: bool
     bilinear: BilinearForm
-    chi_nearby: int
-    chi_phi: int
-    critical_ok: bool
 
     @property
     def trace_poly(self) -> str:
@@ -244,13 +245,9 @@ class SeparationReport:
             "trace_poly": self.trace_poly,
             "separated_poly": self.separated_poly,
             "change_of_variables": [list(p) for p in self.change_of_variables],
-            "bilinear_ok": self.bilinear_ok,
             "b_shape": [len(self.bilinear.rows), len(self.bilinear.cols)],
             "b_matrix": [[cell.to_str() for cell in row]
                          for row in self.bilinear.matrix],
-            "chi_nearby": self.chi_nearby,
-            "chi_phi": self.chi_phi,
-            "critical_ok": self.critical_ok,
         }
 
 
@@ -359,30 +356,8 @@ def _classify(shape: FlagShape, entries, t_pairs):
     return w1, w2, vc
 
 
-def _critical_symbolic(shape: FlagShape, entries) -> bool:
-    """Both products of a generic chart point with y0 vanish identically.
-
-    The chart point keeps every admissible X entry symbolic except those in a
-    matched row or column, which the pair condition pins to zero.
-    """
-    d1, d2 = shape.d1, shape.d2
-    i_set = {i for i, _ in entries}
-    j_set = {j for _, j in entries}
-    x = [[MultiPoly.zero()] * d1 for _ in range(d2)]
-    for i, j in shape.x_positions():
-        if i not in j_set and j not in i_set:
-            x[i - 1][j - 1] = MultiPoly.var(VarId("X", i, j))
-    y = [[MultiPoly.const(1) if (i + 1, j + 1) in entries else MultiPoly.zero()
-          for j in range(d2)] for i in range(d1)]
-    xy = [[sum((x[i][k] * y[k][j] for k in range(d1)), MultiPoly.zero())
-           for j in range(d2)] for i in range(d2)]
-    yx = [[sum((y[i][k] * x[k][j] for k in range(d2)), MultiPoly.zero())
-           for j in range(d1)] for i in range(d1)]
-    return all(not c for row in xy + yx for c in row)
-
-
 def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
-    """Run the full separation on one instance and certify chi = 1.
+    """Separate one instance; the report's bilinear form certifies chi = 1.
 
     Raises SeparationError if the substituted trace fails to be bilinear in
     the quadratic variables; for the two-vertex quiver this cannot happen.
@@ -405,7 +380,6 @@ def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
             f"separation failed on {composition} with y0 {entries}: {exc}"
         ) from exc
 
-    # Even Hessian rank at every coefficient value => nearby Euler number 0.
     change = tuple(
         sorted([(str(k), v.to_str()) for k, v in m_expr.items()]
                + [(str(k), v.to_str()) for k, v in x_expr.items()])
@@ -420,11 +394,7 @@ def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
         trace=h,
         separated=separated,
         change_of_variables=change,
-        bilinear_ok=True,
         bilinear=form,
-        chi_nearby=0,
-        chi_phi=1,
-        critical_ok=_critical_symbolic(shape, entries),
     )
 
 

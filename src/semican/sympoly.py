@@ -3,14 +3,15 @@
 Variables are entries of the five matrices that appear in the trace function
 on the flag-stabilizing chart: X (the representation), M (inverse of the
 first unipotent group element), N (the second), and their replacements M', X'
-introduced by the change of variables.  Terms are kept in a canonical sorted
-order so that serialized polynomials are reproducible byte for byte.
+introduced by the change of variables.  Coefficients are kept as given:
+every polynomial the separation builds has integer coefficients, and a
+Fraction coefficient stays exact.  Terms are serialized in a canonical sorted
+order so that polynomials are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 KINDS = ("M", "Mp", "N", "X", "Xp")
 _DISPLAY = {"M": "M", "Mp": "M'", "N": "N", "X": "X", "Xp": "X'"}
@@ -44,6 +45,16 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Term dict of the product of two term dicts (may hold zero terms)."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 def _mono_str(mono: Mono) -> str:
     if not mono:
         return "1"
@@ -56,12 +67,7 @@ class MultiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[mono] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -69,11 +75,11 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def var(cls, v: VarId) -> "MultiPoly":
-        return cls({((v, 1),): Fraction(1)})
+        return cls({((v, 1),): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -87,7 +93,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return MultiPoly(out)
 
     def __neg__(self) -> "MultiPoly":
@@ -97,22 +103,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return MultiPoly(out)
-
-    def scaled(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly({m: c * v for m, v in self.terms.items()})
-
-    def variables(self) -> set[VarId]:
-        return {v for mono in self.terms for v, _ in mono}
-
-    def degree_in(self, mono: Mono, varset) -> int:
-        return sum(e for v, e in mono if v in varset)
+        return MultiPoly(_mul_terms(self.terms, other.terms))
 
     def coefficient_of(self, v: VarId) -> "MultiPoly":
         """Coefficient polynomial of v in a polynomial of degree <= 1 in v."""
@@ -129,17 +120,16 @@ class MultiPoly:
 
     def substitute(self, mapping: dict[VarId, "MultiPoly"]) -> "MultiPoly":
         """Simultaneously replace every mapped variable; exact."""
-        out = MultiPoly.zero()
+        out: dict = {}
         for mono, c in self.terms.items():
-            term = MultiPoly.const(c)
+            term = {tuple((v, e) for v, e in mono if v not in mapping): c}
             for v, e in mono:
-                factor = mapping.get(v)
-                if factor is None:
-                    factor = MultiPoly.var(v)
-                for _ in range(e):
-                    term = term * factor
-            out = out + term
-        return out
+                if v in mapping:
+                    for _ in range(e):
+                        term = _mul_terms(term, mapping[v].terms)
+            for m, tc in term.items():
+                out[m] = out.get(m, 0) + tc
+        return MultiPoly(out)
 
     def to_str(self) -> str:
         if not self.terms:
@@ -170,7 +160,7 @@ def partial_derivative(p: MultiPoly, v: VarId) -> MultiPoly:
         if e > 1:
             d[v] = e - 1
         key = tuple(sorted(d.items()))
-        out[key] = out.get(key, Fraction(0)) + c * e
+        out[key] = out.get(key, 0) + c * e
     return MultiPoly(out)
 
 
@@ -187,24 +177,25 @@ def expand_trace(dim, shape, y0) -> MultiPoly:
     for i, j in entries:
         if not shape.adm_y(i, j):
             raise ValueError(f"y0 entry ({i},{j}) does not stabilize the flag")
-    h = MultiPoly.zero()
+    terms: dict = {}
 
-    def v(kind, r, c):
-        return MultiPoly.var(VarId(kind, r, c))
+    def add(*factors):
+        mono = tuple(sorted((VarId(*f), 1) for f in factors))
+        terms[mono] = terms.get(mono, 0) + 1
 
     for ia, ja in entries:
         for i in range(1, ja):
             if shape.adm_x(i, ia):
-                h = h + v("X", i, ia) * v("N", ja, i)
+                add(("X", i, ia), ("N", ja, i))
         for j in range(ia + 1, d1 + 1):
             if shape.adm_x(ja, j):
-                h = h + v("X", ja, j) * v("M", j, ia)
+                add(("X", ja, j), ("M", j, ia))
     for ib, jb in entries:
         for i in range(1, jb):
             for j in range(ib + 1, d1 + 1):
                 if shape.adm_x(i, j):
-                    h = h + v("X", i, j) * v("M", j, ib) * v("N", jb, i)
-    return h
+                    add(("X", i, j), ("M", j, ib), ("N", jb, i))
+    return MultiPoly(terms)
 
 
 class BilinearityError(ValueError):
@@ -245,10 +236,10 @@ def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
             raise BilinearityError(_mono_str(mono))
         u = next(v for v, _ in mono if v in w1)
         w = next(v for v, _ in mono if v in w2)
-        key = (ridx[u], cidx[w])
-        cells[key] = cells.get(key, MultiPoly.zero()) + MultiPoly({rest: coeff})
+        cell = cells.setdefault((ridx[u], cidx[w]), {})
+        cell[rest] = cell.get(rest, 0) + coeff
     matrix = tuple(
-        tuple(cells.get((i, j), MultiPoly.zero()) for j in range(len(cols)))
+        tuple(MultiPoly(cells.get((i, j))) for j in range(len(cols)))
         for i in range(len(rows))
     )
     return BilinearForm(rows, cols, matrix)

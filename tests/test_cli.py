@@ -3,9 +3,11 @@ from pathlib import Path
 
 import semican.cli as cli
 import semican.geom as geom
+import semican.separation as separation
 from semican.bases import spanning_words
 from semican.core import DimVector
 from semican.separation import enumerate_matchings, flag_shape
+from semican.sympoly import BilinearityError, MultiPoly
 
 
 def run(capsys, *argv):
@@ -36,7 +38,7 @@ def test_orbits_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["orbits"]) == 3
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
 
 
 def test_orbits_csv(capsys):
@@ -176,8 +178,6 @@ def test_separate_single(capsys):
                        "--comp", "1,2,2,1", "--y0", "1:1")
     assert code == 0
     data = json.loads(out)
-    assert data["bilinear_ok"] is True
-    assert data["chi_phi"] == 1
     assert data["trace_poly"] == "M(2,1)*X(1,2)"
 
 
@@ -186,7 +186,7 @@ def test_separate_empty_y0(capsys):
                        "--comp", "1,2,2,1", "--y0", "")
     assert code == 0
     data = json.loads(out)
-    assert data["chi_phi"] == 1 and data["y0"] == []
+    assert data["y0"] == []
 
 
 def test_separate_all(capsys):
@@ -196,6 +196,49 @@ def test_separate_all(capsys):
     data = json.loads(out)
     expected = len(enumerate_matchings(flag_shape((1, 2, 2, 1))))
     assert len(data["reports"]) == expected
+
+
+def _break_bilinearity(monkeypatch):
+    def broken(*args, **kwargs):
+        raise BilinearityError("X(1,2)^2")
+
+    monkeypatch.setattr(separation, "bilinear_decompose", broken)
+
+
+def test_separate_failure_exits_2(capsys, monkeypatch):
+    _break_bilinearity(monkeypatch)
+    code, out, err = run(capsys, "separate", "--d1", "2", "--d2", "2",
+                         "--comp", "1,2,2,1", "--y0", "1:1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("FAILED: ") and "X(1,2)^2" in err
+
+
+def test_verify_separation_failure_names_instance(capsys, monkeypatch):
+    _break_bilinearity(monkeypatch)
+    code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["separation"]["bilinear_ok"] is False
+    witness = report["failed_checks"][0]
+    assert witness == ("separation_bilinear_ok (separation failed on (1, 2) "
+                       "with y0 []: monomial X(1,2)^2 is not bilinear in "
+                       "(W1, W2))")
+    assert witness in err
+
+
+def test_verify_substitution_failure_names_instance(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "back_substitute",
+                        lambda a, y0, p: MultiPoly.const(1))
+    code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["separation"]["substitution_ok"] is False
+    witness = report["failed_checks"][0]
+    assert witness == "separation_substitution_ok (composition (1, 2), y0 [])"
+    assert witness in err
 
 
 def test_separate_inadmissible_y0(capsys):
