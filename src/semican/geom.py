@@ -3,14 +3,15 @@
 The trace pairing of a point (x, y) with x y = 0 = y x has a Hessian on the
 product of two copies of the symmetry Lie algebra whose rank is forced by the
 orbit dimensions: rank = dim S + dim S-hat - d1*d2 at points where the pair
-is generic in its conormal component.  Everything here is rational and exact
-except the stratification sampling probe, which is a floating-point estimate
-by nature.
+is generic in its conormal component.  Because both products vanish, the
+Hessian is determined by its mixed block, the pairing form B, whose entries
+are single products x[.][.] y[.][.] in closed form; the check ranks B alone.
+Everything here is rational and exact except the stratification sampling
+probe, which is a floating-point estimate by nature.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,62 +62,22 @@ class PairPoint:
         return ratlin.rank(self.y)
 
 
-def _gl_basis(d1: int, d2: int):
-    """Standard basis of gl(d1) + gl(d2) as (side, row, col) triples."""
-    return [(1, a, b) for a in range(d1) for b in range(d1)] + [
-        (2, a, b) for a in range(d2) for b in range(d2)
-    ]
-
-
-def _act_x(h, z):
-    """Action of a Lie algebra basis element on a map V1 -> V2: h2 z - z h1."""
-    side, a, b = h
-    d2, d1 = len(z), len(z[0]) if z else 0
-    out = [[0] * d1 for _ in range(d2)]
-    if side == 2:
-        for j in range(d1):
-            out[a][j] = z[b][j]
-    else:
-        for i in range(d2):
-            out[i][b] = -z[i][a]
-    return out
-
-
-def _act_y(h, z):
-    """Action on a map V2 -> V1: h1 z - z h2."""
-    side, a, b = h
-    d1, d2 = len(z), len(z[0]) if z else 0
-    out = [[0] * d2 for _ in range(d1)]
-    if side == 1:
-        for j in range(d2):
-            out[a][j] = z[b][j]
-    else:
-        for i in range(d1):
-            out[i][b] = -z[i][a]
-    return out
-
-
-def _pair(a, b):
-    """Trace pairing of a map V1 -> V2 against a map V2 -> V1."""
-    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b)))
-
-
-def _form_b(ux, vy):
-    """Matrix of pairings <u, v> of the x-side against the y-side tangents."""
-    return [[_pair(u, v) for v in vy] for u in ux]
-
-
 def bilinear_form_B(p: PairPoint):
-    """Matrix of (h1, h2) -> <h1 . x, h2 . y> on the symmetry Lie algebra."""
-    basis = _gl_basis(p.dim.d1, p.dim.d2)
-    return _form_b([_act_x(h, p.x) for h in basis],
-                   [_act_y(h, p.y) for h in basis])
+    """Matrix of (h, k) -> <h . x, k . y> on the symmetry Lie algebra.
 
-
-def _integer_multiple(z):
-    """z times the lcm of its denominators, as a matrix of ints."""
-    scale = math.lcm(*(v.denominator for row in z for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in z]
+    Rows and columns run over E_ab in gl(d1) row-major, then E_cd in gl(d2).
+    The actions are h . x = h2 x - x h1 and h . y = h1 y - y h2, so the two
+    mixed entries of (E_ab, E_cd) are both x[d][a] y[b][c].  A same-side
+    entry is an entry of x y or y x, so both diagonal blocks vanish.
+    """
+    d1, d2 = p.dim.d1, p.dim.d2
+    x, y = p.x, p.y
+    mixed = [[x[d][a] * y[b][c] for c in range(d2) for d in range(d2)]
+             for a in range(d1) for b in range(d1)]
+    zeros1, zeros2 = [0] * (d1 * d1), [0] * (d2 * d2)
+    return [zeros1 + row for row in mixed] + [
+        [row[j] for row in mixed] + zeros2 for j in range(d2 * d2)
+    ]
 
 
 def expected_hessian_rank(p: PairPoint) -> int:
@@ -128,12 +89,14 @@ def expected_hessian_rank(p: PairPoint) -> int:
 
 
 def hessian_rank_check(p: PairPoint) -> bool:
-    """Exact rank of the full second-order form at a generic pair point.
+    """Exact rank of the second-order form at a generic pair point.
 
-    The quadratic part of <exp(h1) x, exp(h2) y> has diagonal blocks from the
-    second-order exponential terms and the mixed block of bilinear_form_B;
-    its rank, and already that of the mixed block alone, must equal
-    dim S + dim S-hat - d1*d2.
+    With B = bilinear_form_B(p), the Hessian of (h, k) -> <exp(h) x, exp(k) y>
+    at 0 is [[-B, B], [B, -B]]: in h . (k . x) = h2 k2 x - h2 x k1 - k2 x h1
+    + x k1 h1 the first and last terms pair to zero against y because
+    y x = 0 = x y, which leaves <h . (k . x), y> = -B[h][k], and likewise on
+    the y side.  The second block row is minus the first, so the rank is
+    rank(B), which must equal dim S + dim S-hat - d1*d2.
     """
     dim = p.dim
     if p.rank_y != dim.rank_bound - p.rank_x:
@@ -143,25 +106,7 @@ def hessian_rank_check(p: PairPoint) -> bool:
         )
     if conormal_dimension(p) != dim.d1 * dim.d2:
         raise GenericityError("pair is not a smooth point of one component")
-    # Twice the form at integer multiples of x and y: every block is bilinear
-    # in (x, y), so the ranks are those at p and every entry is an int.
-    x, y = _integer_multiple(p.x), _integer_multiple(p.y)
-    basis = _gl_basis(dim.d1, dim.d2)
-    n = len(basis)
-    ux = [_act_x(h, x) for h in basis]
-    vy = [_act_y(h, y) for h in basis]
-    # diagonal blocks: <[u,[v,x]] + [v,[u,x]], y> and the mirror on the y side
-    gx = [[_pair(_act_x(h, u), y) for u in ux] for h in basis]
-    gy = [[_pair(x, _act_y(h, v)) for v in vy] for h in basis]
-    bmat = _form_b(ux, vy)
-    hxx = [[gx[a][b] + gx[b][a] for b in range(n)] for a in range(n)]
-    hyy = [[gy[a][b] + gy[b][a] for b in range(n)] for a in range(n)]
-    full = [hxx[a] + [2 * v for v in bmat[a]] for a in range(n)] + [
-        [2 * bmat[b][a] for b in range(n)] + hyy[a] for a in range(n)
-    ]
-    expected = expected_hessian_rank(p)
-    # the mixed block alone must already carry the whole rank
-    return ratlin.rank(full) == expected and ratlin.rank(bmat) == expected
+    return ratlin.rank(bilinear_form_B(p)) == expected_hessian_rank(p)
 
 
 def conormal_tangent(p: PairPoint):

@@ -161,7 +161,7 @@ def test_criterion_6_substitution_identity(capsys):
 def test_criterion_7_appendix_b(capsys):
     start = time.perf_counter()
     ok = True
-    for dim in _dims(4, include_zero=False):
+    for dim in _dims(6, include_zero=False):
         for r in range(dim.rank_bound + 1):
             p = PairPoint.from_class(PiModClass(dim, r, dim.rank_bound - r))
             ok = ok and hessian_rank_check(p)
@@ -174,7 +174,7 @@ def test_criterion_7_appendix_b(capsys):
     with capsys.disabled():
         _report(7, ok, f"Hessian and pairing-form ranks match "
                        f"dim S + dim S-hat - d1*d2 and conormal tangent "
-                       f"dimension is d1*d2, all generic reps d1,d2 <= 4 "
+                       f"dimension is d1*d2, all generic reps d1,d2 <= 6 "
                        f"({elapsed:.1f}s < 10s)")
 
 

@@ -173,6 +173,24 @@ def test_verify_conormal_failure_names_class(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_verify_wreg_probe_failure_names_orbits(capsys, monkeypatch):
+    def failing_probe(inner, outer, **kwargs):
+        raise ArithmeticError("could not draw a nondegenerate sample")
+
+    monkeypatch.setattr(cli, "w_regularity_sample", failing_probe)
+    code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    assert report["geometry"]["wreg"] == "FAIL"
+    assert "wreg" in report["timings"]
+    witness = ("w_regularity (inner 0, outer 1: could not draw a "
+               "nondegenerate sample)")
+    assert report["failed_checks"] == [witness]
+    assert witness in err
+    assert "Traceback" not in err
+
+
 def test_separate_single(capsys):
     code, out, _ = run(capsys, "separate", "--d1", "2", "--d2", "2",
                        "--comp", "1,2,2,1", "--y0", "1:1")
