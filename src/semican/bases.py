@@ -121,18 +121,16 @@ class ExpansionMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def is_unitriangular(self) -> bool:
-        n = self.size
-        for i in range(n):
-            if self.entries[i][i] != 1:
-                return False
-            for j in range(n):
-                if i > j and self.entries[i][j] != 0:
-                    return False
-        return True
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for row in self.entries for v in row)
+    def first_bad_entry(self, nonnegative: bool = False
+                        ) -> tuple[int, int] | None:
+        """First (r_row, r_col), row by row, that breaks integral
+        unitriangularity or, with `nonnegative`, is negative; else None."""
+        for rp, row in enumerate(self.entries):
+            for r, v in enumerate(row):
+                if (v.denominator != 1 or (rp == r and v != 1)
+                        or (rp > r and v != 0) or (nonnegative and v < 0)):
+                    return rp, r
+        return None
 
 
 class SpanningError(ValueError):
@@ -345,20 +343,13 @@ def sign_twist(dim: DimVector, m) -> ExpansionMatrix:
 def check_multiplicities(n: ExpansionMatrix) -> None:
     """Raise ConjectureViolation unless n has unit diagonal, integer
     nonnegative entries, and support r' <= r."""
-    problems = []
-    for rp in range(n.size):
-        for r in range(n.size):
-            v = n.entry(rp, r)
-            if rp == r and v != 1:
-                problems.append(f"n[{rp},{r}] = {v} != 1 on the diagonal")
-            if rp > r and v != 0:
-                problems.append(f"n[{rp},{r}] = {v} outside the closure support")
-            if v.denominator != 1:
-                problems.append(f"n[{rp},{r}] = {v} not an integer")
-            if v < 0:
-                problems.append(f"n[{rp},{r}] = {v} negative")
-    if problems:
-        raise ConjectureViolation(f"on {n.dim}: " + "; ".join(problems))
+    bad = n.first_bad_entry(nonnegative=True)
+    if bad is not None:
+        rp, r = bad
+        raise ConjectureViolation(
+            f"on {n.dim}: n[{rp},{r}] = {n.entry(rp, r)} breaks the unit "
+            f"diagonal, the support r' <= r or nonnegative integrality"
+        )
 
 
 def cc_multiplicities(dim: DimVector, words=None,

@@ -109,37 +109,44 @@ def hessian_rank_check(p: PairPoint) -> bool:
     return ratlin.rank(bilinear_form_B(p)) == expected_hessian_rank(p)
 
 
-def conormal_tangent(p: PairPoint):
-    """Basis of the solution space of [u, y] + [x, v] = 0.
+def _conormal_rows(p: PairPoint) -> list[list]:
+    """Equations of [u, y] + [x, v] = 0, one row per matrix entry.
 
-    Unknowns are u: V1 -> V2 and v: V2 -> V1; the two matrix equations are
-    y u + v x = 0 and u y + x v = 0.  At a smooth point of one component the
-    solution space has dimension exactly d1*d2.
+    Unknowns are u: V1 -> V2 (d2 x d1, row-major) followed by v: V2 -> V1
+    (d1 x d2, row-major); the two matrix equations are y u + v x = 0 (d1 x d1
+    rows) and u y + x v = 0 (d2 x d2 rows).  Each unknown occurs at most once
+    in an equation, so every nonzero entry is one entry of x or y.
     """
     d1, d2 = p.dim.d1, p.dim.d2
-    nu, nv = d1 * d2, d1 * d2
+    x, y = p.x, p.y
+    nu = d1 * d2
     rows = []
-    # y u + v x = 0: one equation per (i, j) in d1 x d1
     for i in range(d1):
         for j in range(d1):
-            row = [Fraction(0)] * (nu + nv)
+            row = [0] * (2 * nu)
             for k in range(d2):
-                row[k * d1 + j] += p.y[i][k]  # u[k][j]
-            for k in range(d2):
-                row[nu + i * d2 + k] += p.x[k][j]  # v[i][k]
+                row[k * d1 + j] = y[i][k]  # u[k][j]
+                row[nu + i * d2 + k] = x[k][j]  # v[i][k]
             rows.append(row)
-    # u y + x v = 0: one equation per (i, j) in d2 x d2
     for i in range(d2):
         for j in range(d2):
-            row = [Fraction(0)] * (nu + nv)
+            row = [0] * (2 * nu)
             for k in range(d1):
-                row[i * d1 + k] += p.y[k][j]  # u[i][k]
-            for k in range(d1):
-                row[nu + k * d2 + j] += p.x[i][k]  # v[k][j]
+                row[i * d1 + k] = y[k][j]  # u[i][k]
+                row[nu + k * d2 + j] = x[i][k]  # v[k][j]
             rows.append(row)
-    basis = ratlin.kernel_basis(rows)
+    return rows
+
+
+def conormal_tangent(p: PairPoint):
+    """Basis of the solution space of [u, y] + [x, v] = 0, as (u, v) pairs.
+
+    At a smooth point of one component it has dimension exactly d1*d2.
+    """
+    d1, d2 = p.dim.d1, p.dim.d2
+    nu = d1 * d2
     out = []
-    for vec in basis:
+    for vec in ratlin.kernel_basis(_conormal_rows(p)):
         u = tuple(tuple(vec[i * d1 + j] for j in range(d1)) for i in range(d2))
         v = tuple(tuple(vec[nu + i * d2 + j] for j in range(d2)) for i in range(d1))
         out.append((u, v))
@@ -147,7 +154,8 @@ def conormal_tangent(p: PairPoint):
 
 
 def conormal_dimension(p: PairPoint) -> int:
-    return len(conormal_tangent(p))
+    """Dimension of the solution space of conormal_tangent, by one rank."""
+    return 2 * p.dim.d1 * p.dim.d2 - ratlin.rank(_conormal_rows(p))
 
 
 @dataclass(frozen=True)

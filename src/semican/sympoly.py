@@ -13,26 +13,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-KINDS = ("M", "Mp", "N", "X", "Xp")
-_DISPLAY = {"M": "M", "Mp": "M'", "N": "N", "X": "X", "Xp": "X'"}
+KINDS = ("M", "Mp", "N", "X", "Xp")  # sorted, so int order is (kind, row, col)
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_DISPLAY = ("M", "M'", "N", "X", "X'")
+_NAMES: dict[int, str] = {}  # display name of each variable rendered so far
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
-    kind: str
-    row: int
-    col: int
+class VarId(int):
+    """One matrix-entry variable, packed as (kind << 16) | (row << 8) | col.
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind in ("M", "N") and not self.row > self.col:
+    `kind` is the index of the kind in KINDS.  Hashing, equality and the
+    sorting of monomials are plain int operations, and the int order is the
+    order of (kind, row, col).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, row: int, col: int):
+        code = _CODE.get(kind)
+        if code is None:
+            raise ValueError(f"unknown kind {kind!r}")
+        if not (0 <= row <= 255 and 0 <= col <= 255):
             raise ValueError(
-                f"{self.kind}({self.row},{self.col}) is not strictly lower"
-            )
+                f"{kind}({row},{col}) has an index outside 0..255")
+        if kind in ("M", "N") and not row > col:
+            raise ValueError(f"{kind}({row},{col}) is not strictly lower")
+        return int.__new__(cls, (code << 16) | (row << 8) | col)
+
+    def __getnewargs__(self):
+        return self.kind, self.row, self.col
+
+    @property
+    def kind(self) -> str:
+        return KINDS[self >> 16]
+
+    @property
+    def row(self) -> int:
+        return (self >> 8) & 255
+
+    @property
+    def col(self) -> int:
+        return self & 255
 
     def __str__(self):
-        return f"{_DISPLAY[self.kind]}({self.row},{self.col})"
+        name = _NAMES.get(self)
+        if name is None:
+            name = _NAMES[self] = \
+                f"{_DISPLAY[self >> 16]}({self.row},{self.col})"
+        return name
+
+    def __repr__(self):
+        return f"VarId({self.kind!r}, {self.row}, {self.col})"
 
 
 Mono = tuple[tuple[VarId, int], ...]  # sorted, positive exponents
@@ -147,21 +178,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_str()})"
-
-
-def partial_derivative(p: MultiPoly, v: VarId) -> MultiPoly:
-    """Formal partial derivative, exact over Q."""
-    out: dict = {}
-    for mono, c in p.terms.items():
-        d = dict(mono)
-        e = d.pop(v, 0)
-        if e == 0:
-            continue
-        if e > 1:
-            d[v] = e - 1
-        key = tuple(sorted(d.items()))
-        out[key] = out.get(key, 0) + c * e
-    return MultiPoly(out)
 
 
 def expand_trace(dim, shape, y0) -> MultiPoly:

@@ -6,10 +6,11 @@ import pytest
 
 from semican import ratlin
 from semican.bases import (ConjectureViolation, ConstructibleFnE,
-                           MonomialWord, SpanningError, canonical_fn,
-                           cc_multiplicities, express_in_monomials,
-                           m_coefficients, monomial_matrix_E,
-                           monomial_matrix_Pi, pi_classes, psi_inverse,
+                           ExpansionMatrix, MonomialWord, SpanningError,
+                           canonical_fn, cc_multiplicities,
+                           express_in_monomials, m_coefficients,
+                           monomial_matrix_E, monomial_matrix_Pi,
+                           pi_classes, psi_inverse,
                            smallness_check, spanning_words, transfer_matrix)
 from semican.core import DimVector, PiModClass
 from semican.qcount import gauss_binom
@@ -283,8 +284,20 @@ def test_m_matrix_structure():
     for d1 in range(1, 4):
         for d2 in range(1, 4):
             m = m_coefficients(DimVector(d1, d2))
-            assert m.is_unitriangular()
-            assert m.is_integral()
+            assert m.first_bad_entry() is None
+
+
+def test_first_bad_entry_examples():
+    def mat(*rows):
+        return ExpansionMatrix(DimVector(1, 1), tuple(
+            tuple(Fraction(v) for v in row) for row in rows))
+
+    assert mat((1, 3), (0, 1)).first_bad_entry(nonnegative=True) is None
+    assert mat((1, -1), (0, 1)).first_bad_entry() is None
+    assert mat((1, -1), (0, 1)).first_bad_entry(nonnegative=True) == (0, 1)
+    assert mat((1, 0), ("1/2", 1)).first_bad_entry() == (1, 0)
+    assert mat((1, "1/2"), (0, 2)).first_bad_entry() == (0, 1)
+    assert mat((2, 0), (1, 1)).first_bad_entry() == (0, 0)
 
 
 def test_m_matches_monomial_expansion_oracle():

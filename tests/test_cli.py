@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import semican.cli as cli
 import semican.geom as geom
 import semican.separation as separation
-from semican.bases import spanning_words
+from semican.bases import ExpansionMatrix, spanning_words
 from semican.core import DimVector
 from semican.separation import enumerate_matchings, flag_shape
 from semican.sympoly import BilinearityError, MultiPoly
@@ -98,6 +101,15 @@ def test_verify_matches_golden_file(capsys):
     assert _normalized(out) + "\n" == golden.read_text()
 
 
+@pytest.mark.parametrize("comp", ["1,2,2,1,1,2,2,1", "2,1,2,1,2,1,2,1"])
+def test_separate_all_matches_golden_file(capsys, comp):
+    golden = Path(__file__).parent / "golden" / f"separate_4x4_{comp}.json"
+    code, out, _ = run(capsys, "separate", "--d1", "4", "--d2", "4",
+                       "--comp", comp, "--all")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_verify_reports_byte_stable(capsys):
     code, first, _ = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--seed", "7", "--skip-wreg")
@@ -144,6 +156,37 @@ def test_verify_lift_failure_names_word(capsys, monkeypatch):
     assert witness.startswith(f"kernel_invariance (word {words[-1]}, class ")
     assert witness in err
     assert "Traceback" not in err
+
+
+def _patched_entry(real, row, col, value):
+    def patched(*args, **kwargs):
+        mat = real(*args, **kwargs)
+        entries = [list(r) for r in mat.entries]
+        entries[row][col] = Fraction(value)
+        return ExpansionMatrix(mat.dim, tuple(map(tuple, entries)))
+    return patched
+
+
+def test_verify_m_structure_failure_names_entry(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "m_coefficients",
+                        _patched_entry(cli.m_coefficients, 2, 1, "1/2"))
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    witness = json.loads(out)["failed_checks"][0]
+    assert witness == "m_structure (entry (2, 1): 1/2)"
+    assert f"FAILED: {witness}" in err
+
+
+def test_verify_n_structure_failure_names_entry(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sign_twist",
+                        _patched_entry(cli.sign_twist, 0, 2, -3))
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    witness = json.loads(out)["failed_checks"][0]
+    assert witness == "n_structure (entry (0, 2): -3)"
+    assert f"FAILED: {witness}" in err
 
 
 def test_verify_spanning_failure(capsys, monkeypatch):
@@ -248,7 +291,7 @@ def test_verify_separation_failure_names_instance(capsys, monkeypatch):
 
 def test_verify_substitution_failure_names_instance(capsys, monkeypatch):
     monkeypatch.setattr(cli, "back_substitute",
-                        lambda a, y0, p: MultiPoly.const(1))
+                        lambda rep: MultiPoly.const(1))
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
     assert code == 2

@@ -196,6 +196,12 @@ def test_conormal_dimension_generic_vs_not():
     assert conormal_dimension(P(1, 1, 0, 0)) == 2 > 1
 
 
+def test_conormal_dimension_is_tangent_basis_size():
+    for c in _all_classes(4):
+        p = PairPoint.from_class(c)
+        assert conormal_dimension(p) == len(conormal_tangent(p)), c
+
+
 def test_conormal_tangent_solutions_satisfy_equations():
     p = P(3, 2, 1, 1)
     for u, v in conormal_tangent(p):

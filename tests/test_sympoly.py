@@ -1,3 +1,5 @@
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 
 from semican.core import DimVector
 from semican.separation import NormalFormY, flag_shape
-from semican.sympoly import (BilinearityError, MultiPoly, VarId,
-                             bilinear_decompose, expand_trace,
-                             partial_derivative)
+from semican.sympoly import (KINDS, BilinearityError, MultiPoly, VarId,
+                             bilinear_decompose, expand_trace)
+
+from oracles import partial_derivative
 
 
 def V(kind, r, c):
@@ -28,6 +31,43 @@ def test_varid_validation_and_order():
     assert VarId("M", 2, 1) < VarId("Mp", 2, 1) < VarId("N", 2, 1) \
         < VarId("X", 1, 1) < VarId("Xp", 1, 1)
     assert str(VarId("Mp", 3, 1)) == "M'(3,1)"
+
+
+def _all_varids(bound):
+    out = []
+    for code, kind in enumerate(KINDS):
+        for row in range(bound + 1):
+            for col in range(bound + 1):
+                if kind in ("M", "N") and not row > col:
+                    continue
+                out.append(((code, row, col), VarId(kind, row, col)))
+    return out
+
+
+def test_varid_order_matches_tuple_order():
+    pairs = _all_varids(8)
+    random.Random(0).shuffle(pairs)
+    by_tuple = [v for _, v in sorted(pairs, key=lambda p: p[0])]
+    by_varid = sorted(v for _, v in pairs)
+    assert by_varid == by_tuple
+    # KINDS is in string order, so this is also the order by kind name
+    assert by_varid == sorted(by_varid, key=lambda v: (v.kind, v.row, v.col))
+
+
+def test_varid_round_trip():
+    display = {"M": "M", "Mp": "M'", "N": "N", "X": "X", "Xp": "X'"}
+    for (code, row, col), v in _all_varids(8) + [
+            ((3, 255, 0), VarId("X", 255, 0)),
+            ((2, 255, 254), VarId("N", 255, 254))]:
+        assert (v.kind, v.row, v.col) == (KINDS[code], row, col)
+        assert str(v) == f"{display[v.kind]}({row},{col})"
+        assert VarId(v.kind, v.row, v.col) == v
+        assert repr(v) == f"VarId({v.kind!r}, {row}, {col})"
+        copy = pickle.loads(pickle.dumps(v))
+        assert type(copy) is VarId and copy == v
+    for args in [("X", 256, 1), ("X", 1, 256), ("X", -1, 1), ("M", 256, 1)]:
+        with pytest.raises(ValueError):
+            VarId(*args)
 
 
 _vars = [VarId("X", 1, 1), VarId("X", 2, 1), VarId("M", 2, 1), VarId("N", 3, 2)]
