@@ -16,7 +16,10 @@ from dataclasses import dataclass
 KINDS = ("M", "Mp", "N", "X", "Xp")  # sorted, so int order is (kind, row, col)
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
 _DISPLAY = ("M", "M'", "N", "X", "X'")
-_NAMES: dict[int, str] = {}  # display name of each variable rendered so far
+# every variable built so far, by its (kind, row, col), and its display
+# name; at most 5 * 256 * 256 of each
+_INTERNED: dict[tuple[str, int, int], VarId] = {}
+_NAMES: dict[int, str] = {}
 
 
 class VarId(int):
@@ -24,12 +27,16 @@ class VarId(int):
 
     `kind` is the index of the kind in KINDS.  Hashing, equality and the
     sorting of monomials are plain int operations, and the int order is the
-    order of (kind, row, col).
+    order of (kind, row, col).  Variables are interned: equal arguments give
+    the identical object, and only a new key goes through the checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, row: int, col: int):
+        v = _INTERNED.get((kind, row, col))
+        if v is not None:
+            return v
         code = _CODE.get(kind)
         if code is None:
             raise ValueError(f"unknown kind {kind!r}")
@@ -38,7 +45,10 @@ class VarId(int):
                 f"{kind}({row},{col}) has an index outside 0..255")
         if kind in ("M", "N") and not row > col:
             raise ValueError(f"{kind}({row},{col}) is not strictly lower")
-        return int.__new__(cls, (code << 16) | (row << 8) | col)
+        v = _INTERNED[kind, row, col] = \
+            int.__new__(cls, (code << 16) | (row << 8) | col)
+        _NAMES[v] = f"{_DISPLAY[code]}({v.row},{v.col})"
+        return v
 
     def __getnewargs__(self):
         return self.kind, self.row, self.col
@@ -56,11 +66,7 @@ class VarId(int):
         return self & 255
 
     def __str__(self):
-        name = _NAMES.get(self)
-        if name is None:
-            name = _NAMES[self] = \
-                f"{_DISPLAY[self >> 16]}({self.row},{self.col})"
-        return name
+        return _NAMES[self]
 
     def __repr__(self):
         return f"VarId({self.kind!r}, {self.row}, {self.col})"
@@ -89,7 +95,8 @@ def _mul_terms(a: dict, b: dict) -> dict:
 def _mono_str(mono: Mono) -> str:
     if not mono:
         return "1"
-    return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+    return "*".join([_NAMES[v] if e == 1 else f"{_NAMES[v]}^{e}"
+                     for v, e in mono])
 
 
 class MultiPoly:
@@ -183,34 +190,19 @@ class MultiPoly:
 def expand_trace(dim, shape, y0) -> MultiPoly:
     """tr(x g1^{-1} y0 g2) for unit-entry y0 and unipotent lower factors.
 
-    x ranges over matrices stabilizing the flag of `shape`, so only admissible
-    X positions carry variables; M / N are the strictly lower entries of the
-    two group factors.  The result is the three-sum expansion: every term is
-    X*N, X*M, or X*M*N with indices tied to the nonzero entries of y0.
+    x ranges over matrices stabilizing the flag of `shape` (of dimension
+    vector `dim`), so only admissible X positions carry variables; M / N are
+    the strictly lower entries of the two group factors.  The trace is the
+    sum over the entries of y0 of `shape.trace_pieces[entry]`: the X*N,
+    X*M and X*M*N families tied to that entry.  No monomial lies in two
+    pieces, so every coefficient is 1.
     """
-    d1 = dim.d1
     entries = sorted(getattr(y0, "entries", y0))
+    terms: dict = {}
     for i, j in entries:
         if not shape.adm_y(i, j):
             raise ValueError(f"y0 entry ({i},{j}) does not stabilize the flag")
-    terms: dict = {}
-
-    def add(*factors):
-        mono = tuple(sorted((VarId(*f), 1) for f in factors))
-        terms[mono] = terms.get(mono, 0) + 1
-
-    for ia, ja in entries:
-        for i in range(1, ja):
-            if shape.adm_x(i, ia):
-                add(("X", i, ia), ("N", ja, i))
-        for j in range(ia + 1, d1 + 1):
-            if shape.adm_x(ja, j):
-                add(("X", ja, j), ("M", j, ia))
-    for ib, jb in entries:
-        for i in range(1, jb):
-            for j in range(ib + 1, d1 + 1):
-                if shape.adm_x(i, j):
-                    add(("X", i, j), ("M", j, ib), ("N", jb, i))
+        terms.update(shape.trace_pieces[i, j])
     return MultiPoly(terms)
 
 
@@ -235,27 +227,41 @@ def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
     """Split p as sum_{u in W1, v in W2} B[u][v](Vc) * u * v.
 
     Succeeds iff every monomial has degree exactly 1 in W1, exactly 1 in W2,
-    and all remaining factors in Vc; otherwise raises BilinearityError with
-    the offending monomial.
+    and all remaining factors in Vc, with any exponent; otherwise raises
+    BilinearityError with the offending monomial.  Each monomial is read
+    once, through one map from each variable to its (row, column) role; a
+    Vc variable has role (-1, -1).
     """
-    w1, w2, vc = set(w1), set(w2), set(vc)
-    rows = tuple(sorted(w1))
-    cols = tuple(sorted(w2))
-    ridx = {v: i for i, v in enumerate(rows)}
-    cidx = {v: i for i, v in enumerate(cols)}
+    rows = tuple(sorted(set(w1)))
+    cols = tuple(sorted(set(w2)))
+    role = dict.fromkeys(vc, (-1, -1))
+    role.update((v, (i, -1)) for i, v in enumerate(rows))
+    for j, v in enumerate(cols):
+        role[v] = (role.get(v, (-1, -1))[0], j)
     cells: dict = {}
     for mono, coeff in p.terms.items():
-        deg1 = sum(e for v, e in mono if v in w1)
-        deg2 = sum(e for v, e in mono if v in w2)
-        rest = tuple((v, e) for v, e in mono if v not in w1 and v not in w2)
-        if deg1 != 1 or deg2 != 1 or any(v not in vc for v, _ in rest):
+        r = c = -1
+        rest = []
+        for v, e in mono:
+            vrow, vcol = role.get(v, (None, None))
+            if vrow is None:
+                raise BilinearityError(_mono_str(mono))
+            if vrow < 0 and vcol < 0:
+                rest.append((v, e))
+                continue
+            if e != 1 or (vrow >= 0 and r >= 0) or (vcol >= 0 and c >= 0):
+                raise BilinearityError(_mono_str(mono))
+            if vrow >= 0:
+                r = vrow
+            if vcol >= 0:
+                c = vcol
+        if r < 0 or c < 0:
             raise BilinearityError(_mono_str(mono))
-        u = next(v for v, _ in mono if v in w1)
-        w = next(v for v, _ in mono if v in w2)
-        cell = cells.setdefault((ridx[u], cidx[w]), {})
+        cell = cells.setdefault((r, c), {})
+        rest = tuple(rest)
         cell[rest] = cell.get(rest, 0) + coeff
-    matrix = tuple(
-        tuple(MultiPoly(cells.get((i, j))) for j in range(len(cols)))
-        for i in range(len(rows))
-    )
-    return BilinearForm(rows, cols, matrix)
+    zero = MultiPoly()  # shared by every zero cell; MultiPoly is never mutated
+    matrix = [[zero] * len(cols) for _ in rows]
+    for (i, j), cell in cells.items():
+        matrix[i][j] = MultiPoly(cell)
+    return BilinearForm(rows, cols, tuple(map(tuple, matrix)))

@@ -2,7 +2,8 @@
 
 They recompute, by a different route, what the library's separation relies
 on: the Borel normal form of a covector with its certificate, the critical
-locus of the chart pairing, and formal partial derivatives of polynomials.
+locus of the chart pairing, formal partial derivatives of polynomials, and
+the bilinear split of a polynomial by degree counts.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from semican.separation import FlagShape, NormalFormY, flag_shape
-from semican.sympoly import MultiPoly, VarId
+from semican.sympoly import (BilinearForm, BilinearityError, MultiPoly,
+                             VarId, _mono_str)
 
 
 @dataclass(frozen=True)
@@ -152,3 +154,26 @@ def partial_derivative(p: MultiPoly, v: VarId) -> MultiPoly:
         key = tuple(sorted(d.items()))
         out[key] = out.get(key, 0) + c * e
     return MultiPoly(out)
+
+
+def bilinear_decompose_two_pass(p: MultiPoly, w1, w2, vc) -> BilinearForm:
+    """`bilinear_decompose` by summing each monomial's degree in W1 and W2.
+
+    Accepts exactly the monomials of degree 1 in W1, degree 1 in W2 and all
+    other factors (any exponent) in Vc; W1 and W2 take precedence over Vc.
+    """
+    w1, w2, vc = set(w1), set(w2), set(vc)
+    rows, cols = tuple(sorted(w1)), tuple(sorted(w2))
+    cells: dict = {}
+    for mono, coeff in p.terms.items():
+        deg1 = sum(e for v, e in mono if v in w1)
+        deg2 = sum(e for v, e in mono if v in w2)
+        rest = tuple((v, e) for v, e in mono if v not in w1 and v not in w2)
+        if deg1 != 1 or deg2 != 1 or any(v not in vc for v, _ in rest):
+            raise BilinearityError(_mono_str(mono))
+        u = next(v for v, _ in mono if v in w1)
+        w = next(v for v, _ in mono if v in w2)
+        cell = cells.setdefault((u, w), {})
+        cell[rest] = cell.get(rest, 0) + coeff
+    return BilinearForm(rows, cols, tuple(
+        tuple(MultiPoly(cells.get((u, w))) for w in cols) for u in rows))

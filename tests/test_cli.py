@@ -10,7 +10,7 @@ import semican.separation as separation
 from semican.bases import ExpansionMatrix, spanning_words
 from semican.core import DimVector
 from semican.separation import enumerate_matchings, flag_shape
-from semican.sympoly import BilinearityError, MultiPoly
+from semican.sympoly import BilinearityError, MultiPoly, VarId
 
 
 def run(capsys, *argv):
@@ -108,6 +108,50 @@ def test_separate_all_matches_golden_file(capsys, comp):
                        "--comp", comp, "--all")
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_separate_all_golden_with_warm_caches(capsys):
+    # shapes and variables memoised by earlier runs in the process change
+    # no byte of a later report
+    first, second = "1,2,2,1,1,2,2,1", "2,1,2,1,2,1,2,1"
+    for comp in (first, second, first):
+        golden = Path(__file__).parent / "golden" / f"separate_4x4_{comp}.json"
+        code, out, _ = run(capsys, "separate", "--d1", "4", "--d2", "4",
+                           "--comp", comp, "--all")
+        assert code == 0
+        assert out == golden.read_text()
+
+
+class _Key(str):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, (), "", 0, -12, 1.5, None, True,
+    {"a": [], "b": {}, "c": [[], {}], "d": [[[]]]},
+    "caf\u00e9 \u2603 \U0001f600 \"quoted\" \\ \n\t\x00",
+    {"\u00e9": ["\u2603", 1, True, None, 2.5, float("inf"), float("nan")]},
+    [1, True, 0, False], [(1, 2), ("a", "b"), ()],
+    {"n": {1: "int key", None: [1, {"x": 2}]}, "v": [VarId("X", 1, 2)]},
+    {_Key("sub"): _Key("str"), "deep": [{"k": [1e-300, -0.0, 10 ** 30]}]},
+])
+def test_dumps_matches_json(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_matches_json_on_reports():
+    comp = (1, 2, 1, 2, 2, 1)
+    reports = [
+        cli.run_verify(2, 2, seed=3),  # float timings, wreg floats, bools
+        {"schema_version": cli.SCHEMA_VERSION, "dim": [3, 4],
+         "orbits": cli._orbit_rows(DimVector(3, 4))},
+        {"schema_version": cli.SCHEMA_VERSION,
+         "reports": [separation.build_and_separate(comp, m).to_dict()
+                     for m in enumerate_matchings(flag_shape(comp))]},
+    ]
+    assert reports[0]["geometry"]["wreg_reports"]
+    for report in reports:
+        assert cli._dumps(report) == json.dumps(report, indent=2)
 
 
 def test_verify_reports_byte_stable(capsys):

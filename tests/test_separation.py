@@ -10,7 +10,7 @@ from semican.separation import (NormalFormY, SeparationError,
                                 back_substitute, build_and_separate,
                                 enumerate_instances, enumerate_matchings,
                                 flag_shape, validate_matching)
-from semican.sympoly import MultiPoly, VarId
+from semican.sympoly import MultiPoly, VarId, expand_trace
 
 from oracles import critical_locus_check, normal_form
 
@@ -75,6 +75,17 @@ def test_flag_shape_reproduces_block_description():
                     else:
                         allowed = j >= nu[k]
                     assert sh.adm_y(i, j) == allowed, (comp, i, j)
+
+
+def test_flag_shape_shared_per_composition():
+    sh = flag_shape((1, 2, 2, 1))
+    assert flag_shape([1, 2, 2, 1]) is sh
+    m_vars, n_vars, x_vars = sh.chart_vars
+    assert [v for v, _, _ in m_vars] == [VarId("M", 2, 1)]
+    assert [v for v, _, _ in n_vars] == [VarId("N", 2, 1)]
+    assert [v for v, _, _ in x_vars] == [VarId("X", 1, 2), VarId("X", 2, 2)]
+    assert all((v.row, v.col) == (r, c)
+               for v, r, c in m_vars + n_vars + x_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +269,28 @@ def test_substitution_identity_exhaustive():
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
                 rep = build_and_separate(a, y0)
                 assert back_substitute(rep) == rep.trace
+
+
+def test_single_substitution_matches_chained():
+    from semican.separation import _inversion, _x_change
+    for d1 in range(0, 4):
+        for d2 in range(0, 4):
+            if d1 + d2 == 0:
+                continue
+            for a, y0 in enumerate_instances(DimVector(d1, d2)):
+                sh = flag_shape(a)
+                entries = y0.sorted_entries()
+                j_set = {j for _, j in entries}
+                t_pairs, m_expr, _ = _inversion(sh, entries)
+                x_expr, _ = _x_change(sh, entries, j_set, t_pairs, m_expr)
+                for keys, values in ((m_expr, x_expr), (x_expr, m_expr)):
+                    used = {v for p in values.values() for mono in p.terms
+                            for v, _ in mono}
+                    assert not used & keys.keys(), (a, entries)
+                h = expand_trace(sh.dim, sh, y0)
+                chained = h.substitute(m_expr).substitute(x_expr)
+                assert build_and_separate(a, y0).separated == chained, \
+                    (a, entries)
 
 
 def _mp_free(p):

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semican import sympoly
 from semican.core import DimVector
 from semican.separation import NormalFormY, flag_shape
 from semican.sympoly import (KINDS, BilinearityError, MultiPoly, VarId,
                              bilinear_decompose, expand_trace)
 
-from oracles import partial_derivative
+from oracles import bilinear_decompose_two_pass, partial_derivative
 
 
 def V(kind, r, c):
@@ -68,6 +71,20 @@ def test_varid_round_trip():
     for args in [("X", 256, 1), ("X", 1, 256), ("X", -1, 1), ("M", 256, 1)]:
         with pytest.raises(ValueError):
             VarId(*args)
+
+
+def test_varid_interned():
+    v = VarId("X", 3, 2)
+    assert VarId("X", 3, 2) is v
+    assert VarId(v.kind, v.row, v.col) is v
+    assert pickle.loads(pickle.dumps(v)) is v
+    assert copy.copy(v) is v and copy.deepcopy(v) is v
+    VarId("M", 2, 1), VarId("X", 255, 1)
+    for args in [("M", 1, 2), ("X", 256, 1), ("Q", 2, 1), ("N", 3, 3)]:
+        for _ in range(2):  # a failing key never enters the table
+            with pytest.raises(ValueError):
+                VarId(*args)
+        assert args not in sympoly._INTERNED
 
 
 _vars = [VarId("X", 1, 1), VarId("X", 2, 1), VarId("M", 2, 1), VarId("N", 3, 2)]
@@ -148,8 +165,58 @@ def test_bilinear_examples():
 
 def test_bilinear_rejects_uncovered_variable():
     p = V("X", 1, 2) * V("M", 2, 1) * V("N", 2, 1)
-    with pytest.raises(BilinearityError):
+    with pytest.raises(BilinearityError) as exc:
         bilinear_decompose(p, {M21}, {X12}, set())  # N not declared anywhere
+    assert exc.value.witness == "M(2,1)*N(2,1)*X(1,2)"
+
+
+M31, N31 = VarId("M", 3, 1), VarId("N", 3, 1)
+
+
+@pytest.mark.parametrize("p, witness", [
+    (V("M", 2, 1) * V("M", 2, 1) * V("X", 1, 2), "M(2,1)^2*X(1,2)"),
+    (V("M", 2, 1) * V("M", 3, 1) * V("X", 1, 2), "M(2,1)*M(3,1)*X(1,2)"),
+    (V("M", 2, 1) * V("N", 3, 1), "M(2,1)*N(3,1)"),
+    (V("M", 2, 1) * V("X", 1, 2) * V("X", 1, 2), "M(2,1)*X(1,2)^2"),
+    (V("N", 3, 1) * V("X", 1, 2), "N(3,1)*X(1,2)"),
+])
+def test_bilinear_failure_names_monomial(p, witness):
+    # W1 squared, two W1 factors, no W2 factor, W2 squared, no W1 factor
+    ok = V("M", 3, 1) * V("X", 1, 2)
+    with pytest.raises(BilinearityError) as exc:
+        bilinear_decompose(ok + p, {M21, M31}, {X12}, {N31})
+    assert exc.value.witness == witness
+
+
+def test_bilinear_accepts_any_coefficient_exponent():
+    c = MultiPoly.var(N31)
+    p = V("M", 2, 1) * V("X", 1, 2) * c * c * c
+    form = bilinear_decompose(p, {M21}, {X12}, {N31})
+    assert form.matrix == ((c * c * c,),)
+    # a variable in both groups is its own bilinear monomial
+    form = bilinear_decompose(V("X", 1, 2), {X12}, {X12}, set())
+    assert form.matrix == ((MultiPoly.const(1),),)
+
+
+def test_bilinear_matches_two_pass_reference():
+    # every monomial in three variables with exponents 0..2, against every
+    # way of putting each variable into at most two of W1, W2 and Vc
+    vs = (M21, X12, N31)
+    roles = [set(r) for n in range(3)
+             for r in itertools.combinations(("w1", "w2", "vc"), n)]
+    for exps in itertools.product(range(3), repeat=3):
+        p = MultiPoly({tuple((v, e) for v, e in zip(vs, exps) if e): 1})
+        for role in itertools.product(roles, repeat=3):
+            groups = [{v for v, r in zip(vs, role) if g in r}
+                      for g in ("w1", "w2", "vc")]
+            try:
+                expected = bilinear_decompose_two_pass(p, *groups)
+            except BilinearityError as exc:
+                with pytest.raises(BilinearityError) as got:
+                    bilinear_decompose(p, *groups)
+                assert got.value.witness == exc.witness
+            else:
+                assert bilinear_decompose(p, *groups) == expected
 
 
 # ---------------------------------------------------------------------------
