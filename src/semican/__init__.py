@@ -1,9 +1,11 @@
 """Exact verification toolkit for the two-vertex quiver.
 
-Orbit combinatorics, flag point-counts over F_q, the monomial expansion
-relating canonical stalk functions to generic values on conormal components,
-a symbolic variable-separation certificate for the chart trace functions, and
-exact second-order geometry checks, all over the rationals.
+Orbit combinatorics, Euler characteristics of flag fibres (integer counts at
+q = 1), the monomial expansion relating canonical stalk functions to generic
+values on conormal components, a symbolic variable-separation certificate
+for the chart trace functions, and exact second-order geometry checks, all
+over the rationals; only the optional regularity probe (semican.wreg) uses
+floats.
 """
 
 from .core import (ConormalComponent, DimVector, Orbit, PiModClass,

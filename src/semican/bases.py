@@ -9,9 +9,11 @@ matrix m of the canonical basis against the semicanonical one.  Twisting by
 orbit-dimension signs turns m into the characteristic-cycle multiplicities n,
 which must be nonnegative integers with unit diagonal.
 
-The lift is linear, so it is one transfer matrix T with mat_pi = mat_e . T
-on the monomial value matrices; T is solved once from independent word rows
-and checked exactly against every word row.
+The monomial values are q = 1 flag counts (integers, from qcount).  The lift
+is linear, so it is one transfer matrix T with mat_pi = mat_e . T on the
+monomial value matrices; T is solved once from independent word rows and
+checked exactly against every word row, and the lift of a function f is
+transfer_matrix(dim, words).apply(f.values).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .core import (DimVector, Orbit, PiModClass, compositions,
-                   enumerate_orbits, orbit_dim, pi_classes)
+from .core import (ConormalComponent, DimVector, Orbit, PiModClass,
+                   compositions, orbit_dim, pi_classes)
 from .qcount import euler_counts, word_content
 
 
@@ -93,20 +95,6 @@ class ConstructibleFnE:
 
 
 @dataclass(frozen=True)
-class ConstructibleFnLambda:
-    """Invariant constructible function on the pair variety, indexed by class."""
-
-    dim: DimVector
-    values: tuple[Fraction, ...]  # aligned with pi_classes(dim)
-
-    def value(self, r: int, s: int) -> Fraction:
-        return self.values[pi_classes(self.dim).index(PiModClass(self.dim, r, s))]
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return {(c.r, c.s): v for c, v in zip(pi_classes(self.dim), self.values)}
-
-
-@dataclass(frozen=True)
 class ExpansionMatrix:
     """Square matrix indexed by orbit ranks; entry (r_row, r_col) = coefficient
     of the row orbit's function in the column orbit's expansion."""
@@ -150,33 +138,12 @@ class ConjectureViolation(AssertionError):
 
 def monomial_matrix_E(dim: DimVector, words) -> list[list[int]]:
     """Row per word, column per orbit rank; entries are flag counts at q = 1."""
-    orbits = enumerate_orbits(dim)
-    return [euler_counts(w.letters, orbits, "E") for w in words]
+    return [euler_counts(w.letters, dim, "E") for w in words]
 
 
 def monomial_matrix_Pi(dim: DimVector, words) -> list[list[int]]:
     """Row per word, column per pair class, flag counts at q = 1."""
-    classes = pi_classes(dim)
-    return [euler_counts(w.letters, classes, "Pi") for w in words]
-
-
-def smallness_check(dim: DimVector, r: int, side: str) -> bool:
-    """Whether the chosen resolution of the rank <= r closure is small.
-
-    The ker-side resolution has Grassmannian fibers of dimension
-    (d1 - r)(r - r') over the rank-r' stratum; smallness asks twice that to be
-    less than the stratum codimension for every r' < r.  The coker side swaps
-    the roles of d1 and d2.
-    """
-    d1, d2 = dim.d1, dim.d2
-    if side == "coker":
-        d1, d2 = d2, d1
-    elif side != "ker":
-        raise ValueError(f"side must be 'ker' or 'coker', got {side!r}")
-    for rp in range(r):
-        if not 2 * (d1 - r) * (r - rp) < (r - rp) * (d1 + d2 - r - rp):
-            return False
-    return True
+    return [euler_counts(w.letters, dim, "Pi") for w in words]
 
 
 def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
@@ -185,38 +152,15 @@ def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
 
     Computed through the small resolution whose fiber over a rank-r' point is
     a Grassmannian; the value at r' <= r is the binomial C(d1-r', d1-r) (with
-    d1, d2 swapped when d2 < d1)."""
-    if not (smallness_check(dim, r, "ker") or smallness_check(dim, r, "coker")):
-        raise ArithmeticError(
-            f"no small resolution for rank {r} on {dim}"
-        )  # unreachable for two vertices; kept as a guard
+    d1, d2 swapped when d2 < d1).  The resolution on the side of the smaller
+    dimension is always small: for d1 <= d2 its condition reduces to
+    d2 - d1 + r - r' > 0 for every r' < r."""
     n = dim.d1 if dim.d1 <= dim.d2 else dim.d2
     values = [
         Fraction(math.comb(n - rp, n - r)) if rp <= r else Fraction(0)
         for rp in range(dim.rank_bound + 1)
     ]
     return ConstructibleFnE(dim, tuple(values))
-
-
-def express_in_monomials(f: ConstructibleFnE, words,
-                         mat_e=None) -> list[Fraction]:
-    """Exact coefficients c with sum_w c_w * monomial_w = f on every orbit.
-
-    Underdetermined systems get the pivoted minimal solution in the given
-    word order.  Raises SpanningError when some orbit direction is missing.
-    A precomputed monomial matrix can be passed to skip the counting DP.
-    The pipeline lifts through transfer_matrix; this stays as the reference
-    the transfer matrix is tested against.
-    """
-    if mat_e is None:
-        mat_e = monomial_matrix_E(f.dim, words)
-    n_orbits = f.dim.rank_bound + 1
-    covered = set(ratlin.pivot_columns(mat_e))
-    if len(covered) < n_orbits:
-        missing = [r for r in range(n_orbits) if r not in covered]
-        raise SpanningError(f.dim, missing)
-    system = ratlin.transpose(mat_e)  # orbit equations, word unknowns
-    return ratlin.solve_pivoted(system, list(f.values))
 
 
 @dataclass(frozen=True)
@@ -301,23 +245,15 @@ def _first_mismatch(words, mat_e, mat_pi, classes, t) -> RowMismatch | None:
     return None
 
 
-def psi_inverse(f: ConstructibleFnE, words=None,
-                transfer: TransferMatrix | None = None) -> ConstructibleFnLambda:
-    """Lift f to the pair variety: its values times the transfer matrix."""
-    if transfer is None:
-        transfer = transfer_matrix(f.dim, words)
-    return ConstructibleFnLambda(f.dim, transfer.apply(f.values))
-
-
-def m_coefficients(dim: DimVector, words=None,
+def m_coefficients(dim: DimVector, *,
                    transfer: TransferMatrix | None = None) -> ExpansionMatrix:
     """m[r', r] = value of the lifted IC stalk function of orbit r at the
     generic pair class (r', min - r') of the r'-component."""
     if transfer is None:
-        transfer = transfer_matrix(dim, words)
+        transfer = transfer_matrix(dim)
     bound = dim.rank_bound
     classes = pi_classes(dim)
-    generic = [classes.index(PiModClass(dim, rp, bound - rp))
+    generic = [classes.index(ConormalComponent(Orbit(dim, rp)).generic_class)
                for rp in range(bound + 1)]
     cols = [transfer.apply(canonical_fn(dim, r).values)
             for r in range(bound + 1)]
@@ -352,7 +288,7 @@ def check_multiplicities(n: ExpansionMatrix) -> None:
         )
 
 
-def cc_multiplicities(dim: DimVector, words=None,
+def cc_multiplicities(dim: DimVector, *,
                       transfer: TransferMatrix | None = None
                       ) -> ExpansionMatrix:
     """n = the sign twist of m, validated.
@@ -363,7 +299,7 @@ def cc_multiplicities(dim: DimVector, words=None,
     passing silently.
     """
     if transfer is None:
-        transfer = transfer_matrix(dim, words)
+        transfer = transfer_matrix(dim)
     if transfer.mismatch is not None:
         raise ConjectureViolation(
             f"on {dim}: pair-side row is not the E-side row times T at "

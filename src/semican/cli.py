@@ -19,10 +19,9 @@ from pathlib import Path
 from .bases import (SpanningError, m_coefficients, monomial_matrix_E,
                     monomial_matrix_Pi, sign_twist, spanning_words,
                     transfer_matrix)
-from .core import (DimVector, Orbit, PiModClass, dual_orbit, enumerate_orbits,
-                   orbit_dim, sign_parity)
-from .geom import (GenericityError, PairPoint, hessian_rank_check,
-                   w_regularity_sample)
+from .core import (ConormalComponent, DimVector, Orbit, dual_orbit,
+                   enumerate_orbits, orbit_dim, sign_parity)
+from .geom import GenericityError, PairPoint, hessian_rank_check
 from .separation import (NormalFormY, SeparationError, back_substitute,
                          build_and_separate, enumerate_instances,
                          enumerate_matchings, flag_shape, validate_matching)
@@ -187,7 +186,8 @@ def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
     stage("appendix_b")
     hessian_ok = conormal_ok = True
     for r in range(dim.rank_bound + 1):
-        p = PairPoint.from_class(PiModClass(dim, r, dim.rank_bound - r))
+        generic = ConormalComponent(Orbit(dim, r)).generic_class
+        p = PairPoint.from_class(generic)
         try:
             rank_ok = hessian_rank_check(p)
         except GenericityError as exc:
@@ -203,11 +203,12 @@ def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
     wreg_reports = []
     if not skip_wreg:
         stage("wreg")
+        from . import wreg  # floats, imported only when the probe runs
         n_failed = len(failed)
         for ri in range(dim.rank_bound + 1):
             for rj in range(ri + 1, dim.rank_bound + 1):
                 try:
-                    rep = w_regularity_sample(
+                    rep = wreg.w_regularity_sample(
                         Orbit(dim, ri), Orbit(dim, rj), n_samples=6, seed=seed
                     )
                 except ArithmeticError as exc:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 import semican.cli as cli
 import semican.geom as geom
 import semican.separation as separation
+import semican.wreg as wreg
 from semican.bases import ExpansionMatrix, spanning_words
 from semican.core import DimVector
 from semican.separation import enumerate_matchings, flag_shape
@@ -264,7 +268,7 @@ def test_verify_wreg_probe_failure_names_orbits(capsys, monkeypatch):
     def failing_probe(inner, outer, **kwargs):
         raise ArithmeticError("could not draw a nondegenerate sample")
 
-    monkeypatch.setattr(cli, "w_regularity_sample", failing_probe)
+    monkeypatch.setattr(wreg, "w_regularity_sample", failing_probe)
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1")
     assert code == 2
     report = json.loads(out)
@@ -276,6 +280,17 @@ def test_verify_wreg_probe_failure_names_orbits(capsys, monkeypatch):
     assert report["failed_checks"] == [witness]
     assert witness in err
     assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported by the wreg stage only, not by the command line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, semican.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_separate_single(capsys):

@@ -7,7 +7,8 @@ from semican import ratlin
 from semican.core import (ConormalComponent, DimVector, Orbit, PiModClass,
                           dual_orbit, enumerate_orbits, orbit_dim,
                           representative_pair, sign_parity)
-from semican.qcount import QPoly, gauss_binom
+
+from oracles import QPoly, gauss_binom
 
 
 def test_enumerate_orbits():

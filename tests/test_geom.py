@@ -8,8 +8,8 @@ from semican.core import (DimVector, Orbit, PiModClass, dual_orbit, orbit_dim,
                           pi_classes)
 from semican.geom import (GenericityError, PairPoint, bilinear_form_B,
                           conormal_dimension, conormal_tangent,
-                          expected_hessian_rank, hessian_rank_check,
-                          w_regularity_sample)
+                          expected_hessian_rank, hessian_rank_check)
+from semican.wreg import w_regularity_sample
 
 
 def P(d1, d2, r, s):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from semican.bases import spanning_words
 from semican.core import (DimVector, Orbit, PiModClass, enumerate_orbits,
                           pi_classes)
-from semican.qcount import (QPoly, StepCount, eval_word, euler_counts,
-                            gauss_binom, q_factorial, q_int, sub_grouped,
-                            sub_simple_E, sub_simple_Pi, transitions,
-                            word_content)
+from semican.qcount import _steps_at_one, euler_counts, word_content
+
+from oracles import (QPoly, StepCount, eval_word, gauss_binom, q_factorial,
+                     q_int, sub_grouped, sub_simple_E, sub_simple_Pi,
+                     transitions)
 
 # ---------------------------------------------------------------------------
 # QPoly ring
@@ -250,20 +251,41 @@ def test_euler_counts_match_eval_word_at_one():
                 for w in spanning_words(dim):
                     expected = [eval_word(w.letters, c, side).at_one()
                                 for c in classes]
-                    assert euler_counts(w.letters, classes, side) == expected
-                    # any subset of classes, in any order
-                    assert euler_counts(w.letters, classes[::-1], side) == \
-                        expected[::-1]
+                    assert euler_counts(w.letters, dim, side) == expected
 
 
 def test_euler_counts_validation():
-    with pytest.raises(ValueError):
-        euler_counts(((1, 1), (2, 2)), [E(1, 1, 0)], "E")
-    with pytest.raises(ValueError):
-        euler_counts(((1, 1), (2, 1)), [E(1, 1, 0), E(2, 1, 0)], "E")
-    with pytest.raises(TypeError):
-        euler_counts(((1, 1), (2, 1)), [Pi(1, 1, 0, 0)], "E")
-    assert euler_counts(((1, 1), (2, 1)), [], "E") == []
+    with pytest.raises(ValueError, match="does not match"):
+        euler_counts(((1, 1), (2, 2)), DimVector(1, 1), "E")
+    with pytest.raises(ValueError, match="does not match"):
+        euler_counts(((1, 1), (2, 1)), DimVector(2, 1), "Pi")
+    with pytest.raises(ValueError, match="malformed"):
+        euler_counts(((3, 1),), DimVector(1, 0), "E")
+    with pytest.raises(ValueError, match="side"):
+        euler_counts(((1, 1), (2, 1)), DimVector(1, 1), "Lambda")
+    assert euler_counts((), DimVector(0, 0), "Pi") == [1]
+
+
+def test_steps_at_one_match_grouped_polynomials_at_one():
+    # each integer step count is the oracle's grouped count at q = 1, with
+    # its child indexed in the class order of the child dimension
+    for d1 in range(7):
+        for d2 in range(7):
+            dim = DimVector(d1, d2)
+            for side, classes in (("E", enumerate_orbits), ("Pi", pi_classes)):
+                for vertex, top in ((1, d1), (2, d2)):
+                    for b in range(top + 1):
+                        child = DimVector(d1 - b, d2) if vertex == 1 \
+                            else DimVector(d1, d2 - b)
+                        index = {c: i for i, c in enumerate(classes(child))}
+                        expected = tuple(
+                            tuple(sorted((index[s.child], s.count.at_one())
+                                         for s in sub_grouped(c, vertex, b,
+                                                              side)))
+                            for c in classes(dim))
+                        got = _steps_at_one(dim, vertex, b, side)
+                        assert tuple(tuple(sorted(row)) for row in got) == \
+                            expected, (dim, vertex, b, side)
 
 
 def _words_for(d1, d2, max_group=2):
