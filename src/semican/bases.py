@@ -276,34 +276,38 @@ def sign_twist(dim: DimVector, m) -> ExpansionMatrix:
     return ExpansionMatrix(dim, entries)
 
 
-def check_multiplicities(n: ExpansionMatrix) -> None:
-    """Raise ConjectureViolation unless n has unit diagonal, integer
-    nonnegative entries, and support r' <= r."""
-    bad = n.first_bad_entry(nonnegative=True)
-    if bad is not None:
-        rp, r = bad
-        raise ConjectureViolation(
-            f"on {n.dim}: n[{rp},{r}] = {n.entry(rp, r)} breaks the unit "
-            f"diagonal, the support r' <= r or nonnegative integrality"
-        )
+def lift_failures(transfer: TransferMatrix) -> list[str]:
+    """`section_identity (r=...)` per rank whose (r, 0) column of T is not a
+    unit vector, then `kernel_invariance (<first word row off mat_e . T>)`."""
+    failures = [f"section_identity (r={r})"
+                for r in transfer.section_failures()]
+    if transfer.mismatch is not None:
+        failures.append(f"kernel_invariance ({transfer.mismatch})")
+    return failures
+
+
+def structure_failures(m: ExpansionMatrix, n: ExpansionMatrix) -> list[str]:
+    """`<m|n>_structure (entry (r', r): <value>)` at the first entry of m that
+    is not integral unitriangular, then of n that is not that and >= 0."""
+    checks = (("m_structure", m, m.first_bad_entry()),
+              ("n_structure", n, n.first_bad_entry(nonnegative=True)))
+    return [f"{name} (entry {bad}: {mat.entry(*bad)})"
+            for name, mat, bad in checks if bad is not None]
 
 
 def cc_multiplicities(dim: DimVector, *,
                       transfer: TransferMatrix | None = None
                       ) -> ExpansionMatrix:
-    """n = the sign twist of m, validated.
-
-    Checks the lift on every word row, then the structure forced by the
-    multiplicity identity: unit diagonal, integrality, nonnegativity, and
-    support r' <= r.  Any failure raises ConjectureViolation rather than
-    passing silently.
+    """n = the sign twist of m, validated as verify validates it: the section
+    identity and every word row of the lift, m integral and unitriangular, n
+    also nonnegative.  The first witness of a failure (lift_failures, then
+    structure_failures) raises ConjectureViolation.
     """
     if transfer is None:
         transfer = transfer_matrix(dim)
-    if transfer.mismatch is not None:
-        raise ConjectureViolation(
-            f"on {dim}: pair-side row is not the E-side row times T at "
-            f"{transfer.mismatch}")
-    n = sign_twist(dim, m_coefficients(dim, transfer=transfer))
-    check_multiplicities(n)
+    m = m_coefficients(dim, transfer=transfer)
+    n = sign_twist(dim, m)
+    failures = lift_failures(transfer) + structure_failures(m, n)
+    if failures:
+        raise ConjectureViolation(f"on {dim}: {failures[0]}")
     return n

@@ -1,39 +1,22 @@
 """Command-line entry points: orbit tables, separation reports, and the
-end-to-end verify pipeline.
-
-Exit codes: 0 all checks pass, 2 a check failed, 1 usage or input error.
-All exact values are emitted as rational strings; reports are JSON with a
-schema_version field.
+report of `semican.verify`.  This module parses arguments, writes the JSON
+and maps outcomes to exit codes: 0 all checks pass, 2 a check failed, 1 usage
+or input error.  Exact values are emitted as rational strings; reports are
+JSON with a schema_version field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
-from fractions import Fraction
 from pathlib import Path
 
-from .bases import (SpanningError, m_coefficients, monomial_matrix_E,
-                    monomial_matrix_Pi, sign_twist, spanning_words,
-                    transfer_matrix)
-from .core import (ConormalComponent, DimVector, Orbit, dual_orbit,
-                   enumerate_orbits, orbit_dim, sign_parity)
-from .geom import GenericityError, PairPoint, hessian_rank_check
-from .separation import (NormalFormY, SeparationError, back_substitute,
-                         build_and_separate, enumerate_instances,
+from .core import (DimVector, dual_orbit, enumerate_orbits, orbit_dim,
+                   sign_parity)
+from .separation import (NormalFormY, SeparationError, build_and_separate,
                          enumerate_matchings, flag_shape, validate_matching)
-
-SCHEMA_VERSION = 2
-# largest vertex dimension at which verify separates every instance
-EXHAUSTIVE_SEP_BOUND = 3
-
-
-def _fr(x) -> str:
-    return str(Fraction(x))
-
+from .verify import SCHEMA_VERSION, run_verify
 
 _quote = json.encoder.encode_basestring_ascii
 # exact types written directly; subclasses (bool, VarId) go through json
@@ -100,151 +83,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# verify pipeline
-
-def run_verify(d1: int, d2: int, seed: int = 1, skip_wreg: bool = False,
-               sep_samples: int = 500) -> dict:
-    """Run every check for one dimension vector and assemble the report."""
-    dim = DimVector(d1, d2)
-    timings: dict[str, float] = {}
-    failed: list[str] = []
-
-    def stage(name):
-        timings[name] = time.perf_counter()
-
-    def done(name):
-        timings[name] = round((time.perf_counter() - timings[name]) * 1000.0, 3)
-
-    stage("monomial_matrices")
-    words = spanning_words(dim)
-    mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
-    done("monomial_matrices")
-
-    stage("section_kernel")
-    section_ok = kernel_ok = False
-    try:
-        transfer = transfer_matrix(dim, words, mats)
-    except SpanningError as exc:
-        transfer = None
-        failed.append(f"spanning (missing ranks {exc.missing})")
-    else:
-        bad_sections = transfer.section_failures()
-        section_ok = not bad_sections
-        failed.extend(f"section_identity (r={r})" for r in bad_sections)
-        kernel_ok = transfer.mismatch is None
-        if not kernel_ok:
-            failed.append(f"kernel_invariance ({transfer.mismatch})")
-    done("section_kernel")
-
-    stage("m_n_matrices")
-    m_entries = n_entries = ()
-    if transfer is not None:
-        m = m_coefficients(dim, transfer=transfer)
-        n = sign_twist(dim, m)
-        for name, mat, bad in (
-                ("m_structure", m, m.first_bad_entry()),
-                ("n_structure", n, n.first_bad_entry(nonnegative=True))):
-            if bad is not None:
-                failed.append(
-                    f"{name} (entry {bad}: {_fr(mat.entry(*bad))})")
-        m_entries, n_entries = m.entries, n.entries
-    done("m_n_matrices")
-
-    stage("parity")
-    parity_ok = all(sign_parity(o) % 2 == 0 for o in enumerate_orbits(dim))
-    if not parity_ok:
-        failed.append("sign_parity")
-    done("parity")
-
-    stage("separation")
-    instances = list(enumerate_instances(dim))
-    sampled = max(d1, d2) > EXHAUSTIVE_SEP_BOUND
-    if sampled:
-        rng = random.Random(seed)
-        instances = rng.sample(instances, min(sep_samples, len(instances)))
-    bilinear_fail = subst_fail = None  # first witness of each kind
-    for a, y0 in instances:
-        try:
-            rep = build_and_separate(a, y0)
-        except SeparationError as exc:
-            bilinear_fail = bilinear_fail or str(exc)
-            continue
-        if subst_fail is None and back_substitute(rep) != rep.trace:
-            subst_fail = f"composition {a}, y0 {list(rep.y0)}"
-    separation = {
-        "instances": len(instances),
-        "sampled": sampled,
-        "bilinear_ok": bilinear_fail is None,
-        "substitution_ok": subst_fail is None,
-    }
-    if bilinear_fail:
-        failed.append(f"separation_bilinear_ok ({bilinear_fail})")
-    if subst_fail:
-        failed.append(f"separation_substitution_ok ({subst_fail})")
-    done("separation")
-
-    stage("appendix_b")
-    hessian_ok = conormal_ok = True
-    for r in range(dim.rank_bound + 1):
-        generic = ConormalComponent(Orbit(dim, r)).generic_class
-        p = PairPoint.from_class(generic)
-        try:
-            rank_ok = hessian_rank_check(p)
-        except GenericityError as exc:
-            conormal_ok = False
-            failed.append(f"conormal_dimension (r={r}: {exc})")
-            continue
-        if not rank_ok:
-            hessian_ok = False
-            failed.append(f"hessian_rank (r={r})")
-    done("appendix_b")
-
-    wreg_status = "SKIPPED"
-    wreg_reports = []
-    if not skip_wreg:
-        stage("wreg")
-        from . import wreg  # floats, imported only when the probe runs
-        n_failed = len(failed)
-        for ri in range(dim.rank_bound + 1):
-            for rj in range(ri + 1, dim.rank_bound + 1):
-                try:
-                    rep = wreg.w_regularity_sample(
-                        Orbit(dim, ri), Orbit(dim, rj), n_samples=6, seed=seed
-                    )
-                except ArithmeticError as exc:
-                    failed.append(
-                        f"w_regularity (inner {ri}, outer {rj}: {exc})")
-                    continue
-                wreg_reports.append(rep.to_dict())
-        if not all(rep["passed"] for rep in wreg_reports):
-            failed.append("w_regularity")
-        wreg_status = "PASS" if len(failed) == n_failed else "FAIL"
-        done("wreg")
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "dim": [d1, d2],
-        "seed": seed,
-        "m_matrix": [[_fr(v) for v in row] for row in m_entries],
-        "n_matrix": [[_fr(v) for v in row] for row in n_entries],
-        "section_ok": section_ok,
-        "kernel_ok": kernel_ok,
-        "parity_ok": parity_ok,
-        "separation": separation,
-        "geometry": {
-            "hessian_ok": hessian_ok,
-            "conormal_ok": conormal_ok,
-            "wreg": wreg_status,
-            "wreg_reports": wreg_reports,
-        },
-        "timings": timings,
-        "failed_checks": failed,
-        "verdict": "PASS" if not failed else "FAIL",
-    }
-    return report
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def _orbit_rows(dim: DimVector):
@@ -291,10 +129,8 @@ def cmd_verify(args) -> int:
     if args.d1 + args.d2 < 1:
         print("error: d1 + d2 must be at least 1", file=sys.stderr)
         return 1
-    report = run_verify(
-        args.d1, args.d2, seed=args.seed, skip_wreg=args.skip_wreg,
-        sep_samples=args.sep_samples,
-    )
+    report = run_verify(args.d1, args.d2, seed=args.seed,
+                        skip_wreg=args.skip_wreg)
     text = _dumps(report)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -372,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--skip-wreg", action="store_true",
                    help="skip the floating-point stratification probe")
-    p.add_argument("--sep-samples", type=int, default=500,
-                   help="instance sample size above the exhaustive bound")
     p.add_argument("--max-dim", type=int, default=4,
                    help="largest vertex dimension accepted")
     p.add_argument("--out", help="write the JSON report to a file")

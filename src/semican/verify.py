@@ -1,0 +1,158 @@
+"""The end-to-end verify pipeline: every check for one dimension vector,
+each as a timed stage, and the JSON-ready report.  A failed check adds its
+witness to `failed_checks`; an exception that escapes a stage becomes the
+failed check `<stage> (<ExcType>: <message>)`, so every run ends in a report.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from contextlib import contextmanager
+
+from .bases import (SpanningError, lift_failures, m_coefficients,
+                    monomial_matrix_E, monomial_matrix_Pi, sign_twist,
+                    spanning_words, structure_failures, transfer_matrix)
+from .core import (ConormalComponent, DimVector, Orbit, enumerate_orbits,
+                   sign_parity)
+from .geom import GenericityError, PairPoint, hessian_rank_check
+from .separation import (SeparationError, back_substitute, build_and_separate,
+                         enumerate_instances)
+
+SCHEMA_VERSION = 2
+# largest vertex dimension at which verify separates every instance
+EXHAUSTIVE_SEP_BOUND = 3
+SEP_SAMPLES = 500  # instances drawn above that bound
+
+
+def run_verify(d1: int, d2: int, seed: int = 1,
+               skip_wreg: bool = False) -> dict:
+    """Run every check for one dimension vector and assemble the report."""
+    dim = DimVector(d1, d2)
+    timings: dict[str, float] = {}
+    failed: list[str] = []
+
+    @contextmanager
+    def stage(name):
+        start = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            failed.append(f"{name} ({type(exc).__name__}: {exc})")
+        finally:
+            timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
+
+    mats = None
+    with stage("monomial_matrices"):
+        words = spanning_words(dim)
+        mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
+
+    transfer = None
+    section_ok = kernel_ok = False
+    with stage("section_kernel"):
+        if mats is not None:
+            try:
+                transfer = transfer_matrix(dim, words, mats)
+            except SpanningError as exc:
+                failed.append(f"spanning (missing ranks {exc.missing})")
+            else:
+                failed.extend(lift_failures(transfer))
+                section_ok = not transfer.section_failures()
+                kernel_ok = transfer.mismatch is None
+
+    m_entries = n_entries = ()
+    with stage("m_n_matrices"):
+        if transfer is not None:
+            m = m_coefficients(dim, transfer=transfer)
+            n = sign_twist(dim, m)
+            failed.extend(structure_failures(m, n))
+            m_entries, n_entries = m.entries, n.entries
+
+    parity_ok = False
+    with stage("parity"):
+        parity_ok = all(sign_parity(o) % 2 == 0 for o in enumerate_orbits(dim))
+        if not parity_ok:
+            failed.append("sign_parity")
+
+    sampled = max(d1, d2) > EXHAUSTIVE_SEP_BOUND
+    separation = {"instances": 0, "sampled": sampled,
+                  "bilinear_ok": False, "substitution_ok": False}
+    with stage("separation"):
+        instances = list(enumerate_instances(dim))
+        if sampled:
+            rng = random.Random(seed)
+            instances = rng.sample(instances, min(SEP_SAMPLES, len(instances)))
+        bilinear_fail = subst_fail = None  # first witness of each kind
+        for a, y0 in instances:
+            try:
+                rep = build_and_separate(a, y0)
+            except SeparationError as exc:
+                bilinear_fail = bilinear_fail or str(exc)
+                continue
+            if subst_fail is None and back_substitute(rep) != rep.trace:
+                subst_fail = f"composition {a}, y0 {list(rep.y0)}"
+        if bilinear_fail:
+            failed.append(f"separation_bilinear_ok ({bilinear_fail})")
+        if subst_fail:
+            failed.append(f"separation_substitution_ok ({subst_fail})")
+        separation.update(instances=len(instances),
+                          bilinear_ok=bilinear_fail is None,
+                          substitution_ok=subst_fail is None)
+
+    hessian_ok = conormal_ok = False
+    with stage("appendix_b"):
+        ranks_ok = smooth_ok = True
+        for r in range(dim.rank_bound + 1):
+            generic = ConormalComponent(Orbit(dim, r)).generic_class
+            try:
+                rank_ok = hessian_rank_check(PairPoint.from_class(generic))
+            except GenericityError as exc:
+                smooth_ok = False
+                failed.append(f"conormal_dimension (r={r}: {exc})")
+                continue
+            if not rank_ok:
+                ranks_ok = False
+                failed.append(f"hessian_rank (r={r})")
+        hessian_ok, conormal_ok = ranks_ok, smooth_ok
+
+    wreg_status, wreg_reports = "SKIPPED", []
+    if not skip_wreg:
+        wreg_status = "FAIL"
+        with stage("wreg"):
+            from . import wreg  # floats, imported only when the probe runs
+            n_failed = len(failed)
+            for ri in range(dim.rank_bound + 1):
+                for rj in range(ri + 1, dim.rank_bound + 1):
+                    try:
+                        rep = wreg.w_regularity_sample(
+                            Orbit(dim, ri), Orbit(dim, rj), n_samples=6,
+                            seed=seed)
+                    except ArithmeticError as exc:
+                        failed.append(
+                            f"w_regularity (inner {ri}, outer {rj}: {exc})")
+                        continue
+                    wreg_reports.append(rep.to_dict())
+            if not all(rep["passed"] for rep in wreg_reports):
+                failed.append("w_regularity")
+            wreg_status = "PASS" if len(failed) == n_failed else "FAIL"
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dim": [d1, d2],
+        "seed": seed,
+        "m_matrix": [[str(v) for v in row] for row in m_entries],
+        "n_matrix": [[str(v) for v in row] for row in n_entries],
+        "section_ok": section_ok,
+        "kernel_ok": kernel_ok,
+        "parity_ok": parity_ok,
+        "separation": separation,
+        "geometry": {
+            "hessian_ok": hessian_ok,
+            "conormal_ok": conormal_ok,
+            "wreg": wreg_status,
+            "wreg_reports": wreg_reports,
+        },
+        "timings": timings,
+        "failed_checks": failed,
+        "verdict": "PASS" if not failed else "FAIL",
+    }

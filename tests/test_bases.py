@@ -7,9 +7,10 @@ import pytest
 from semican import ratlin
 from semican.bases import (ConjectureViolation, ConstructibleFnE,
                            ExpansionMatrix, MonomialWord, SpanningError,
-                           canonical_fn, cc_multiplicities, m_coefficients,
-                           monomial_matrix_E, monomial_matrix_Pi, pi_classes,
-                           spanning_words, transfer_matrix)
+                           canonical_fn, cc_multiplicities, lift_failures,
+                           m_coefficients, monomial_matrix_E,
+                           monomial_matrix_Pi, pi_classes, spanning_words,
+                           transfer_matrix)
 from semican.core import DimVector, PiModClass
 
 from oracles import express_in_monomials, gauss_binom, smallness_check
@@ -274,6 +275,23 @@ def test_transfer_matrix_witnesses():
     assert exc.value.missing == [1]
 
 
+def test_cc_multiplicities_checks_the_section_identity():
+    # the consistently rescaled (1, 0) column passes every word row, so only
+    # the section identity catches it, in cc_multiplicities as in verify
+    dim = DimVector(2, 2)
+    words = spanning_words(dim)
+    mat_e = monomial_matrix_E(dim, words)
+    mat_pi = monomial_matrix_Pi(dim, words)
+    j = pi_classes(dim).index(PiModClass(dim, 1, 0))
+    for row_pi, row_e in zip(mat_pi, mat_e):
+        row_pi[j] = 2 * row_e[1]
+    t = transfer_matrix(dim, words, (mat_e, mat_pi))
+    assert lift_failures(t) == ["section_identity (r=1)"]
+    with pytest.raises(ConjectureViolation,
+                       match=re.escape("section_identity (r=1)")):
+        cc_multiplicities(dim, transfer=t)
+
+
 # ---------------------------------------------------------------------------
 # m and n
 
@@ -349,15 +367,11 @@ def test_conjecture_violation_is_raised():
     # a deliberately broken expansion matrix must not validate
     import semican.bases as bases
 
-    class FakeM:
-        size = 2
-        entries = ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(2)))
-
-        def entry(self, i, j):
-            return self.entries[i][j]
+    fake_m = ExpansionMatrix(DimVector(1, 1), (
+        (Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(2))))
 
     real = bases.m_coefficients
-    bases.m_coefficients = lambda *args, **kwargs: FakeM()
+    bases.m_coefficients = lambda *args, **kwargs: fake_m
     try:
         with pytest.raises(ConjectureViolation):
             cc_multiplicities(DimVector(1, 1))

@@ -9,7 +9,9 @@ import pytest
 
 import semican.cli as cli
 import semican.geom as geom
+import semican.ratlin as ratlin
 import semican.separation as separation
+import semican.verify as verify
 import semican.wreg as wreg
 from semican.bases import ExpansionMatrix, spanning_words
 from semican.core import DimVector
@@ -187,14 +189,14 @@ def test_verify_reports_failure_with_exit_2(capsys, monkeypatch):
 
 def test_verify_lift_failure_names_word(capsys, monkeypatch):
     words = spanning_words(DimVector(2, 2))
-    real = cli.monomial_matrix_Pi
+    real = verify.monomial_matrix_Pi
 
     def corrupted(dim, ws):
         mat = real(dim, ws)
         mat[-1][-1] += 1
         return mat
 
-    monkeypatch.setattr(cli, "monomial_matrix_Pi", corrupted)
+    monkeypatch.setattr(verify, "monomial_matrix_Pi", corrupted)
     code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--skip-wreg")
     assert code == 2
@@ -216,8 +218,8 @@ def _patched_entry(real, row, col, value):
 
 
 def test_verify_m_structure_failure_names_entry(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "m_coefficients",
-                        _patched_entry(cli.m_coefficients, 2, 1, "1/2"))
+    monkeypatch.setattr(verify, "m_coefficients",
+                        _patched_entry(verify.m_coefficients, 2, 1, "1/2"))
     code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--skip-wreg")
     assert code == 2
@@ -227,8 +229,8 @@ def test_verify_m_structure_failure_names_entry(capsys, monkeypatch):
 
 
 def test_verify_n_structure_failure_names_entry(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "sign_twist",
-                        _patched_entry(cli.sign_twist, 0, 2, -3))
+    monkeypatch.setattr(verify, "sign_twist",
+                        _patched_entry(verify.sign_twist, 0, 2, -3))
     code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--skip-wreg")
     assert code == 2
@@ -238,7 +240,7 @@ def test_verify_n_structure_failure_names_entry(capsys, monkeypatch):
 
 
 def test_verify_spanning_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "spanning_words",
+    monkeypatch.setattr(verify, "spanning_words",
                         lambda dim: spanning_words(dim)[:1])
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
@@ -280,6 +282,56 @@ def test_verify_wreg_probe_failure_names_orbits(capsys, monkeypatch):
     assert report["failed_checks"] == [witness]
     assert witness in err
     assert "Traceback" not in err
+
+
+def test_verify_stage_exception_becomes_failed_check(capsys, monkeypatch):
+    def singular(a, b):
+        raise ratlin.InconsistentSystem(0)
+
+    monkeypatch.setattr(ratlin, "solve_square", singular)
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    witness = report["failed_checks"][0]
+    assert witness.startswith("section_kernel (InconsistentSystem: ")
+    assert list(report["timings"]) == [
+        "monomial_matrices", "section_kernel", "m_n_matrices", "parity",
+        "separation", "appendix_b"]
+    assert f"FAILED: {witness}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_non_value_error_in_stage_exits_2(capsys, monkeypatch):
+    def dividing(dim, m):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(verify, "sign_twist", dividing)
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["failed_checks"] == [
+        "m_n_matrices (ZeroDivisionError: division by zero)"]
+    assert report["m_matrix"] == [] and "m_n_matrices" in report["timings"]
+    assert "Traceback" not in err
+
+
+def test_verify_negative_dimension_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--d1", "-1", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 1
+    assert out == ""
+    assert "negative dimension" in err
+
+
+def test_verify_sep_samples_option_is_gone(capsys):
+    code, out, err = run(capsys, "verify", "--d1", "4", "--d2", "4",
+                         "--skip-wreg", "--sep-samples", "0")
+    assert code == 1
+    assert out == ""
+    assert "--sep-samples" in err
 
 
 def test_cli_import_does_not_load_numpy():
@@ -349,7 +401,7 @@ def test_verify_separation_failure_names_instance(capsys, monkeypatch):
 
 
 def test_verify_substitution_failure_names_instance(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "back_substitute",
+    monkeypatch.setattr(verify, "back_substitute",
                         lambda rep: MultiPoly.const(1))
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
