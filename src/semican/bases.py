@@ -10,10 +10,19 @@ orbit-dimension signs turns m into the characteristic-cycle multiplicities n,
 which must be nonnegative integers with unit diagonal.
 
 The monomial values are q = 1 flag counts (integers, from qcount).  The lift
-is linear, so it is one transfer matrix T with mat_pi = mat_e . T on the
-monomial value matrices; T is solved once from independent word rows and
-checked exactly against every word row, and the lift of a function f is
-transfer_matrix(dim, words).apply(f.values).
+is linear, so on each dimension vector D it is one transfer matrix T_D with
+mat_pi = mat_e . T_D on the count rows of the words of content D.  T_D is
+solved from the rows of the sandwich words 1^a 2^d2 1^c and 2^a 1^d1 2^c of
+D.  The count row of a word (v, b) + rest is the row of rest times the
+transpose of the step matrix S_{v,b}(D) of qcount.step_matrix, so by
+induction on word length from T_(0,0) = [[1]] the identity holds for every
+word of every content D <= dim exactly when, for every such D and every
+letter v^b peeled off it,
+
+    T_child . S^Pi_{v,b}(D)^T == S^E_{v,b}(D)^T . T_D:
+
+the lift commutes with peeling a letter.  The lift of a function f is
+transfer_matrix(dim).apply(f.values).
 """
 
 from __future__ import annotations
@@ -24,58 +33,33 @@ from fractions import Fraction
 
 from . import ratlin
 from .core import (ConormalComponent, DimVector, Orbit, PiModClass,
-                   compositions, orbit_dim, pi_classes)
-from .qcount import euler_counts, word_content
+                   orbit_dim, pi_classes)
+from .qcount import Word, euler_counts, step_matrix
 
 
-@dataclass(frozen=True)
-class MonomialWord:
-    """Word of grouped letters (vertex, multiplicity), innermost first."""
-
-    letters: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for v, m in self.letters:
-            if v not in (1, 2) or m < 1:
-                raise ValueError(f"bad letter ({v}, {m})")
-
-    @classmethod
-    def from_composition(cls, seq) -> "MonomialWord":
-        return cls(tuple((int(v), 1) for v in seq))
-
-    @property
-    def content(self) -> DimVector:
-        return DimVector(*word_content(self.letters))
-
-    def __str__(self):
-        return "*".join(f"{v}^{m}" if m > 1 else str(v) for v, m in self.letters)
+def sandwich_words(dim: DimVector) -> list[Word]:
+    """The words 1^a 2^d2 1^c and 2^a 1^d1 2^c of content `dim`, without
+    empty letters, sorted; the one word of (0, 0) is empty."""
+    words = set()
+    for outer, n_outer, inner, n_inner in ((1, dim.d1, 2, dim.d2),
+                                           (2, dim.d2, 1, dim.d1)):
+        for a in range(n_outer + 1):
+            letters = ((outer, a), (inner, n_inner), (outer, n_outer - a))
+            words.add(tuple((v, m) for v, m in letters if m))
+    return sorted(words)
 
 
-def spanning_words(dim: DimVector) -> list[MonomialWord]:
-    """Deterministic spanning set: all ungrouped compositions plus the grouped
-    sandwiches 1^a 2^d2 1^c and 2^a 1^d1 2^c."""
-    words = {MonomialWord.from_composition(c) for c in compositions(dim.d1, dim.d2)}
+def sandwich_rows(dim: DimVector) -> dict:
+    """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
+    pair-side flag counts of the sandwich words of D, one row per word."""
+    rows = {}
     for a in range(dim.d1 + 1):
-        letters = []
-        if a:
-            letters.append((1, a))
-        if dim.d2:
-            letters.append((2, dim.d2))
-        if dim.d1 - a:
-            letters.append((1, dim.d1 - a))
-        if letters:
-            words.add(MonomialWord(tuple(letters)))
-    for a in range(dim.d2 + 1):
-        letters = []
-        if a:
-            letters.append((2, a))
-        if dim.d1:
-            letters.append((1, dim.d1))
-        if dim.d2 - a:
-            letters.append((2, dim.d2 - a))
-        if letters:
-            words.add(MonomialWord(tuple(letters)))
-    return sorted(words, key=lambda w: w.letters)
+        for c in range(dim.d2 + 1):
+            sub = DimVector(a, c)
+            words = sandwich_words(sub)
+            rows[sub] = ([euler_counts(w, sub, "E") for w in words],
+                         [euler_counts(w, sub, "Pi") for w in words])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -122,28 +106,19 @@ class ExpansionMatrix:
 
 
 class SpanningError(ValueError):
-    """The supplied words do not reach every orbit direction."""
+    """The supplied words do not reach every orbit direction of `dim`."""
 
     def __init__(self, dim: DimVector, missing: list[int]):
         super().__init__(
             f"monomial matrix on {dim} is rank-deficient; "
             f"unreachable orbit ranks: {missing}"
         )
+        self.dim = dim
         self.missing = missing
 
 
 class ConjectureViolation(AssertionError):
     """A structural consequence of the multiplicity identity failed."""
-
-
-def monomial_matrix_E(dim: DimVector, words) -> list[list[int]]:
-    """Row per word, column per orbit rank; entries are flag counts at q = 1."""
-    return [euler_counts(w.letters, dim, "E") for w in words]
-
-
-def monomial_matrix_Pi(dim: DimVector, words) -> list[list[int]]:
-    """Row per word, column per pair class, flag counts at q = 1."""
-    return [euler_counts(w.letters, dim, "Pi") for w in words]
 
 
 def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
@@ -164,31 +139,20 @@ def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
 
 
 @dataclass(frozen=True)
-class RowMismatch:
-    """A word whose pair-side row differs from its E-side row times T."""
-
-    word: MonomialWord
-    cls: PiModClass
-    lhs: Fraction  # pair-side flag count
-    rhs: Fraction  # (E-side row . T) at the same class
-
-    def __str__(self):
-        return (f"word {self.word}, class ({self.cls.r},{self.cls.s}): "
-                f"{self.lhs} != {self.rhs}")
-
-
-@dataclass(frozen=True)
 class TransferMatrix:
     """The lift to the pair variety as one matrix: mat_pi = mat_e . T.
 
     Row per orbit rank, column per pair class in pi_classes order.
-    `mismatch` is the first word row, in word order, where the identity
-    fails; None means every word row satisfies it exactly.
+    `mismatch` names the first intertwining identity that fails, as
+    `dim (a,c), letter v^b, orbit r', class (r,s): <lhs> != <rhs>` with r'
+    an orbit rank of the child dimension and (r,s) a pair class of (a,c);
+    None means that every identity holds, so every word of every content
+    up to `dim` satisfies mat_pi = mat_e . T at its content.
     """
 
     dim: DimVector
     entries: tuple[tuple[Fraction, ...], ...]
-    mismatch: RowMismatch | None
+    mismatch: str | None
 
     def apply(self, values) -> tuple[Fraction, ...]:
         """f . T: pair-side values of the lift of the E-side values f."""
@@ -209,39 +173,61 @@ class TransferMatrix:
         return out
 
 
-def transfer_matrix(dim: DimVector, words=None, mats=None) -> TransferMatrix:
-    """Solve for T on independent word rows, then check every word row.
+def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
+    """Solve T_D at every sub-dimension D <= dim, then check every
+    intertwining identity exactly.
 
-    The first rank_bound + 1 independent E-side rows, in word order, give a
-    square system solved once for all pair classes.  Every word row is then
-    compared exactly, in integers after clearing the denominators of T.
-    Raises SpanningError when the E-side rows do not reach every orbit rank.
+    `rows` maps each D to its (E-side, pair-side) count rows, as
+    sandwich_rows builds them.  At each D the first rank_bound + 1
+    independent E-side rows give a square system solved once for all pair
+    classes.  Raises SpanningError at the first D whose E-side rows do not
+    reach every orbit rank.
     """
-    if words is None:
-        words = spanning_words(dim)
-    if mats is None:
-        mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
-    mat_e, mat_pi = mats
-    n_orbits = dim.rank_bound + 1
-    picked, basis = ratlin.echelon(mat_e, n_orbits)
-    if len(picked) < n_orbits:
-        covered = {c for c, _ in basis}
-        raise SpanningError(
-            dim, [r for r in range(n_orbits) if r not in covered])
-    t = ratlin.solve_square([mat_e[i] for i in picked],
-                            [mat_pi[i] for i in picked])
-    mismatch = _first_mismatch(words, mat_e, mat_pi, pi_classes(dim), t)
-    return TransferMatrix(dim, tuple(tuple(row) for row in t), mismatch)
+    if rows is None:
+        rows = sandwich_rows(dim)
+    scaled = {}  # D -> (integer matrix U, scale s) with T_D = U / s
+    for sub, (mat_e, mat_pi) in rows.items():
+        n_orbits = sub.rank_bound + 1
+        picked, basis = ratlin.echelon(mat_e, n_orbits)
+        if len(picked) < n_orbits:
+            covered = {c for c, _ in basis}
+            raise SpanningError(
+                sub, [r for r in range(n_orbits) if r not in covered])
+        t = ratlin.solve_square([mat_e[i] for i in picked],
+                                [mat_pi[i] for i in picked])
+        scale = math.lcm(*(v.denominator for row in t for v in row))
+        scaled[sub] = ([[int(v * scale) for v in row] for row in t], scale)
+    u, scale = scaled[dim]
+    entries = tuple(tuple(Fraction(v, scale) for v in row) for row in u)
+    return TransferMatrix(dim, entries, _first_broken_identity(scaled))
 
 
-def _first_mismatch(words, mat_e, mat_pi, classes, t) -> RowMismatch | None:
-    scale = math.lcm(*(v.denominator for row in t for v in row))
-    cols = [[int(v * scale) for v in col] for col in zip(*t)]
-    for w, row_e, row_pi in zip(words, mat_e, mat_pi):
-        for cls, col, lhs in zip(classes, cols, row_pi):
-            rhs = sum(e * c for e, c in zip(row_e, col))
-            if rhs != lhs * scale:
-                return RowMismatch(w, cls, Fraction(lhs), Fraction(rhs, scale))
+def _first_broken_identity(scaled) -> str | None:
+    """Witness of the first (D, letter), in the order of `scaled` and then
+    by letter, whose identity fails; None when all hold."""
+    for sub, (u, scale) in scaled.items():
+        classes = pi_classes(sub)
+        for v, top in ((1, sub.d1), (2, sub.d2)):
+            for b in range(1, top + 1):
+                u_child, child_scale = scaled[
+                    DimVector(sub.d1 - b, sub.d2) if v == 1
+                    else DimVector(sub.d1, sub.d2 - b)]
+                # child_scale * (T_child . S_pi^T) and scale * (S_e^T . T_D)
+                lhs = [[sum(row[j] * n for j, n in steps)
+                        for steps in step_matrix(sub, v, b, "Pi")]
+                       for row in u_child]
+                rhs = [[0] * len(classes) for _ in u_child]
+                for u_row, steps in zip(u, step_matrix(sub, v, b, "E")):
+                    for j, n in steps:
+                        rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]
+                for rp, (l_row, r_row) in enumerate(zip(lhs, rhs)):
+                    for cls, lv, rv in zip(classes, l_row, r_row):
+                        if lv * scale != rv * child_scale:
+                            return (f"dim ({sub.d1},{sub.d2}), "
+                                    f"letter {v}^{b}, orbit {rp}, "
+                                    f"class ({cls.r},{cls.s}): "
+                                    f"{Fraction(lv, child_scale)} != "
+                                    f"{Fraction(rv, scale)}")
     return None
 
 
@@ -278,7 +264,7 @@ def sign_twist(dim: DimVector, m) -> ExpansionMatrix:
 
 def lift_failures(transfer: TransferMatrix) -> list[str]:
     """`section_identity (r=...)` per rank whose (r, 0) column of T is not a
-    unit vector, then `kernel_invariance (<first word row off mat_e . T>)`."""
+    unit vector, then `kernel_invariance (<first broken identity>)`."""
     failures = [f"section_identity (r={r})"
                 for r in transfer.section_failures()]
     if transfer.mismatch is not None:
@@ -299,9 +285,9 @@ def cc_multiplicities(dim: DimVector, *,
                       transfer: TransferMatrix | None = None
                       ) -> ExpansionMatrix:
     """n = the sign twist of m, validated as verify validates it: the section
-    identity and every word row of the lift, m integral and unitriangular, n
-    also nonnegative.  The first witness of a failure (lift_failures, then
-    structure_failures) raises ConjectureViolation.
+    identity and every intertwining identity of the lift, m integral and
+    unitriangular, n also nonnegative.  The first witness of a failure
+    (lift_failures, then structure_failures) raises ConjectureViolation.
     """
     if transfer is None:
         transfer = transfer_matrix(dim)

@@ -149,7 +149,11 @@ def _parse_y0(spec: str) -> NormalFormY:
     positions = []
     for chunk in spec.split(","):
         i, _, j = chunk.partition(":")
-        positions.append((int(i), int(j)))
+        try:
+            positions.append((int(i), int(j)))
+        except ValueError:
+            raise ValueError(
+                f"bad y0 entry {chunk!r} (expected i:j)") from None
     return NormalFormY.of(*positions)
 
 

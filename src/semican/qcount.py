@@ -5,9 +5,11 @@ rank-classified representation is an iterated Grassmannian bundle, so its
 number of F_q-points is a polynomial in q whose value at q = 1 is its Euler
 characteristic.  Only those q = 1 values are used, and at q = 1 a Gaussian
 binomial is the binomial math.comb and every power of q is 1, so each step
-of the peeling is a product of two binomials.  euler_counts runs the
-peeling as a word recursion, memoised per suffix as one row over all
-classes.  The q-polynomials themselves are the test suite's reference.
+of the peeling is a product of two binomials; step_matrix holds those
+products for one peeled letter.  euler_counts runs the peeling as a word
+recursion, memoised per suffix as one row over all classes.  A word is a
+tuple of (vertex, multiplicity) letters, innermost first.  The
+q-polynomials themselves are the test suite's reference.
 """
 
 from __future__ import annotations
@@ -63,10 +65,13 @@ def _pi_index(dim: DimVector) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _steps_at_one(dim: DimVector, vertex: int, b: int, side: str):
-    """Per class of `dim`, in class order, its steps for peeling a
-    b-dimensional sub at `vertex`: (child index, count at q = 1), with
-    children indexed in the class order of their dimension."""
+def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
+    """The q = 1 step matrix S_{vertex,b}(dim), one sparse row per class of
+    `dim` in class order: (child index, count) for peeling a b-dimensional
+    sub at `vertex`, children indexed in the class order of their dimension.
+
+    The count row of a word (vertex, b) + rest is S times the count row of
+    rest on the child dimension."""
     d1, d2 = dim.d1, dim.d2
     if side == "E":
         return tuple(tuple(_steps_E(d1, d2, r, vertex, b))
@@ -87,7 +92,7 @@ def _count_row(word: Word, side: str) -> tuple[int, ...]:
         return (1,)  # the single class of dimension (0, 0)
     (vertex, mult), rest = word[0], word[1:]
     below = _count_row(rest, side)
-    steps = _steps_at_one(DimVector(*word_content(word)), vertex, mult, side)
+    steps = step_matrix(DimVector(*word_content(word)), vertex, mult, side)
     return tuple(sum(n * below[j] for j, n in cls_steps) for cls_steps in steps)
 
 

@@ -361,7 +361,7 @@ def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
     entries = y0.sorted_entries()
     j_set = {j for _, j in entries}
 
-    h = expand_trace(shape.dim, shape, y0)
+    h = expand_trace(shape, y0)
     t_pairs, m_expr, mp_def = _inversion(shape, entries)
     x_expr, xp_def = _x_change(shape, entries, j_set, t_pairs, m_expr)
     # one substitution for both maps equals one map after the other: no key

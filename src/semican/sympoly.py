@@ -187,12 +187,12 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
-def expand_trace(dim, shape, y0) -> MultiPoly:
+def expand_trace(shape, y0) -> MultiPoly:
     """tr(x g1^{-1} y0 g2) for unit-entry y0 and unipotent lower factors.
 
-    x ranges over matrices stabilizing the flag of `shape` (of dimension
-    vector `dim`), so only admissible X positions carry variables; M / N are
-    the strictly lower entries of the two group factors.  The trace is the
+    x ranges over matrices stabilizing the flag of `shape`, so only
+    admissible X positions carry variables; M / N are the strictly lower
+    entries of the two group factors.  The trace is the
     sum over the entries of y0 of `shape.trace_pieces[entry]`: the X*N,
     X*M and X*M*N families tied to that entry.  No monomial lies in two
     pieces, so every coefficient is 1.

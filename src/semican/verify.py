@@ -11,8 +11,8 @@ import time
 from contextlib import contextmanager
 
 from .bases import (SpanningError, lift_failures, m_coefficients,
-                    monomial_matrix_E, monomial_matrix_Pi, sign_twist,
-                    spanning_words, structure_failures, transfer_matrix)
+                    sandwich_rows, sign_twist, structure_failures,
+                    transfer_matrix)
 from .core import (ConormalComponent, DimVector, Orbit, enumerate_orbits,
                    sign_parity)
 from .geom import GenericityError, PairPoint, hessian_rank_check
@@ -20,9 +20,9 @@ from .separation import (SeparationError, back_substitute, build_and_separate,
                          enumerate_instances)
 
 SCHEMA_VERSION = 2
-# largest vertex dimension at which verify separates every instance
-EXHAUSTIVE_SEP_BOUND = 3
-SEP_SAMPLES = 500  # instances drawn above that bound
+# separation checks every instance when there are at most this many, and a
+# seeded sample of this many otherwise
+SEP_SAMPLES = 500
 
 
 def run_verify(d1: int, d2: int, seed: int = 1,
@@ -42,19 +42,19 @@ def run_verify(d1: int, d2: int, seed: int = 1,
         finally:
             timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
 
-    mats = None
+    rows = None
     with stage("monomial_matrices"):
-        words = spanning_words(dim)
-        mats = (monomial_matrix_E(dim, words), monomial_matrix_Pi(dim, words))
+        rows = sandwich_rows(dim)
 
     transfer = None
     section_ok = kernel_ok = False
     with stage("section_kernel"):
-        if mats is not None:
+        if rows is not None:
             try:
-                transfer = transfer_matrix(dim, words, mats)
+                transfer = transfer_matrix(dim, rows)
             except SpanningError as exc:
-                failed.append(f"spanning (missing ranks {exc.missing})")
+                failed.append(f"spanning (dim ({exc.dim.d1},{exc.dim.d2}), "
+                              f"missing ranks {exc.missing})")
             else:
                 failed.extend(lift_failures(transfer))
                 section_ok = not transfer.section_failures()
@@ -74,14 +74,13 @@ def run_verify(d1: int, d2: int, seed: int = 1,
         if not parity_ok:
             failed.append("sign_parity")
 
-    sampled = max(d1, d2) > EXHAUSTIVE_SEP_BOUND
-    separation = {"instances": 0, "sampled": sampled,
+    separation = {"instances": 0, "sampled": False,
                   "bilinear_ok": False, "substitution_ok": False}
     with stage("separation"):
         instances = list(enumerate_instances(dim))
-        if sampled:
-            rng = random.Random(seed)
-            instances = rng.sample(instances, min(SEP_SAMPLES, len(instances)))
+        total = len(instances)
+        if total > SEP_SAMPLES:
+            instances = random.Random(seed).sample(instances, SEP_SAMPLES)
         bilinear_fail = subst_fail = None  # first witness of each kind
         for a, y0 in instances:
             try:
@@ -96,6 +95,7 @@ def run_verify(d1: int, d2: int, seed: int = 1,
         if subst_fail:
             failed.append(f"separation_substitution_ok ({subst_fail})")
         separation.update(instances=len(instances),
+                          sampled=len(instances) < total,
                           bilinear_ok=bilinear_fail is None,
                           substitution_ok=subst_fail is None)
 

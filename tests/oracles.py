@@ -5,23 +5,25 @@ counting polynomials in q of flags of subrepresentations (Gaussian
 binomials, one-step and grouped steps, the word evaluator), whose values at
 q = 1 the integer counts of semican.qcount must equal; the expansion of a
 constructible function in flag monomials and the smallness test of the
-resolutions behind canonical_fn; the Borel normal form of a covector with
-its certificate, the critical locus of the chart pairing, formal partial
-derivatives of polynomials, and the bilinear split of a polynomial by
-degree counts.
+resolutions behind canonical_fn; the word sweep that checks the lift row
+by row, mat_pi = mat_e . T on every composition and sandwich word; the
+Borel normal form of a covector with its certificate, the critical locus of
+the chart pairing, formal partial derivatives of polynomials, and the
+bilinear split of a polynomial by degree counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from semican import ratlin
-from semican.bases import (ConstructibleFnE, SpanningError,
-                           monomial_matrix_E)
-from semican.core import DimVector, Orbit, PiModClass
-from semican.qcount import Word, word_content
+from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
+                           sandwich_words)
+from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
+from semican.qcount import Word, euler_counts, word_content
 from semican.separation import FlagShape, NormalFormY, flag_shape
 from semican.sympoly import (BilinearForm, BilinearityError, MultiPoly,
                              VarId, _mono_str)
@@ -320,6 +322,39 @@ def transitions(word: Word, cls, side: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the word sweep
+
+
+def spanning_words(dim: DimVector) -> list[Word]:
+    """Every ungrouped composition of `dim` plus its sandwich words, sorted."""
+    words = {tuple((v, 1) for v in c) for c in compositions(dim.d1, dim.d2)}
+    return sorted(words.union(sandwich_words(dim)))
+
+
+def monomial_matrix(dim: DimVector, words, side: str) -> list[list[int]]:
+    """Row per word, column per class of `dim` on `side` ("E" or "Pi"):
+    flag counts at q = 1."""
+    return [euler_counts(w, dim, side) for w in words]
+
+
+def first_sweep_mismatch(t: TransferMatrix, words):
+    """The first (word, class, lhs, rhs), in word then class order, where a
+    word's pair-side count lhs differs from its E-side row times T, rhs;
+    None when every row agrees.  Compared in ints after scaling T."""
+    dim = t.dim
+    scale = math.lcm(*(v.denominator for row in t.entries for v in row))
+    cols = [[int(v * scale) for v in col] for col in zip(*t.entries)]
+    for w in words:
+        row_e = euler_counts(w, dim, "E")
+        for cls, col, lhs in zip(pi_classes(dim), cols,
+                                 euler_counts(w, dim, "Pi")):
+            rhs = sum(e * c for e, c in zip(row_e, col))
+            if rhs != lhs * scale:
+                return w, cls, Fraction(lhs), Fraction(rhs, scale)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # expansion over flag monomials and small resolutions
 
 
@@ -350,7 +385,7 @@ def express_in_monomials(f: ConstructibleFnE, words) -> list[Fraction]:
     The pipeline lifts through transfer_matrix; this is the reference the
     transfer matrix is tested against.
     """
-    mat_e = monomial_matrix_E(f.dim, words)
+    mat_e = monomial_matrix(f.dim, words, "E")
     n_orbits = f.dim.rank_bound + 1
     covered = set(ratlin.pivot_columns(mat_e))
     if len(covered) < n_orbits:

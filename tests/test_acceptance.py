@@ -15,8 +15,7 @@ from functools import lru_cache
 import semican.cli as cli
 from semican import ratlin
 from semican.bases import (canonical_fn, cc_multiplicities, m_coefficients,
-                           monomial_matrix_E, monomial_matrix_Pi, pi_classes,
-                           spanning_words, transfer_matrix)
+                           pi_classes, transfer_matrix)
 from semican.core import (DimVector, Orbit, PiModClass, dual_orbit,
                           enumerate_orbits, orbit_dim, sign_parity)
 from semican.geom import PairPoint, bilinear_form_B, hessian_rank_check
@@ -24,7 +23,7 @@ from semican.separation import (back_substitute, build_and_separate,
                                 enumerate_instances)
 from semican.wreg import w_regularity_sample
 
-from oracles import gauss_binom
+from oracles import gauss_binom, monomial_matrix, spanning_words
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -82,9 +81,8 @@ def test_criterion_2_structure_up_to_3(capsys):
 def test_criterion_3_section_identity(capsys):
     ok = True
     for dim in _dims(3):
-        words = spanning_words(dim)
-        mat_e = monomial_matrix_E(dim, words)
-        transfer = transfer_matrix(dim, words)
+        mat_e = monomial_matrix(dim, spanning_words(dim), "E")
+        transfer = transfer_matrix(dim)
         section = [pi_classes(dim).index(PiModClass(dim, r, 0))
                    for r in range(dim.rank_bound + 1)]
         for row in mat_e:
@@ -100,8 +98,8 @@ def test_criterion_4_kernel_invariance(capsys):
     ok = True
     for dim in _dims(3):
         words = spanning_words(dim)
-        mat_e = monomial_matrix_E(dim, words)
-        mat_pi = monomial_matrix_Pi(dim, words)
+        mat_e = monomial_matrix(dim, words, "E")
+        mat_pi = monomial_matrix(dim, words, "Pi")
         basis = ratlin.kernel_basis(ratlin.transpose(mat_e))
         ok = ok and len(basis) == len(words) - ratlin.rank(mat_e)
         for vec in basis:

@@ -1,32 +1,32 @@
+import dataclasses
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import semican.bases as bases
 from semican import ratlin
 from semican.bases import (ConjectureViolation, ConstructibleFnE,
-                           ExpansionMatrix, MonomialWord, SpanningError,
-                           canonical_fn, cc_multiplicities, lift_failures,
-                           m_coefficients, monomial_matrix_E,
-                           monomial_matrix_Pi, pi_classes, spanning_words,
+                           ExpansionMatrix, SpanningError, canonical_fn,
+                           cc_multiplicities, lift_failures, m_coefficients,
+                           pi_classes, sandwich_rows, sandwich_words,
                            transfer_matrix)
 from semican.core import DimVector, PiModClass
+from semican.qcount import euler_counts, word_content
 
-from oracles import express_in_monomials, gauss_binom, smallness_check
-
-
-def W(*letters):
-    return MonomialWord(tuple(letters))
+from oracles import (express_in_monomials, first_sweep_mismatch, gauss_binom,
+                     monomial_matrix, smallness_check, spanning_words)
 
 
 def _row(dim, word):
-    return monomial_matrix_E(dim, [word])[0]
+    return euler_counts(word, dim, "E")
 
 
-def _lift(f, words):
+def _lift(f, rows=None):
     """Pair-side values of the lift of f, keyed by class (r, s)."""
-    values = transfer_matrix(f.dim, words).apply(f.values)
+    values = transfer_matrix(f.dim, rows).apply(f.values)
     return {(c.r, c.s): v for c, v in zip(pi_classes(f.dim), values)}
 
 
@@ -35,22 +35,26 @@ def _lift(f, words):
 
 
 def test_spanning_words_contents():
-    words = spanning_words(DimVector(1, 1))
-    assert {w.letters for w in words} == {((1, 1), (2, 1)), ((2, 1), (1, 1))}
+    assert sandwich_words(DimVector(0, 0)) == [()]
+    assert sandwich_words(DimVector(1, 1)) == \
+        spanning_words(DimVector(1, 1)) == [((1, 1), (2, 1)), ((2, 1), (1, 1))]
+    # grouped sandwiches, and the oracle's sweep adds every composition
+    words22 = sandwich_words(DimVector(2, 2))
+    assert words22 == [((1, 1), (2, 2), (1, 1)), ((1, 2), (2, 2)),
+                       ((2, 1), (1, 2), (2, 1)), ((2, 2), (1, 2))]
     for dim in [DimVector(2, 2), DimVector(3, 2)]:
-        for w in spanning_words(dim):
-            assert w.content == dim
-    # grouped sandwiches present
-    words22 = {w.letters for w in spanning_words(DimVector(2, 2))}
-    assert ((1, 1), (2, 2), (1, 1)) in words22
-    assert ((2, 2), (1, 2)) in words22
+        words = spanning_words(dim)
+        assert set(sandwich_words(dim)) <= set(words)
+        assert sum(all(m == 1 for _, m in w) for w in words) == \
+            math.comb(dim.total, dim.d1)
+        for w in words:
+            assert word_content(w) == (dim.d1, dim.d2)
 
 
 def test_monomial_word_validation():
-    with pytest.raises(ValueError):
-        MonomialWord(((3, 1),))
-    with pytest.raises(ValueError):
-        MonomialWord(((1, 0),))
+    for word in (((3, 1),), ((1, 0), (1, 1))):
+        with pytest.raises(ValueError, match="malformed"):
+            euler_counts(word, DimVector(1, 0), "E")
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +63,11 @@ def test_monomial_word_validation():
 
 def test_monomial_matrix_examples():
     dim = DimVector(1, 1)
-    assert _row(dim, W((2, 1), (1, 1))) == [Fraction(1), Fraction(1)]
-    assert _row(dim, W((1, 1), (2, 1))) == [Fraction(1), Fraction(0)]
+    assert _row(dim, ((2, 1), (1, 1))) == [1, 1]
+    assert _row(dim, ((1, 1), (2, 1))) == [1, 0]
     dim = DimVector(2, 1)
-    assert _row(dim, W((2, 1), (1, 1), (1, 1))) == [Fraction(2), Fraction(2)]
-    assert _row(dim, W((1, 1), (1, 1), (2, 1))) == [Fraction(2), Fraction(0)]
+    assert _row(dim, ((2, 1), (1, 1), (1, 1))) == [2, 2]
+    assert _row(dim, ((1, 1), (1, 1), (2, 1))) == [2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +129,11 @@ def test_express_in_monomials_examples():
     dim = DimVector(1, 1)
     words = spanning_words(dim)
     one = ConstructibleFnE(dim, (Fraction(1), Fraction(1)))
-    coeffs = dict(zip([w.letters for w in words],
-                      express_in_monomials(one, words)))
+    coeffs = dict(zip(words, express_in_monomials(one, words)))
     assert coeffs[((2, 1), (1, 1))] == 1
     assert coeffs[((1, 1), (2, 1))] == 0
     origin = ConstructibleFnE(dim, (Fraction(1), Fraction(0)))
-    coeffs = dict(zip([w.letters for w in words],
-                      express_in_monomials(origin, words)))
+    coeffs = dict(zip(words, express_in_monomials(origin, words)))
     assert coeffs[((1, 1), (2, 1))] == 1
     assert coeffs[((2, 1), (1, 1))] == 0
 
@@ -142,7 +144,7 @@ def test_express_solution_property():
     for d1, d2 in [(2, 1), (2, 2), (3, 2)]:
         dim = DimVector(d1, d2)
         words = spanning_words(dim)
-        mat = monomial_matrix_E(dim, words)
+        mat = monomial_matrix(dim, words, "E")
         for _ in range(5):
             f = ConstructibleFnE(
                 dim,
@@ -159,7 +161,7 @@ def test_express_solution_property():
 def test_half_coefficient_solution_verifies():
     # (2,1): the constant function equals half the value row of one word
     dim = DimVector(2, 1)
-    row = _row(dim, W((2, 1), (1, 1), (1, 1)))
+    row = _row(dim, ((2, 1), (1, 1), (1, 1)))
     assert [Fraction(1, 2) * v for v in row] == [Fraction(1), Fraction(1)]
 
 
@@ -167,18 +169,17 @@ def test_spanning_error_names_missing_orbits():
     dim = DimVector(1, 1)
     one = ConstructibleFnE(dim, (Fraction(1), Fraction(1)))
     with pytest.raises(SpanningError) as exc:
-        express_in_monomials(one, [W((1, 1), (2, 1))])
-    assert exc.value.missing == [1]
+        express_in_monomials(one, [((1, 1), (2, 1))])
+    assert exc.value.dim == dim and exc.value.missing == [1]
 
 
 def test_psi_inverse_examples():
     # the lift psi^{-1} is the transfer matrix applied to the E-side values
     dim = DimVector(1, 1)
-    words = spanning_words(dim)
     one = ConstructibleFnE(dim, (Fraction(1), Fraction(1)))
-    assert _lift(one, words) == {(0, 0): 1, (1, 0): 1, (0, 1): 0}
+    assert _lift(one) == {(0, 0): 1, (1, 0): 1, (0, 1): 0}
     origin = ConstructibleFnE(dim, (Fraction(1), Fraction(0)))
-    assert _lift(origin, words) == {(0, 0): 1, (1, 0): 0, (0, 1): 1}
+    assert _lift(origin) == {(0, 0): 1, (1, 0): 0, (0, 1): 1}
 
 
 def test_section_identity_exhaustive():
@@ -187,11 +188,10 @@ def test_section_identity_exhaustive():
     for d1 in range(1, 4):
         for d2 in range(1, 4):
             dim = DimVector(d1, d2)
-            words = spanning_words(dim)
-            mat = monomial_matrix_E(dim, words)
-            for i, w in enumerate(words):
-                f = ConstructibleFnE(dim, tuple(mat[i]))
-                lifted = _lift(f, words)
+            mat = monomial_matrix(dim, spanning_words(dim), "E")
+            for row in mat:
+                f = ConstructibleFnE(dim, tuple(row))
+                lifted = _lift(f)
                 for r in range(dim.rank_bound + 1):
                     assert lifted[r, 0] == f.value(r)
             for _ in range(3):
@@ -200,7 +200,7 @@ def test_section_identity_exhaustive():
                     tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                           for _ in range(dim.rank_bound + 1)),
                 )
-                lifted = _lift(f, words)
+                lifted = _lift(f)
                 for r in range(dim.rank_bound + 1):
                     assert lifted[r, 0] == f.value(r)
 
@@ -212,8 +212,8 @@ def test_kernel_invariance():
         for d2 in range(1, 4):
             dim = DimVector(d1, d2)
             words = spanning_words(dim)
-            mat_e = monomial_matrix_E(dim, words)
-            mat_pi = monomial_matrix_Pi(dim, words)
+            mat_e = monomial_matrix(dim, words, "E")
+            mat_pi = monomial_matrix(dim, words, "Pi")
             basis = ratlin.kernel_basis(ratlin.transpose(mat_e))
             assert len(basis) == len(words) - ratlin.rank(mat_e)
             for vec in basis:
@@ -222,12 +222,14 @@ def test_kernel_invariance():
 
 
 def test_lift_independent_of_solution():
-    # different word orders change the pivoted solution, not the lift
+    # different word orders change the pivoted rows, not the lift
     for d1, d2 in [(2, 1), (2, 2), (3, 2)]:
         dim = DimVector(d1, d2)
-        words = spanning_words(dim)
+        reversed_rows = {
+            sub: (mat_e[::-1], mat_pi[::-1])
+            for sub, (mat_e, mat_pi) in sandwich_rows(dim).items()}
         f = canonical_fn(dim, dim.rank_bound - 1)
-        assert _lift(f, words) == _lift(f, list(reversed(words)))
+        assert _lift(f) == _lift(f, reversed_rows)
 
 
 def test_transfer_matrix_integral_with_identity_section():
@@ -243,49 +245,78 @@ def test_transfer_matrix_integral_with_identity_section():
     assert t.section_failures() == []
 
 
-def test_transfer_matrix_witnesses():
-    dim = DimVector(2, 2)
-    words = spanning_words(dim)
-    classes = pi_classes(dim)
-    mat_e = monomial_matrix_E(dim, words)
+def test_transfer_matrix_passes_the_word_sweep():
+    # the intertwining identities imply mat_pi = mat_e . T on every word;
+    # the oracle checks that row by row on compositions and sandwiches
+    for d1 in range(7):
+        for d2 in range(7):
+            dim = DimVector(d1, d2)
+            t = transfer_matrix(dim)
+            assert t.mismatch is None, dim
+            assert first_sweep_mismatch(t, spanning_words(dim)) is None, dim
 
-    # one corrupted pair-side entry in a row outside the solved square system
-    mat_pi = monomial_matrix_Pi(dim, words)
-    j = classes.index(PiModClass(dim, 0, 2))
-    mat_pi[-1][j] += 1
-    t = transfer_matrix(dim, words, (mat_e, mat_pi))
-    assert t.mismatch.word == words[-1]
-    assert t.mismatch.cls == PiModClass(dim, 0, 2)
-    assert t.mismatch.lhs == t.mismatch.rhs + 1
+
+def _sides(witness):
+    lhs, rhs = witness.rpartition(": ")[2].split(" != ")
+    return Fraction(lhs), Fraction(rhs)
+
+
+def test_transfer_matrix_witnesses(monkeypatch):
+    dim = DimVector(2, 2)
+    rows = sandwich_rows(dim)
+
+    # one corrupted pair-side count in the first sandwich row, which the
+    # solve always picks: T_(2,2) is off, so the identities that peel a
+    # letter off (2, 2) fail, and so does the word sweep
+    mat_e, mat_pi = rows[dim]
+    j = pi_classes(dim).index(PiModClass(dim, 0, 2))
+    mat_pi = [list(row) for row in mat_pi]
+    mat_pi[0][j] += 1
+    t = transfer_matrix(dim, {**rows, dim: (mat_e, mat_pi)})
+    assert t.mismatch.startswith("dim (2,2), letter ")
+    lhs, rhs = _sides(t.mismatch)
+    assert lhs != rhs
+    assert first_sweep_mismatch(t, spanning_words(dim)) is not None
     assert t.section_failures() == []
-    with pytest.raises(ConjectureViolation, match=re.escape(str(words[-1]))):
+    with pytest.raises(ConjectureViolation,
+                       match=re.escape(f"kernel_invariance ({t.mismatch})")):
         cc_multiplicities(dim, transfer=t)
 
-    # a consistently rescaled (1, 0) column: every row agrees, the section not
-    mat_pi = monomial_matrix_Pi(dim, words)
-    j = classes.index(PiModClass(dim, 1, 0))
-    for row_pi, row_e in zip(mat_pi, mat_e):
-        row_pi[j] = 2 * row_e[1]
-    t = transfer_matrix(dim, words, (mat_e, mat_pi))
-    assert t.mismatch is None
-    assert t.section_failures() == [1]
+    # one corrupted pair-side step count at the sub-dimension (3, 3) of
+    # (4, 3), of a single or a grouped letter: the rows, and so T, stay
+    # right, and that letter's identity catches it
+    real = bases.step_matrix
+    for letter, witness in [
+            ((2, 1), "dim (3,3), letter 2^1, orbit 0, class (0,0): 4 != 3"),
+            ((1, 2), "dim (3,3), letter 1^2, orbit 0, class (0,0): ")]:
 
+        def corrupted(sub, vertex, b, side, letter=letter):
+            steps = real(sub, vertex, b, side)
+            if (sub, (vertex, b), side) != (DimVector(3, 3), letter, "Pi"):
+                return steps
+            (child, n), *rest = steps[0]
+            return (((child, n + 1), *rest),) + steps[1:]
+
+        monkeypatch.setattr(bases, "step_matrix", corrupted)
+        assert transfer_matrix(DimVector(4, 3)).mismatch.startswith(witness)
+    monkeypatch.undo()
+
+    truncated = {sub: (mat_e[:1], mat_pi[:1]) for sub, (mat_e, mat_pi)
+                 in sandwich_rows(DimVector(1, 1)).items()}
     with pytest.raises(SpanningError) as exc:
-        transfer_matrix(DimVector(1, 1), [W((1, 1), (2, 1))])
-    assert exc.value.missing == [1]
+        transfer_matrix(DimVector(1, 1), truncated)
+    assert exc.value.dim == DimVector(1, 1) and exc.value.missing == [1]
 
 
 def test_cc_multiplicities_checks_the_section_identity():
-    # the consistently rescaled (1, 0) column passes every word row, so only
-    # the section identity catches it, in cc_multiplicities as in verify
+    # a doubled (1, 0) column of T with no broken identity: only the section
+    # identity catches it, in cc_multiplicities as in verify
     dim = DimVector(2, 2)
-    words = spanning_words(dim)
-    mat_e = monomial_matrix_E(dim, words)
-    mat_pi = monomial_matrix_Pi(dim, words)
+    t = transfer_matrix(dim)
     j = pi_classes(dim).index(PiModClass(dim, 1, 0))
-    for row_pi, row_e in zip(mat_pi, mat_e):
-        row_pi[j] = 2 * row_e[1]
-    t = transfer_matrix(dim, words, (mat_e, mat_pi))
+    t = dataclasses.replace(t, entries=tuple(
+        row[:j] + (2 * row[j],) + row[j + 1:] for row in t.entries))
+    assert t.mismatch is None
     assert lift_failures(t) == ["section_identity (r=1)"]
     with pytest.raises(ConjectureViolation,
                        match=re.escape("section_identity (r=1)")):
@@ -334,7 +365,7 @@ def test_m_matches_monomial_expansion_oracle():
                 continue
             dim = DimVector(d1, d2)
             words = spanning_words(dim)
-            mat_pi = monomial_matrix_Pi(dim, words)
+            mat_pi = monomial_matrix(dim, words, "Pi")
             classes = pi_classes(dim)
             bound = dim.rank_bound
             m = m_coefficients(dim)

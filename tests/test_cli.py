@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,14 +8,15 @@ from pathlib import Path
 
 import pytest
 
+import semican.bases as bases
 import semican.cli as cli
 import semican.geom as geom
 import semican.ratlin as ratlin
 import semican.separation as separation
 import semican.verify as verify
 import semican.wreg as wreg
-from semican.bases import ExpansionMatrix, spanning_words
-from semican.core import DimVector
+from semican.bases import ExpansionMatrix
+from semican.core import DimVector, PiModClass, pi_classes
 from semican.separation import enumerate_matchings, flag_shape
 from semican.sympoly import BilinearityError, MultiPoly, VarId
 
@@ -188,24 +190,54 @@ def test_verify_reports_failure_with_exit_2(capsys, monkeypatch):
 
 
 def test_verify_lift_failure_names_word(capsys, monkeypatch):
-    words = spanning_words(DimVector(2, 2))
-    real = verify.monomial_matrix_Pi
+    # a corrupted pair-side count at class (0, 2) in the first sandwich row
+    # of (2, 2), which the solve picks: the witness names the dimension, the
+    # letter, the orbit and the class
+    dim = DimVector(2, 2)
+    j = pi_classes(dim).index(PiModClass(dim, 0, 2))
+    real = verify.sandwich_rows
 
-    def corrupted(dim, ws):
-        mat = real(dim, ws)
-        mat[-1][-1] += 1
-        return mat
+    def corrupted(d):
+        rows = real(d)
+        mat_e, mat_pi = rows[dim]
+        mat_pi = [list(row) for row in mat_pi]
+        mat_pi[0][j] += 1
+        rows[dim] = (mat_e, mat_pi)
+        return rows
 
-    monkeypatch.setattr(verify, "monomial_matrix_Pi", corrupted)
+    monkeypatch.setattr(verify, "sandwich_rows", corrupted)
     code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--skip-wreg")
     assert code == 2
     report = json.loads(out)
     assert report["verdict"] == "FAIL" and not report["kernel_ok"]
+    assert report["section_ok"]
     witness = report["failed_checks"][0]
-    assert witness.startswith(f"kernel_invariance (word {words[-1]}, class ")
-    assert witness in err
+    assert re.fullmatch(r"kernel_invariance \(dim \(2,2\), letter [12]\^\d, "
+                        r"orbit \d, class \(\d,\d\): \S+ != \S+\)", witness)
+    assert f"FAILED: {witness}" in err
     assert "Traceback" not in err
+
+
+def test_verify_corrupted_step_matrix_exits_2(capsys, monkeypatch):
+    real = bases.step_matrix
+
+    def corrupted(dim, vertex, b, side):
+        steps = real(dim, vertex, b, side)
+        if side != "Pi":
+            return steps
+        (child, n), *rest = steps[0]
+        return (((child, n + 1), *rest),) + steps[1:]
+
+    monkeypatch.setattr(bases, "step_matrix", corrupted)
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
+                         "--skip-wreg")
+    assert code == 2
+    report = json.loads(out)
+    assert report["section_ok"] and not report["kernel_ok"]
+    witness = report["failed_checks"][0]
+    assert witness.startswith("kernel_invariance (dim (")
+    assert f"FAILED: {witness}" in err
 
 
 def _patched_entry(real, row, col, value):
@@ -240,15 +272,16 @@ def test_verify_n_structure_failure_names_entry(capsys, monkeypatch):
 
 
 def test_verify_spanning_failure(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "spanning_words",
-                        lambda dim: spanning_words(dim)[:1])
+    real = bases.sandwich_words
+    monkeypatch.setattr(bases, "sandwich_words", lambda dim: real(dim)[:1])
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
     assert code == 2
     report = json.loads(out)
-    assert report["failed_checks"][0] == "spanning (missing ranks [1])"
+    witness = "spanning (dim (1,1), missing ranks [1])"
+    assert report["failed_checks"][0] == witness
     assert not report["section_ok"] and not report["kernel_ok"]
-    assert "spanning (missing ranks [1])" in err
+    assert f"FAILED: {witness}" in err
 
 
 def test_verify_conormal_failure_names_class(capsys, monkeypatch):
@@ -332,6 +365,29 @@ def test_verify_sep_samples_option_is_gone(capsys):
     assert code == 1
     assert out == ""
     assert "--sep-samples" in err
+
+
+@pytest.mark.parametrize("d1, d2, instances, sampled", [
+    (4, 1, 15, False),   # every instance, though a dimension exceeds 3
+    (4, 4, 500, True),   # 500 of 2835
+])
+def test_verify_samples_only_above_sep_samples(capsys, d1, d2, instances,
+                                               sampled):
+    code, out, _ = run(capsys, "verify", "--d1", str(d1), "--d2", str(d2),
+                       "--skip-wreg")
+    assert code == 0
+    separation = json.loads(out)["separation"]
+    assert separation["instances"] == instances
+    assert separation["sampled"] is sampled
+
+
+def test_verify_sampled_iff_fewer_instances_checked(monkeypatch):
+    # (4,1) has 15 instances
+    for bound, instances, sampled in [(15, 15, False), (14, 14, True)]:
+        monkeypatch.setattr(verify, "SEP_SAMPLES", bound)
+        separation = verify.run_verify(4, 1, skip_wreg=True)["separation"]
+        assert (separation["instances"], separation["sampled"]) == \
+            (instances, sampled)
 
 
 def test_cli_import_does_not_load_numpy():
@@ -418,6 +474,14 @@ def test_separate_inadmissible_y0(capsys):
                        "--comp", "1,2,2,1", "--y0", "2:1")
     assert code == 1
     assert "flag stability" in err
+
+
+@pytest.mark.parametrize("spec", ["1", "1:x", "1:2:3"])
+def test_separate_malformed_y0_names_entry(capsys, spec):
+    code, out, err = run(capsys, "separate", "--d1", "1", "--d2", "1",
+                         "--comp", "1,2", "--y0", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: bad y0 entry '{spec}' (expected i:j)\n"
 
 
 def test_separate_content_mismatch(capsys):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semican.bases import spanning_words
 from semican.core import (DimVector, Orbit, PiModClass, enumerate_orbits,
                           pi_classes)
-from semican.qcount import _steps_at_one, euler_counts, word_content
+from semican.qcount import euler_counts, step_matrix, word_content
 
 from oracles import (QPoly, StepCount, eval_word, gauss_binom, q_factorial,
-                     q_int, sub_grouped, sub_simple_E, sub_simple_Pi,
-                     transitions)
+                     q_int, spanning_words, sub_grouped, sub_simple_E,
+                     sub_simple_Pi, transitions)
 
 # ---------------------------------------------------------------------------
 # QPoly ring
@@ -249,9 +248,9 @@ def test_euler_counts_match_eval_word_at_one():
             for side, classes in (("E", enumerate_orbits(dim)),
                                   ("Pi", pi_classes(dim))):
                 for w in spanning_words(dim):
-                    expected = [eval_word(w.letters, c, side).at_one()
+                    expected = [eval_word(w, c, side).at_one()
                                 for c in classes]
-                    assert euler_counts(w.letters, dim, side) == expected
+                    assert euler_counts(w, dim, side) == expected
 
 
 def test_euler_counts_validation():
@@ -266,7 +265,7 @@ def test_euler_counts_validation():
     assert euler_counts((), DimVector(0, 0), "Pi") == [1]
 
 
-def test_steps_at_one_match_grouped_polynomials_at_one():
+def test_step_matrix_matches_grouped_polynomials_at_one():
     # each integer step count is the oracle's grouped count at q = 1, with
     # its child indexed in the class order of the child dimension
     for d1 in range(7):
@@ -283,7 +282,7 @@ def test_steps_at_one_match_grouped_polynomials_at_one():
                                          for s in sub_grouped(c, vertex, b,
                                                               side)))
                             for c in classes(dim))
-                        got = _steps_at_one(dim, vertex, b, side)
+                        got = step_matrix(dim, vertex, b, side)
                         assert tuple(tuple(sorted(row)) for row in got) == \
                             expected, (dim, vertex, b, side)
 

@@ -287,7 +287,7 @@ def test_single_substitution_matches_chained():
                     used = {v for p in values.values() for mono in p.terms
                             for v, _ in mono}
                     assert not used & keys.keys(), (a, entries)
-                h = expand_trace(sh.dim, sh, y0)
+                h = expand_trace(sh, y0)
                 chained = h.substitute(m_expr).substitute(x_expr)
                 assert build_and_separate(a, y0).separated == chained, \
                     (a, entries)

@@ -225,12 +225,12 @@ def test_bilinear_matches_two_pass_reference():
 
 def test_expand_trace_examples():
     sh = flag_shape((2, 1))
-    assert expand_trace(DimVector(1, 1), sh, NormalFormY.of()) \
+    assert expand_trace(sh, NormalFormY.of()) \
         == MultiPoly.zero()
     sh = flag_shape((1, 2, 2, 1))
-    h = expand_trace(DimVector(2, 2), sh, NormalFormY.of((1, 1)))
+    h = expand_trace(sh, NormalFormY.of((1, 1)))
     assert h == V("X", 1, 2) * V("M", 2, 1)
-    h = expand_trace(DimVector(2, 2), sh, NormalFormY.of((1, 2)))
+    h = expand_trace(sh, NormalFormY.of((1, 2)))
     assert h == V("X", 2, 2) * V("M", 2, 1) \
         + V("X", 1, 2) * V("M", 2, 1) * V("N", 2, 1)
 
@@ -238,7 +238,7 @@ def test_expand_trace_examples():
 def test_expand_trace_rejects_inadmissible():
     sh = flag_shape((2, 1))
     with pytest.raises(ValueError):
-        expand_trace(DimVector(1, 1), sh, NormalFormY.of((1, 1)))
+        expand_trace(sh, NormalFormY.of((1, 1)))
 
 
 def _symbolic_trace(shape, y0):
@@ -273,7 +273,7 @@ def test_expand_trace_matches_matrix_product():
                 continue
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
                 sh = flag_shape(a)
-                got = expand_trace(DimVector(d1, d2), sh, y0)
+                got = expand_trace(sh, y0)
                 if d1 == 0 or d2 == 0:
                     assert got == MultiPoly.zero()
                     continue
@@ -283,7 +283,7 @@ def test_expand_trace_matches_matrix_product():
 def test_expand_trace_degree_bounds():
     from semican.separation import enumerate_instances
     for a, y0 in enumerate_instances(DimVector(2, 2)):
-        h = expand_trace(DimVector(2, 2), flag_shape(a), y0)
+        h = expand_trace(flag_shape(a), y0)
         for mono, _ in h.terms.items():
             total = sum(e for _, e in mono)
             assert total <= 3
