@@ -133,7 +133,12 @@ def cmd_verify(args) -> int:
                         skip_wreg=args.skip_wreg)
     text = _dumps(report)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         print(text)
     if report["failed_checks"]:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
+from . import packed
 from .core import DimVector, compositions
 from .sympoly import (BilinearForm, BilinearityError, MultiPoly, VarId,
                       bilinear_decompose, expand_trace)
@@ -88,6 +90,33 @@ class FlagShape:
         """
         return _TracePieces(self)
 
+    @cached_property
+    def packed_chart(self) -> _PackedChart:
+        """The tables of `certify`: exponent slots and packed trace pieces."""
+        return _PackedChart(self)
+
+
+def _trace_factors(shape: FlagShape, entry: tuple[int, int]) -> list:
+    """The factors (kind, row, col) of each trace term of one y0 entry.
+
+    These are the X*N, X*M and X*M*N families tied to the entry; no term
+    belongs to two entries.
+    """
+    ia, ja = entry
+    d1, adm_x = shape.d1, shape.adm_x
+    factors = []
+    for i in range(1, ja):
+        if adm_x(i, ia):
+            factors.append((("X", i, ia), ("N", ja, i)))
+    for j in range(ia + 1, d1 + 1):
+        if adm_x(ja, j):
+            factors.append((("X", ja, j), ("M", j, ia)))
+    for i in range(1, ja):
+        for j in range(ia + 1, d1 + 1):
+            if adm_x(i, j):
+                factors.append((("X", i, j), ("M", j, ia), ("N", ja, i)))
+    return factors
+
 
 class _TracePieces(dict):
     """The trace terms of each y0 entry of one shape, built on first use.
@@ -102,22 +131,50 @@ class _TracePieces(dict):
         self.shape = shape
 
     def __missing__(self, entry: tuple[int, int]) -> dict:
-        ia, ja = entry
-        d1, adm_x = self.shape.d1, self.shape.adm_x
-        factors = []
-        for i in range(1, ja):
-            if adm_x(i, ia):
-                factors.append((("X", i, ia), ("N", ja, i)))
-        for j in range(ia + 1, d1 + 1):
-            if adm_x(ja, j):
-                factors.append((("X", ja, j), ("M", j, ia)))
-        for i in range(1, ja):
-            for j in range(ia + 1, d1 + 1):
-                if adm_x(i, j):
-                    factors.append((("X", i, j), ("M", j, ia), ("N", ja, i)))
         piece = self[entry] = {
-            tuple(sorted((VarId(*f), 1) for f in fs)): 1 for fs in factors}
+            tuple(sorted((VarId(*f), 1) for f in fs)): 1
+            for fs in _trace_factors(self.shape, entry)}
         return piece
+
+
+class _PackedChart:
+    """One shape's exponent slots for the packed kernel of `certify`.
+
+    There is a slot for every M, N and X chart variable and for the primed
+    copy M'/X' of every M and X.  `unit[kind, row, col]` is the monomial of
+    one variable; `piece(entry)` is the packed `trace_pieces[entry]`, built
+    on first use.
+
+    Degree bound, with k = min(d1, d2) >= the number of y0 entries: each
+    M expression of the inversion has degree <= max(1, k), each X
+    expression and each primed definition degree <= k + 1, so the separated
+    trace (from X*N, X*M, X*M*N terms) has degree <= 2k + 2 and its back
+    substitution degree <= 2(k + 1)**2.  No exponent exceeds the degree of
+    its monomial, so this bound, checked by `packed.Slots`, keeps every
+    exponent inside its field; it allows k <= 10 with 8-bit fields.
+    """
+
+    def __init__(self, shape: FlagShape):
+        self.shape = shape
+        m_vars, n_vars, x_vars = shape.chart_vars
+        keys = [(kind, r, c) for kind, group in (("M", m_vars), ("Mp", m_vars),
+                                                 ("N", n_vars), ("X", x_vars),
+                                                 ("Xp", x_vars))
+                for _, r, c in group]
+        variables = [VarId(*key) for key in keys]
+        self.slots = packed.Slots(
+            variables, max_degree=2 * (min(shape.d1, shape.d2) + 1) ** 2)
+        self.unit = dict(zip(keys, map(self.slots.unit.get, variables)))
+        self._pieces: dict = {}
+
+    def piece(self, entry: tuple[int, int]) -> dict[int, int]:
+        p = self._pieces.get(entry)
+        if p is None:
+            unit = self.unit
+            p = self._pieces[entry] = {
+                sum([unit[f] for f in fs]): 1
+                for fs in _trace_factors(self.shape, entry)}
+        return p
 
 
 def flag_shape(composition) -> FlagShape:
@@ -153,7 +210,10 @@ class NormalFormY:
 
     @classmethod
     def of(cls, *positions) -> "NormalFormY":
-        return cls(frozenset((int(i), int(j)) for i, j in positions))
+        entries = [(int(i), int(j)) for i, j in positions]
+        if len(set(entries)) != len(entries):
+            raise ValueError(f"repeated row or column in {sorted(entries)}")
+        return cls(frozenset(entries))
 
     def sorted_entries(self) -> list[tuple[int, int]]:
         return sorted(self.entries, key=lambda e: e[1])
@@ -250,22 +310,31 @@ class SeparationReport:
         }
 
 
+def _coupled_pairs(shape: FlagShape, entries):
+    """The set T: pairs (alpha', alpha) of y0 entries coupled through x."""
+    return [(ap, al) for ap in entries for al in entries
+            if shape.adm_x(ap[1], al[0])]
+
+
+def _fiber(t_pairs, al):
+    """The alpha' coupled to alpha, by decreasing column."""
+    return sorted((ap for ap, a2 in t_pairs if a2 == al), key=lambda e: -e[1])
+
+
 def _inversion(shape: FlagShape, entries):
     """Triangular elimination of the coupled lower-unipotent variables.
 
-    Returns (m_expr, mp_def): the expression of each coupled M variable in the
-    new M' variables, and the definition of each M' in the original ones.
-    Processing each fiber by decreasing second matching column makes the
-    system triangular, so the inversion is formal and exact.
+    Returns (t_pairs, m_expr, mp_def): the set T, the expression of each
+    coupled M variable in the new M' variables, and the definition of each
+    M' in the original ones.  Processing each fiber by decreasing second
+    matching column makes the system triangular, so the inversion is formal
+    and exact.
     """
-    t_pairs = [(ap, al) for ap in entries for al in entries
-               if shape.adm_x(ap[1], al[0])]
+    t_pairs = _coupled_pairs(shape, entries)
     m_expr: dict[VarId, MultiPoly] = {}
     mp_def: dict[VarId, MultiPoly] = {}
     for al in entries:
-        fiber = sorted((ap for ap, a2 in t_pairs if a2 == al),
-                       key=lambda e: -e[1])
-        for ap in fiber:
+        for ap in _fiber(t_pairs, al):
             ia, ja = al
             ip, jp = ap
             mvar = VarId("M", ia, ip)
@@ -373,9 +442,7 @@ def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
     try:
         form = bilinear_decompose(separated, w1, w2, vc)
     except BilinearityError as exc:
-        raise SeparationError(
-            f"separation failed on {composition} with y0 {entries}: {exc}"
-        ) from exc
+        raise _separation_error(composition, entries, exc) from exc
 
     change = tuple(
         sorted([(str(k), v.to_str()) for k, v in m_expr.items()]
@@ -399,3 +466,127 @@ def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
 def back_substitute(report: SeparationReport) -> MultiPoly:
     """Replace the primed variables by their definitions in the originals."""
     return report.separated.substitute(report.definitions)
+
+
+def _separation_error(composition, entries, exc) -> SeparationError:
+    return SeparationError(
+        f"separation failed on {composition} with y0 {entries}: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# the certificate on the packed kernel: the construction above, step by step,
+# on `packed` polynomials over the shape's slots
+
+
+class PackedSeparation(NamedTuple):
+    """The polynomials of one separation on the packed kernel.
+
+    `definitions` maps each primed unit monomial to its definition; `w1`,
+    `w2` and `vc` are the VarId groups of `_classify`.
+    """
+
+    chart: _PackedChart
+    trace: dict[int, int]
+    separated: dict[int, int]
+    definitions: dict[int, dict[int, int]]
+    w1: set
+    w2: set
+    vc: set
+
+
+def _packed_inversion(chart: _PackedChart, entries, t_pairs):
+    """`_inversion` on the packed kernel; m_expr is keyed by (row, col)."""
+    unit = chart.unit
+    m_expr: dict[tuple[int, int], dict] = {}
+    mp_def: dict[int, dict] = {}
+    for al in entries:
+        ia, ja = al
+        for ip, jp in _fiber(t_pairs, al):
+            n = unit["N", ja, jp]
+            mp = unit["Mp", ia, ip]
+            defn = {unit["M", ia, ip]: 1, n: 1}
+            expr = {mp: 1, n: -1}
+            for ib, jb in entries:
+                if ib < ia and jb > jp:
+                    n = unit["N", jb, jp]
+                    cross = unit["M", ia, ib]
+                    packed.add_into(defn, {cross: 1}, shift=n)
+                    packed.add_into(expr, m_expr.get((ia, ib), {cross: 1}),
+                                    scale=-1, shift=n)
+            m_expr[ia, ip] = packed.nonzero(expr)
+            mp_def[mp] = packed.nonzero(defn)
+    return m_expr, mp_def
+
+
+def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
+    """`_x_change` on the packed kernel, keyed by unit monomial."""
+    unit = chart.unit
+    x_expr: dict[int, dict] = {}
+    xp_def: dict[int, dict] = {}
+    for ap, al in t_pairs:
+        ia, ja = al
+        ip, jp = ap
+        correction: dict = {}
+        for app, a2 in t_pairs:
+            if a2 != al or app[1] > jp:
+                continue
+            if app == ap:
+                u = {0: 1}
+            else:
+                u = packed.coefficient_of(m_expr[ia, app[0]],
+                                          unit["Mp", ia, ip])
+            for i in range(1, app[1]):
+                x = unit.get(("X", i, ia))
+                if x is not None and i not in j_set:
+                    packed.add_into(correction, u,
+                                    shift=x + unit["N", app[1], i])
+        correction = packed.nonzero(correction)
+        # correction has degree >= 2, so neither X nor X' cancels into it
+        x, xp = unit["X", jp, ia], unit["Xp", jp, ia]
+        x_expr[x] = {xp: 1, **{m: -c for m, c in correction.items()}}
+        xp_def[xp] = {x: 1, **correction}
+    return x_expr, xp_def
+
+
+def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
+    """`build_and_separate` on the packed kernel, without a report."""
+    shape = flag_shape(composition)
+    validate_matching(shape, y0)
+    entries = y0.sorted_entries()
+    chart = shape.packed_chart
+    trace: dict[int, int] = {}
+    for entry in entries:
+        trace.update(chart.piece(entry))
+    t_pairs = _coupled_pairs(shape, entries)
+    m_expr, mp_def = _packed_inversion(chart, entries, t_pairs)
+    x_expr, xp_def = _packed_x_change(chart, {j for _, j in entries},
+                                      t_pairs, m_expr)
+    mapping = {chart.unit["M", ia, ip]: p for (ia, ip), p in m_expr.items()}
+    mapping.update(x_expr)
+    separated = packed.substitute(trace, mapping)
+    w1, w2, vc = _classify(shape, entries, t_pairs)
+    return PackedSeparation(chart, trace, separated, {**mp_def, **xp_def},
+                            w1, w2, vc)
+
+
+def back_substitute_packed(sep: PackedSeparation) -> dict[int, int]:
+    """`back_substitute` on the packed kernel."""
+    return packed.substitute(sep.separated, sep.definitions)
+
+
+def certify(composition, y0: NormalFormY) -> bool:
+    """Check one instance's separation certificate; render nothing.
+
+    Runs the construction of `build_and_separate` on the packed kernel and
+    raises the same SeparationError when the separated trace is not
+    bilinear.  Otherwise returns whether back-substitution gives back the
+    trace.
+    """
+    sep = separate_packed(composition, y0)
+    try:
+        packed.check_bilinear(sep.separated, sep.chart.slots,
+                              sep.w1, sep.w2, sep.vc)
+    except BilinearityError as exc:
+        raise _separation_error(composition, y0.sorted_entries(),
+                                exc) from exc
+    return back_substitute_packed(sep) == sep.trace

@@ -223,23 +223,13 @@ class BilinearForm:
     matrix: tuple[tuple[MultiPoly, ...], ...]
 
 
-def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
-    """Split p as sum_{u in W1, v in W2} B[u][v](Vc) * u * v.
+def _cells(terms: dict, role: dict) -> dict:
+    """The Vc-coefficient of each (row, column) cell, reading terms in order.
 
-    Succeeds iff every monomial has degree exactly 1 in W1, exactly 1 in W2,
-    and all remaining factors in Vc, with any exponent; otherwise raises
-    BilinearityError with the offending monomial.  Each monomial is read
-    once, through one map from each variable to its (row, column) role; a
-    Vc variable has role (-1, -1).
+    Raises BilinearityError naming the first monomial that is not bilinear.
     """
-    rows = tuple(sorted(set(w1)))
-    cols = tuple(sorted(set(w2)))
-    role = dict.fromkeys(vc, (-1, -1))
-    role.update((v, (i, -1)) for i, v in enumerate(rows))
-    for j, v in enumerate(cols):
-        role[v] = (role.get(v, (-1, -1))[0], j)
     cells: dict = {}
-    for mono, coeff in p.terms.items():
+    for mono, coeff in terms.items():
         r = c = -1
         rest = []
         for v, e in mono:
@@ -260,6 +250,30 @@ def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
         cell = cells.setdefault((r, c), {})
         rest = tuple(rest)
         cell[rest] = cell.get(rest, 0) + coeff
+    return cells
+
+
+def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
+    """Split p as sum_{u in W1, v in W2} B[u][v](Vc) * u * v.
+
+    Succeeds iff every monomial has degree exactly 1 in W1, exactly 1 in W2,
+    and all remaining factors in Vc, with any exponent; otherwise raises
+    BilinearityError naming the first offending monomial in `to_str` order.
+    Each monomial is read once, through one map from each variable to its
+    (row, column) role; a Vc variable has role (-1, -1).
+    """
+    rows = tuple(sorted(set(w1)))
+    cols = tuple(sorted(set(w2)))
+    role = dict.fromkeys(vc, (-1, -1))
+    role.update((v, (i, -1)) for i, v in enumerate(rows))
+    for j, v in enumerate(cols):
+        role[v] = (role.get(v, (-1, -1))[0], j)
+    try:
+        cells = _cells(p.terms, role)
+    except BilinearityError:
+        cells = None
+    if cells is None:  # read again in to_str order, to name the first offender
+        _cells(dict(sorted(p.terms.items())), role)
     zero = MultiPoly()  # shared by every zero cell; MultiPoly is never mutated
     matrix = [[zero] * len(cols) for _ in rows]
     for (i, j), cell in cells.items():

@@ -16,8 +16,7 @@ from .bases import (SpanningError, lift_failures, m_coefficients,
 from .core import (ConormalComponent, DimVector, Orbit, enumerate_orbits,
                    sign_parity)
 from .geom import GenericityError, PairPoint, hessian_rank_check
-from .separation import (SeparationError, back_substitute, build_and_separate,
-                         enumerate_instances)
+from .separation import SeparationError, certify, enumerate_instances
 
 SCHEMA_VERSION = 2
 # separation checks every instance when there are at most this many, and a
@@ -84,12 +83,12 @@ def run_verify(d1: int, d2: int, seed: int = 1,
         bilinear_fail = subst_fail = None  # first witness of each kind
         for a, y0 in instances:
             try:
-                rep = build_and_separate(a, y0)
+                restored = certify(a, y0)
             except SeparationError as exc:
                 bilinear_fail = bilinear_fail or str(exc)
                 continue
-            if subst_fail is None and back_substitute(rep) != rep.trace:
-                subst_fail = f"composition {a}, y0 {list(rep.y0)}"
+            if subst_fail is None and not restored:
+                subst_fail = f"composition {a}, y0 {y0.sorted_entries()}"
         if bilinear_fail:
             failed.append(f"separation_bilinear_ok ({bilinear_fail})")
         if subst_fail:

@@ -11,6 +11,7 @@ import pytest
 import semican.bases as bases
 import semican.cli as cli
 import semican.geom as geom
+import semican.packed as packed
 import semican.ratlin as ratlin
 import semican.separation as separation
 import semican.verify as verify
@@ -18,7 +19,7 @@ import semican.wreg as wreg
 from semican.bases import ExpansionMatrix
 from semican.core import DimVector, PiModClass, pi_classes
 from semican.separation import enumerate_matchings, flag_shape
-from semican.sympoly import BilinearityError, MultiPoly, VarId
+from semican.sympoly import BilinearityError, VarId
 
 
 def run(capsys, *argv):
@@ -93,6 +94,15 @@ def test_verify_writes_file(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["verdict"] == "PASS"
     assert report["geometry"]["wreg"] == "SKIPPED"
+
+
+def test_verify_unwritable_out_is_input_error(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
+                         "--skip-wreg", "--out", str(out_file))
+    assert code == 1 and out == ""
+    assert err == (f"error: cannot write {out_file}: "
+                   "No such file or directory\n")
 
 
 def _normalized(report_text: str) -> str:
@@ -426,15 +436,12 @@ def test_separate_all(capsys):
     assert len(data["reports"]) == expected
 
 
-def _break_bilinearity(monkeypatch):
-    def broken(*args, **kwargs):
-        raise BilinearityError("X(1,2)^2")
-
-    monkeypatch.setattr(separation, "bilinear_decompose", broken)
+def _broken(*args, **kwargs):
+    raise BilinearityError("X(1,2)^2")
 
 
 def test_separate_failure_exits_2(capsys, monkeypatch):
-    _break_bilinearity(monkeypatch)
+    monkeypatch.setattr(separation, "bilinear_decompose", _broken)
     code, out, err = run(capsys, "separate", "--d1", "2", "--d2", "2",
                          "--comp", "1,2,2,1", "--y0", "1:1")
     assert code == 2
@@ -443,7 +450,7 @@ def test_separate_failure_exits_2(capsys, monkeypatch):
 
 
 def test_verify_separation_failure_names_instance(capsys, monkeypatch):
-    _break_bilinearity(monkeypatch)
+    monkeypatch.setattr(packed, "check_bilinear", _broken)
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
     assert code == 2
@@ -457,8 +464,8 @@ def test_verify_separation_failure_names_instance(capsys, monkeypatch):
 
 
 def test_verify_substitution_failure_names_instance(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "back_substitute",
-                        lambda rep: MultiPoly.const(1))
+    monkeypatch.setattr(separation, "back_substitute_packed",
+                        lambda sep: {0: 1})
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
     assert code == 2
@@ -482,6 +489,13 @@ def test_separate_malformed_y0_names_entry(capsys, spec):
                          "--comp", "1,2", "--y0", spec)
     assert code == 1 and out == ""
     assert err == f"error: bad y0 entry '{spec}' (expected i:j)\n"
+
+
+def test_separate_repeated_y0_entry(capsys):
+    code, out, err = run(capsys, "separate", "--d1", "2", "--d2", "2",
+                         "--comp", "1,2,2,1", "--y0", "1:1,1:1")
+    assert code == 1 and out == ""
+    assert err == "error: repeated row or column in [(1, 1), (1, 1)]\n"
 
 
 def test_separate_content_mismatch(capsys):

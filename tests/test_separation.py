@@ -7,9 +7,9 @@ import pytest
 
 from semican.core import DimVector, PiModClass, representative_pair
 from semican.separation import (NormalFormY, SeparationError,
-                                back_substitute, build_and_separate,
+                                back_substitute, build_and_separate, certify,
                                 enumerate_instances, enumerate_matchings,
-                                flag_shape, validate_matching)
+                                flag_shape, separate_packed, validate_matching)
 from semican.sympoly import MultiPoly, VarId, expand_trace
 
 from oracles import critical_locus_check, normal_form
@@ -118,6 +118,8 @@ def test_matching_validation():
         validate_matching(sh, NormalFormY.of((2, 1)))
     with pytest.raises(ValueError):
         NormalFormY.of((1, 1), (1, 2))  # repeated row
+    with pytest.raises(ValueError, match="repeated row or column"):
+        NormalFormY.of((1, 1), (1, 1))  # repeated entry
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +368,35 @@ def test_separated_polynomial_matches_six_piece_form():
                 rep = build_and_separate(a, y0)
                 assert rep.separated == _six_pieces(a, y0), \
                     (a, sorted(y0.entries))
+
+
+def test_certify_matches_multipoly_reference():
+    for d1 in range(0, 5):
+        for d2 in range(0, 5):
+            if d1 + d2 == 0:
+                continue
+            for a, y0 in enumerate_instances(DimVector(d1, d2)):
+                rep = build_and_separate(a, y0)
+                sep = separate_packed(a, y0)
+                slots = sep.chart.slots
+                assert {slots.decode(m): c for m, c in sep.trace.items()} \
+                    == rep.trace.terms
+                assert {slots.decode(m): c
+                        for m, c in sep.separated.items()} \
+                    == rep.separated.terms, (a, sorted(y0.entries))
+                # the degree bound of the packed chart's docstring
+                k = len(y0.entries)
+                assert all(sum(e for _, e in mono) <= 2 * k + 2
+                           for mono in rep.separated.terms)
+                restored = back_substitute(rep) == rep.trace
+                assert restored and certify(a, y0) is restored
+
+
+def test_packed_chart_guards_exponent_fields():
+    # 2 (k + 1)**2 must fit 8 bits: k = min(d1, d2) <= 10
+    assert flag_shape((1,) * 10 + (2,) * 11).packed_chart.slots.variables
+    with pytest.raises(ValueError, match="degree bound 288"):
+        flag_shape((1,) * 11 + (2,) * 11).packed_chart
 
 
 def test_separate_rejects_inadmissible_y0():

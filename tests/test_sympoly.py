@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semican import sympoly
+from semican import packed, sympoly
 from semican.core import DimVector
 from semican.separation import NormalFormY, flag_shape
 from semican.sympoly import (KINDS, BilinearityError, MultiPoly, VarId,
@@ -200,8 +200,11 @@ def test_bilinear_accepts_any_coefficient_exponent():
 
 def test_bilinear_matches_two_pass_reference():
     # every monomial in three variables with exponents 0..2, against every
-    # way of putting each variable into at most two of W1, W2 and Vc
-    vs = (M21, X12, N31)
+    # way of putting each variable into at most two of W1, W2 and Vc; the
+    # packed kernel's check must agree (vs is sorted, so each monomial is
+    # canonical as in MultiPoly)
+    vs = (M21, N31, X12)
+    slots = packed.Slots(vs, max_degree=6)
     roles = [set(r) for n in range(3)
              for r in itertools.combinations(("w1", "w2", "vc"), n)]
     for exps in itertools.product(range(3), repeat=3):
@@ -209,14 +212,77 @@ def test_bilinear_matches_two_pass_reference():
         for role in itertools.product(roles, repeat=3):
             groups = [{v for v, r in zip(vs, role) if g in r}
                       for g in ("w1", "w2", "vc")]
+            packed_p = {slots.encode(m): c for m, c in p.terms.items()}
             try:
                 expected = bilinear_decompose_two_pass(p, *groups)
             except BilinearityError as exc:
                 with pytest.raises(BilinearityError) as got:
                     bilinear_decompose(p, *groups)
                 assert got.value.witness == exc.witness
+                with pytest.raises(BilinearityError) as got:
+                    packed.check_bilinear(packed_p, slots, *groups)
+                assert got.value.witness == exc.witness
             else:
                 assert bilinear_decompose(p, *groups) == expected
+                packed.check_bilinear(packed_p, slots, *groups)
+
+
+def test_bilinear_witness_is_first_in_term_order():
+    ok = V("M", 2, 1) * V("X", 1, 2)
+    late = V("N", 3, 1) * V("X", 1, 2)   # no W1 factor
+    early = V("M", 2, 1) * V("N", 3, 1)  # no W2 factor
+    slots = packed.Slots([M21, X12, N31], max_degree=3)
+    witnesses = set()
+    for first, second in ((late, early), (early, late)):
+        terms = {**first.terms, **second.terms, **ok.terms}
+        with pytest.raises(BilinearityError) as exc:
+            bilinear_decompose(MultiPoly(terms), {M21}, {X12}, {N31})
+        witnesses.add(exc.value.witness)
+        with pytest.raises(BilinearityError) as exc:
+            packed.check_bilinear({slots.encode(m): c for m, c in terms.items()},
+                                  slots, {M21}, {X12}, {N31})
+        witnesses.add(exc.value.witness)
+    assert witnesses == {"M(2,1)*N(3,1)"}
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against MultiPoly
+
+
+@given(polys(), polys(), polys())
+@settings(max_examples=60, deadline=None)
+def test_packed_arithmetic_matches_multipoly(a, b, c):
+    # degree <= 6 per polynomial, so <= 36 after substituting into a
+    slots = packed.Slots(_vars, max_degree=36)
+
+    def enc(p):
+        return {slots.encode(m): coeff for m, coeff in p.terms.items()}
+
+    def dec(d):
+        return MultiPoly({slots.decode(m): coeff for m, coeff in d.items()})
+
+    assert dec(packed.mul(enc(a), enc(b))) == a * b
+    mapping = {_vars[0]: b, _vars[2]: c}
+    assert dec(packed.substitute(
+        enc(a), {slots.unit[v]: enc(p) for v, p in mapping.items()})) \
+        == a.substitute(mapping)
+    try:
+        expected = a.coefficient_of(_vars[3])
+    except ValueError:
+        with pytest.raises(ValueError):
+            packed.coefficient_of(enc(a), slots.unit[_vars[3]])
+    else:
+        assert dec(packed.coefficient_of(enc(a), slots.unit[_vars[3]])) \
+            == expected
+
+
+def test_packed_slots_guard_field_width():
+    assert packed.FIELD_MASK == 255
+    slots = packed.Slots([X12, M21], max_degree=255)
+    mono = ((M21, 255), (X12, 1))
+    assert slots.decode(slots.encode(mono)) == mono
+    with pytest.raises(ValueError, match="degree bound 256"):
+        packed.Slots([X12, M21], max_degree=256)
 
 
 # ---------------------------------------------------------------------------
