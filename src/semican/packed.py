@@ -8,9 +8,12 @@ carries from one field into the next only when an exponent reaches
 2**FIELD_BITS; `Slots` takes a bound on the total degree of every
 polynomial its caller forms and rejects a bound that does not fit a field.
 
-Nothing here builds a string except the witness of a failed bilinearity
-check.  `sympoly.MultiPoly` is the rendering implementation of the same
-algebra; the two share no arithmetic, and the tests compare them.
+This module does all the arithmetic of the separation, for `certify` and
+for the reports of `build_and_separate` alike.  Nothing here builds a
+string except the witness of a failed bilinearity check: a report decodes
+its polynomials into `sympoly.MultiPoly`, which renders them.  The tests
+check this kernel against the `MultiPoly` arithmetic of `tests/oracles.py`,
+which shares no code with it.
 """
 
 from __future__ import annotations
@@ -36,20 +39,28 @@ class Slots:
         self.variables: tuple[VarId, ...] = tuple(sorted(set(variables)))
         self.unit = {v: 1 << (FIELD_BITS * k)
                      for k, v in enumerate(self.variables)}
+        # the factor (v, 1) of each variable, shared by every decoded
+        # monomial: fewer objects to allocate and to hold in a report
+        self._linear = [(v, 1) for v in self.variables]
 
     def encode(self, mono: Mono) -> int:
         return sum(self.unit[v] * e for v, e in mono)
 
     def decode(self, mono: int) -> Mono:
+        """The sorted MultiPoly monomial; visits only the set fields."""
         out = []
-        for v in self.variables:
-            if not mono:
-                break
-            e = mono & FIELD_MASK
-            if e:
-                out.append((v, e))
-            mono >>= FIELD_BITS
+        while mono:
+            k = ((mono & -mono).bit_length() - 1) // FIELD_BITS
+            e = (mono >> (FIELD_BITS * k)) & FIELD_MASK
+            out.append(self._linear[k] if e == 1
+                       else (self.variables[k], e))
+            mono -= e << (FIELD_BITS * k)
         return tuple(out)
+
+
+def mask(units) -> int:
+    """The bit mask of the fields of the variables `units`."""
+    return FIELD_MASK * sum(units)
 
 
 def add_into(out: dict, p: dict, scale: int = 1, shift: int = 0) -> None:
@@ -88,10 +99,10 @@ def coefficient_of(p: dict, unit: int) -> dict:
 
 def substitute(p: dict, mapping: dict) -> dict:
     """Simultaneously replace each variable `unit` by `mapping[unit]`."""
-    mask = FIELD_MASK * sum(mapping)
+    hits = mask(mapping)
     out: dict = {}
     for mono, c in p.items():
-        hit = mono & mask
+        hit = mono & hits
         if not hit:
             out[mono] = out.get(mono, 0) + c
             continue
@@ -109,7 +120,7 @@ def substitute(p: dict, mapping: dict) -> dict:
 
 
 def check_bilinear(p: dict, slots: Slots, w1, w2, vc) -> None:
-    """The test of `sympoly.bilinear_decompose`, without building the form.
+    """Check that p is bilinear in (W1, W2) with coefficients in Vc.
 
     Passes iff every monomial has degree exactly 1 in W1, exactly 1 in W2
     and all other factors in Vc, with any exponent.  Otherwise raises
@@ -117,9 +128,8 @@ def check_bilinear(p: dict, slots: Slots, w1, w2, vc) -> None:
     """
     rows = {slots.unit[v] for v in w1}
     cols = {slots.unit[v] for v in w2}
-    row_mask, col_mask = FIELD_MASK * sum(rows), FIELD_MASK * sum(cols)
-    other = ~(row_mask | col_mask
-              | FIELD_MASK * sum({slots.unit[v] for v in vc}))
+    row_mask, col_mask = mask(rows), mask(cols)
+    other = ~(row_mask | col_mask | mask({slots.unit[v] for v in vc}))
     bad = [m for m in p if m & other or (m & row_mask) not in rows
            or (m & col_mask) not in cols]
     if bad:

@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from . import packed
 from .core import DimVector, compositions
-from .sympoly import (BilinearForm, BilinearityError, MultiPoly, VarId,
-                      bilinear_decompose, expand_trace)
+from .sympoly import BilinearForm, BilinearityError, Mono, MultiPoly, VarId
 
 
 class SeparationError(RuntimeError):
@@ -81,18 +80,8 @@ class FlagShape:
                 tuple((VarId("X", i, j), i, j) for i, j in self.x_positions()))
 
     @cached_property
-    def trace_pieces(self) -> _TracePieces:
-        """Terms of the trace contributed by each admissible y0 entry.
-
-        `trace_pieces[ia, ja]` holds the X*N, X*M and X*M*N families tied to
-        the entry (ia, ja), each with coefficient 1.  A piece is built on
-        first use and shared after that: callers must not mutate it.
-        """
-        return _TracePieces(self)
-
-    @cached_property
     def packed_chart(self) -> _PackedChart:
-        """The tables of `certify`: exponent slots and packed trace pieces."""
+        """The tables of the separation: exponent slots and trace pieces."""
         return _PackedChart(self)
 
 
@@ -118,32 +107,15 @@ def _trace_factors(shape: FlagShape, entry: tuple[int, int]) -> list:
     return factors
 
 
-class _TracePieces(dict):
-    """The trace terms of each y0 entry of one shape, built on first use.
-
-    Lazy because a sampled run touches few entries of each shape: building
-    every piece of all 924 shapes of (6,6) takes about 1.5 s on a 2-vCPU VM,
-    while `verify` there separates 500 instances.
-    """
-
-    def __init__(self, shape: FlagShape):
-        super().__init__()
-        self.shape = shape
-
-    def __missing__(self, entry: tuple[int, int]) -> dict:
-        piece = self[entry] = {
-            tuple(sorted((VarId(*f), 1) for f in fs)): 1
-            for fs in _trace_factors(self.shape, entry)}
-        return piece
-
-
 class _PackedChart:
-    """One shape's exponent slots for the packed kernel of `certify`.
+    """One shape's exponent slots and packed trace pieces.
 
     There is a slot for every M, N and X chart variable and for the primed
     copy M'/X' of every M and X.  `unit[kind, row, col]` is the monomial of
-    one variable; `piece(entry)` is the packed `trace_pieces[entry]`, built
-    on first use.
+    one variable.  `piece(entry)` holds the trace terms of one y0 entry,
+    each with coefficient 1; it is built on first use, because a sampled
+    run touches few entries of each shape, and shared after that, so
+    callers must not mutate it.
 
     Degree bound, with k = min(d1, d2) >= the number of y0 entries: each
     M expression of the inversion has degree <= max(1, k), each X
@@ -321,69 +293,6 @@ def _fiber(t_pairs, al):
     return sorted((ap for ap, a2 in t_pairs if a2 == al), key=lambda e: -e[1])
 
 
-def _inversion(shape: FlagShape, entries):
-    """Triangular elimination of the coupled lower-unipotent variables.
-
-    Returns (t_pairs, m_expr, mp_def): the set T, the expression of each
-    coupled M variable in the new M' variables, and the definition of each
-    M' in the original ones.  Processing each fiber by decreasing second
-    matching column makes the system triangular, so the inversion is formal
-    and exact.
-    """
-    t_pairs = _coupled_pairs(shape, entries)
-    m_expr: dict[VarId, MultiPoly] = {}
-    mp_def: dict[VarId, MultiPoly] = {}
-    for al in entries:
-        for ap in _fiber(t_pairs, al):
-            ia, ja = al
-            ip, jp = ap
-            mvar = VarId("M", ia, ip)
-            mpvar = VarId("Mp", ia, ip)
-            defn = MultiPoly.var(mvar) + MultiPoly.var(VarId("N", ja, jp))
-            expr = MultiPoly.var(mpvar) - MultiPoly.var(VarId("N", ja, jp))
-            for ib, jb in entries:
-                if ib < ia and jb > jp:
-                    n = MultiPoly.var(VarId("N", jb, jp))
-                    cross = VarId("M", ia, ib)
-                    defn = defn + MultiPoly.var(cross) * n
-                    expr = expr - m_expr.get(cross, MultiPoly.var(cross)) * n
-            m_expr[mvar] = expr
-            mp_def[mpvar] = defn
-    return t_pairs, m_expr, mp_def
-
-
-def _x_change(shape: FlagShape, entries, j_set, t_pairs, m_expr):
-    """Change of the coupled X variables absorbing the mixed X U N terms."""
-    x_expr: dict[VarId, MultiPoly] = {}
-    xp_def: dict[VarId, MultiPoly] = {}
-    for ap, al in t_pairs:
-        ia, ja = al
-        ip, jp = ap
-        xvar = VarId("X", jp, ia)
-        xpvar = VarId("Xp", jp, ia)
-        correction = MultiPoly.zero()
-        for app, a2 in t_pairs:
-            if a2 != al or app[1] > jp:
-                continue
-            if app == ap:
-                u = MultiPoly.const(1)
-            else:
-                # coefficient of M'(ia, ip) inside the expansion of M(ia, i'')
-                u = m_expr[VarId("M", ia, app[0])].coefficient_of(
-                    VarId("Mp", ia, ip))
-            if not u:
-                continue
-            for i in range(1, app[1]):
-                if i not in j_set and shape.adm_x(i, ia):
-                    correction = correction + (
-                        MultiPoly.var(VarId("X", i, ia)) * u
-                        * MultiPoly.var(VarId("N", app[1], i))
-                    )
-        x_expr[xvar] = MultiPoly.var(xpvar) - correction
-        xp_def[xpvar] = MultiPoly.var(xvar) + correction
-    return x_expr, xp_def
-
-
 def _classify(shape: FlagShape, entries, t_pairs):
     """The quadratic/coefficient split of all chart variables."""
     i_set = {i for i, _ in entries}
@@ -419,75 +328,29 @@ def _classify(shape: FlagShape, entries, t_pairs):
     return w1, w2, vc
 
 
-def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
-    """Separate one instance; the report's bilinear form certifies chi = 1.
-
-    Raises SeparationError if the substituted trace fails to be bilinear in
-    the quadratic variables; for the two-vertex quiver this cannot happen.
-    """
-    shape = flag_shape(composition)
-    validate_matching(shape, y0)
-    entries = y0.sorted_entries()
-    j_set = {j for _, j in entries}
-
-    h = expand_trace(shape, y0)
-    t_pairs, m_expr, mp_def = _inversion(shape, entries)
-    x_expr, xp_def = _x_change(shape, entries, j_set, t_pairs, m_expr)
-    # one substitution for both maps equals one map after the other: no key
-    # of either occurs in the other's values (the M expressions hold M, M'
-    # and N; the X expressions X', N and the X of rows outside J)
-    separated = h.substitute({**m_expr, **x_expr})
-
-    w1, w2, vc = _classify(shape, entries, t_pairs)
-    try:
-        form = bilinear_decompose(separated, w1, w2, vc)
-    except BilinearityError as exc:
-        raise _separation_error(composition, entries, exc) from exc
-
-    change = tuple(
-        sorted([(str(k), v.to_str()) for k, v in m_expr.items()]
-               + [(str(k), v.to_str()) for k, v in x_expr.items()])
-    )
-    return SeparationReport(
-        composition=shape.composition,
-        y0=tuple(entries),
-        set_t=tuple(sorted((tuple(ap), tuple(al)) for ap, al in t_pairs)),
-        w1=tuple(sorted(w1)),
-        w2=tuple(sorted(w2)),
-        vc=tuple(sorted(vc)),
-        trace=h,
-        separated=separated,
-        change_of_variables=change,
-        bilinear=form,
-        definitions={**mp_def, **xp_def},
-    )
-
-
-def back_substitute(report: SeparationReport) -> MultiPoly:
-    """Replace the primed variables by their definitions in the originals."""
-    return report.separated.substitute(report.definitions)
-
-
 def _separation_error(composition, entries, exc) -> SeparationError:
     return SeparationError(
         f"separation failed on {composition} with y0 {entries}: {exc}")
 
 
 # ---------------------------------------------------------------------------
-# the certificate on the packed kernel: the construction above, step by step,
-# on `packed` polynomials over the shape's slots
+# the construction, on `packed` polynomials over the shape's slots
 
 
 class PackedSeparation(NamedTuple):
     """The polynomials of one separation on the packed kernel.
 
-    `definitions` maps each primed unit monomial to its definition; `w1`,
-    `w2` and `vc` are the VarId groups of `_classify`.
+    `changes` maps each coupled M and X unit monomial to its expression in
+    the new variables, `definitions` each primed unit monomial to its
+    definition in the original ones; `w1`, `w2` and `vc` are the VarId
+    groups of `_classify`.
     """
 
     chart: _PackedChart
+    t_pairs: list
     trace: dict[int, int]
     separated: dict[int, int]
+    changes: dict[int, dict[int, int]]
     definitions: dict[int, dict[int, int]]
     w1: set
     w2: set
@@ -495,7 +358,14 @@ class PackedSeparation(NamedTuple):
 
 
 def _packed_inversion(chart: _PackedChart, entries, t_pairs):
-    """`_inversion` on the packed kernel; m_expr is keyed by (row, col)."""
+    """Triangular elimination of the coupled lower-unipotent variables.
+
+    Returns (m_expr, mp_def): the expression of each coupled M variable in
+    the new M' variables, keyed by its (row, col), and the definition of
+    each M' in the original ones, keyed by unit monomial.  Processing each
+    fiber by decreasing second matching column makes the system triangular,
+    so the inversion is formal and exact.
+    """
     unit = chart.unit
     m_expr: dict[tuple[int, int], dict] = {}
     mp_def: dict[int, dict] = {}
@@ -519,7 +389,10 @@ def _packed_inversion(chart: _PackedChart, entries, t_pairs):
 
 
 def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
-    """`_x_change` on the packed kernel, keyed by unit monomial."""
+    """Change of the coupled X variables absorbing the mixed X U N terms.
+
+    Returns (x_expr, xp_def), both keyed by unit monomial.
+    """
     unit = chart.unit
     x_expr: dict[int, dict] = {}
     xp_def: dict[int, dict] = {}
@@ -549,7 +422,11 @@ def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
 
 
 def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
-    """`build_and_separate` on the packed kernel, without a report."""
+    """Separate one instance on the packed kernel.
+
+    Raises SeparationError if the substituted trace fails to be bilinear in
+    the quadratic variables; for the two-vertex quiver this cannot happen.
+    """
     shape = flag_shape(composition)
     validate_matching(shape, y0)
     entries = y0.sorted_entries()
@@ -561,32 +438,87 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     m_expr, mp_def = _packed_inversion(chart, entries, t_pairs)
     x_expr, xp_def = _packed_x_change(chart, {j for _, j in entries},
                                       t_pairs, m_expr)
-    mapping = {chart.unit["M", ia, ip]: p for (ia, ip), p in m_expr.items()}
-    mapping.update(x_expr)
-    separated = packed.substitute(trace, mapping)
+    changes = {chart.unit["M", ia, ip]: p for (ia, ip), p in m_expr.items()}
+    changes.update(x_expr)
+    # one substitution for both maps equals one map after the other: no key
+    # of either occurs in the other's values (the M expressions hold M, M'
+    # and N; the X expressions X', N and the X of rows outside J)
+    separated = packed.substitute(trace, changes)
     w1, w2, vc = _classify(shape, entries, t_pairs)
-    return PackedSeparation(chart, trace, separated, {**mp_def, **xp_def},
-                            w1, w2, vc)
+    try:
+        packed.check_bilinear(separated, chart.slots, w1, w2, vc)
+    except BilinearityError as exc:
+        raise _separation_error(composition, entries, exc) from exc
+    return PackedSeparation(chart, t_pairs, trace, separated, changes,
+                            {**mp_def, **xp_def}, w1, w2, vc)
 
 
 def back_substitute_packed(sep: PackedSeparation) -> dict[int, int]:
-    """`back_substitute` on the packed kernel."""
+    """Replace the primed variables by their definitions in the originals."""
     return packed.substitute(sep.separated, sep.definitions)
 
 
 def certify(composition, y0: NormalFormY) -> bool:
     """Check one instance's separation certificate; render nothing.
 
-    Runs the construction of `build_and_separate` on the packed kernel and
-    raises the same SeparationError when the separated trace is not
-    bilinear.  Otherwise returns whether back-substitution gives back the
-    trace.
+    Raises SeparationError, from `separate_packed`, when the separated
+    trace is not bilinear.  Otherwise returns whether back-substitution
+    gives back the trace.
     """
     sep = separate_packed(composition, y0)
-    try:
-        packed.check_bilinear(sep.separated, sep.chart.slots,
-                              sep.w1, sep.w2, sep.vc)
-    except BilinearityError as exc:
-        raise _separation_error(composition, y0.sorted_entries(),
-                                exc) from exc
     return back_substitute_packed(sep) == sep.trace
+
+
+def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
+    """Separate one instance; the report's bilinear form certifies chi = 1.
+
+    The construction is `certify`'s, `separate_packed`, and raises the same
+    SeparationError.  Its polynomials are then decoded through the shape's
+    slot table, each packed monomial at most once per call, and each cell
+    of the form is the part of the separated trace with one W1 and one W2
+    factor, split off by the two bit masks.
+    """
+    sep = separate_packed(composition, y0)
+    slots = sep.chart.slots
+    monos: dict[int, Mono] = {}
+
+    def poly(p: dict[int, int]) -> MultiPoly:
+        out = {}
+        for m, c in p.items():
+            mono = monos.get(m)
+            if mono is None:
+                mono = monos[m] = slots.decode(m)
+            out[mono] = c
+        return MultiPoly(out)
+
+    def var(unit: int) -> VarId:
+        return slots.decode(unit)[0][0]
+
+    rows, cols = tuple(sorted(sep.w1)), tuple(sorted(sep.w2))
+    row_of = {slots.unit[v]: i for i, v in enumerate(rows)}
+    col_of = {slots.unit[v]: j for j, v in enumerate(cols)}
+    row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
+    cells: dict = {}
+    for m, c in sep.separated.items():
+        # W1 and W2 are disjoint, and each monomial is one unit of each
+        # times a monomial in Vc
+        r, s = m & row_mask, m & col_mask
+        cells.setdefault((row_of[r], col_of[s]), {})[m - r - s] = c
+    zero = MultiPoly()  # shared by every zero cell; MultiPoly is never mutated
+    matrix = [[zero] * len(cols) for _ in rows]
+    for (i, j), cell in cells.items():
+        matrix[i][j] = poly(cell)
+    return SeparationReport(
+        composition=sep.chart.shape.composition,
+        y0=tuple(y0.sorted_entries()),
+        set_t=tuple(sorted(sep.t_pairs)),
+        w1=rows,
+        w2=cols,
+        vc=tuple(sorted(sep.vc)),
+        trace=poly(sep.trace),
+        separated=poly(sep.separated),
+        change_of_variables=tuple(sorted(
+            (str(var(u)), poly(p).to_str()) for u, p in sep.changes.items())),
+        bilinear=BilinearForm(rows, cols, tuple(map(tuple, matrix))),
+        definitions={var(u): poly(p) for u, p in sep.definitions.items()},
+    )

@@ -8,8 +8,11 @@ constructible function in flag monomials and the smallness test of the
 resolutions behind canonical_fn; the word sweep that checks the lift row
 by row, mat_pi = mat_e . T on every composition and sandwich word; the
 Borel normal form of a covector with its certificate, the critical locus of
-the chart pairing, formal partial derivatives of polynomials, and the
-bilinear split of a polynomial by degree counts.
+the chart pairing, formal partial derivatives of polynomials, the bilinear
+split of a polynomial by degree counts, and the whole separation of an
+instance on tuple monomials (`RefPoly` arithmetic, the trace pieces, the
+inversion, the X change, the one-pass bilinear split and back-substitution),
+whose report the packed kernel of semican.separation must reproduce.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
                            sandwich_words)
 from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
 from semican.qcount import Word, euler_counts, word_content
-from semican.separation import FlagShape, NormalFormY, flag_shape
-from semican.sympoly import (BilinearForm, BilinearityError, MultiPoly,
+from semican.separation import (FlagShape, NormalFormY, SeparationReport,
+                                _classify, _coupled_pairs, _fiber,
+                                _separation_error, _trace_factors, flag_shape,
+                                validate_matching)
+from semican.sympoly import (BilinearForm, BilinearityError, Mono, MultiPoly,
                              VarId, _mono_str)
 
 # ---------------------------------------------------------------------------
@@ -560,3 +566,291 @@ def bilinear_decompose_two_pass(p: MultiPoly, w1, w2, vc) -> BilinearForm:
         cell[rest] = cell.get(rest, 0) + coeff
     return BilinearForm(rows, cols, tuple(
         tuple(MultiPoly(cells.get((u, w))) for w in cols) for u in rows))
+
+
+# ---------------------------------------------------------------------------
+# the separation on tuple monomials: the reference the packed kernel of
+# semican.separation is checked against
+
+
+def _mono_mul(a: Mono, b: Mono) -> Mono:
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Term dict of the product of two term dicts (may hold zero terms)."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+class RefPoly(MultiPoly):
+    """A MultiPoly with exact arithmetic on its sorted tuple monomials."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "RefPoly":
+        return cls()
+
+    @classmethod
+    def const(cls, c) -> "RefPoly":
+        return cls({(): c})
+
+    @classmethod
+    def var(cls, v: VarId) -> "RefPoly":
+        return cls({((v, 1),): 1})
+
+    def __add__(self, other: MultiPoly) -> "RefPoly":
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return RefPoly(out)
+
+    def __neg__(self) -> "RefPoly":
+        return RefPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: MultiPoly) -> "RefPoly":
+        return self + (-other)
+
+    def __mul__(self, other: MultiPoly) -> "RefPoly":
+        return RefPoly(_mul_terms(self.terms, other.terms))
+
+    def coefficient_of(self, v: VarId) -> "RefPoly":
+        """Coefficient polynomial of v in a polynomial of degree <= 1 in v."""
+        out: dict = {}
+        for mono, c in self.terms.items():
+            d = dict(mono)
+            e = d.pop(v, 0)
+            if e == 0:
+                continue
+            if e > 1:
+                raise ValueError(f"degree {e} > 1 in {v}")
+            out[tuple(sorted(d.items()))] = c
+        return RefPoly(out)
+
+    def substitute(self, mapping: dict[VarId, MultiPoly]) -> "RefPoly":
+        """Simultaneously replace every mapped variable; exact."""
+        out: dict = {}
+        for mono, c in self.terms.items():
+            term = {tuple((v, e) for v, e in mono if v not in mapping): c}
+            for v, e in mono:
+                if v in mapping:
+                    for _ in range(e):
+                        term = _mul_terms(term, mapping[v].terms)
+            for m, tc in term.items():
+                out[m] = out.get(m, 0) + tc
+        return RefPoly(out)
+
+
+class _TracePieces(dict):
+    """The trace terms of each y0 entry of one shape, built on first use."""
+
+    def __init__(self, shape: FlagShape):
+        super().__init__()
+        self.shape = shape
+
+    def __missing__(self, entry: tuple[int, int]) -> dict:
+        piece = self[entry] = {
+            tuple(sorted((VarId(*f), 1) for f in fs)): 1
+            for fs in _trace_factors(self.shape, entry)}
+        return piece
+
+
+@lru_cache(maxsize=None)
+def trace_pieces(shape: FlagShape) -> _TracePieces:
+    """The trace pieces of a shape, shared by every call on it."""
+    return _TracePieces(shape)
+
+
+def expand_trace(shape, y0) -> RefPoly:
+    """tr(x g1^{-1} y0 g2) for unit-entry y0 and unipotent lower factors.
+
+    x ranges over matrices stabilizing the flag of `shape`, so only
+    admissible X positions carry variables; M / N are the strictly lower
+    entries of the two group factors.  The trace is the
+    sum over the entries of y0 of `trace_pieces(shape)[entry]`: the X*N,
+    X*M and X*M*N families tied to that entry.  No monomial lies in two
+    pieces, so every coefficient is 1.
+    """
+    entries = sorted(getattr(y0, "entries", y0))
+    terms: dict = {}
+    for i, j in entries:
+        if not shape.adm_y(i, j):
+            raise ValueError(f"y0 entry ({i},{j}) does not stabilize the flag")
+        terms.update(trace_pieces(shape)[i, j])
+    return RefPoly(terms)
+
+
+def _cells(terms: dict, role: dict) -> dict:
+    """The Vc-coefficient of each (row, column) cell, reading terms in order.
+
+    Raises BilinearityError naming the first monomial that is not bilinear.
+    """
+    cells: dict = {}
+    for mono, coeff in terms.items():
+        r = c = -1
+        rest = []
+        for v, e in mono:
+            vrow, vcol = role.get(v, (None, None))
+            if vrow is None:
+                raise BilinearityError(_mono_str(mono))
+            if vrow < 0 and vcol < 0:
+                rest.append((v, e))
+                continue
+            if e != 1 or (vrow >= 0 and r >= 0) or (vcol >= 0 and c >= 0):
+                raise BilinearityError(_mono_str(mono))
+            if vrow >= 0:
+                r = vrow
+            if vcol >= 0:
+                c = vcol
+        if r < 0 or c < 0:
+            raise BilinearityError(_mono_str(mono))
+        cell = cells.setdefault((r, c), {})
+        rest = tuple(rest)
+        cell[rest] = cell.get(rest, 0) + coeff
+    return cells
+
+
+def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
+    """Split p as sum_{u in W1, v in W2} B[u][v](Vc) * u * v.
+
+    Succeeds iff every monomial has degree exactly 1 in W1, exactly 1 in W2,
+    and all remaining factors in Vc, with any exponent; otherwise raises
+    BilinearityError naming the first offending monomial in `to_str` order.
+    Each monomial is read once, through one map from each variable to its
+    (row, column) role; a Vc variable has role (-1, -1).
+    """
+    rows = tuple(sorted(set(w1)))
+    cols = tuple(sorted(set(w2)))
+    role = dict.fromkeys(vc, (-1, -1))
+    role.update((v, (i, -1)) for i, v in enumerate(rows))
+    for j, v in enumerate(cols):
+        role[v] = (role.get(v, (-1, -1))[0], j)
+    try:
+        cells = _cells(p.terms, role)
+    except BilinearityError:
+        cells = None
+    if cells is None:  # read again in to_str order, to name the first offender
+        _cells(dict(sorted(p.terms.items())), role)
+    zero = MultiPoly()  # shared by every zero cell; MultiPoly is never mutated
+    matrix = [[zero] * len(cols) for _ in rows]
+    for (i, j), cell in cells.items():
+        matrix[i][j] = MultiPoly(cell)
+    return BilinearForm(rows, cols, tuple(map(tuple, matrix)))
+
+
+def _inversion(shape: FlagShape, entries):
+    """Triangular elimination of the coupled lower-unipotent variables.
+
+    Returns (t_pairs, m_expr, mp_def): the set T, the expression of each
+    coupled M variable in the new M' variables, and the definition of each
+    M' in the original ones.  Processing each fiber by decreasing second
+    matching column makes the system triangular, so the inversion is formal
+    and exact.
+    """
+    t_pairs = _coupled_pairs(shape, entries)
+    m_expr: dict[VarId, RefPoly] = {}
+    mp_def: dict[VarId, RefPoly] = {}
+    for al in entries:
+        for ap in _fiber(t_pairs, al):
+            ia, ja = al
+            ip, jp = ap
+            mvar = VarId("M", ia, ip)
+            mpvar = VarId("Mp", ia, ip)
+            defn = RefPoly.var(mvar) + RefPoly.var(VarId("N", ja, jp))
+            expr = RefPoly.var(mpvar) - RefPoly.var(VarId("N", ja, jp))
+            for ib, jb in entries:
+                if ib < ia and jb > jp:
+                    n = RefPoly.var(VarId("N", jb, jp))
+                    cross = VarId("M", ia, ib)
+                    defn = defn + RefPoly.var(cross) * n
+                    expr = expr - m_expr.get(cross, RefPoly.var(cross)) * n
+            m_expr[mvar] = expr
+            mp_def[mpvar] = defn
+    return t_pairs, m_expr, mp_def
+
+
+def _x_change(shape: FlagShape, entries, j_set, t_pairs, m_expr):
+    """Change of the coupled X variables absorbing the mixed X U N terms."""
+    x_expr: dict[VarId, RefPoly] = {}
+    xp_def: dict[VarId, RefPoly] = {}
+    for ap, al in t_pairs:
+        ia, ja = al
+        ip, jp = ap
+        xvar = VarId("X", jp, ia)
+        xpvar = VarId("Xp", jp, ia)
+        correction = RefPoly.zero()
+        for app, a2 in t_pairs:
+            if a2 != al or app[1] > jp:
+                continue
+            if app == ap:
+                u = RefPoly.const(1)
+            else:
+                # coefficient of M'(ia, ip) inside the expansion of M(ia, i'')
+                u = m_expr[VarId("M", ia, app[0])].coefficient_of(
+                    VarId("Mp", ia, ip))
+            if not u:
+                continue
+            for i in range(1, app[1]):
+                if i not in j_set and shape.adm_x(i, ia):
+                    correction = correction + (
+                        RefPoly.var(VarId("X", i, ia)) * u
+                        * RefPoly.var(VarId("N", app[1], i))
+                    )
+        x_expr[xvar] = RefPoly.var(xpvar) - correction
+        xp_def[xpvar] = RefPoly.var(xvar) + correction
+    return x_expr, xp_def
+
+
+def separate_reference(composition, y0: NormalFormY) -> SeparationReport:
+    """`separation.build_and_separate` on tuple monomials and RefPoly.
+
+    Expands the trace, inverts, changes X, substitutes both changes at once
+    and splits the bilinear form with `bilinear_decompose`, raising the
+    same SeparationError on a form that is not bilinear.
+    """
+    shape = flag_shape(composition)
+    validate_matching(shape, y0)
+    entries = y0.sorted_entries()
+    j_set = {j for _, j in entries}
+
+    h = expand_trace(shape, y0)
+    t_pairs, m_expr, mp_def = _inversion(shape, entries)
+    x_expr, xp_def = _x_change(shape, entries, j_set, t_pairs, m_expr)
+    separated = h.substitute({**m_expr, **x_expr})
+
+    w1, w2, vc = _classify(shape, entries, t_pairs)
+    try:
+        form = bilinear_decompose(separated, w1, w2, vc)
+    except BilinearityError as exc:
+        raise _separation_error(composition, entries, exc) from exc
+
+    change = tuple(
+        sorted([(str(k), v.to_str()) for k, v in m_expr.items()]
+               + [(str(k), v.to_str()) for k, v in x_expr.items()])
+    )
+    return SeparationReport(
+        composition=shape.composition,
+        y0=tuple(entries),
+        set_t=tuple(sorted((tuple(ap), tuple(al)) for ap, al in t_pairs)),
+        w1=tuple(sorted(w1)),
+        w2=tuple(sorted(w2)),
+        vc=tuple(sorted(vc)),
+        trace=h,
+        separated=separated,
+        change_of_variables=change,
+        bilinear=form,
+        definitions={**mp_def, **xp_def},
+    )
+
+
+def back_substitute(report: SeparationReport) -> RefPoly:
+    """Replace the primed variables by their definitions in the originals."""
+    return RefPoly(report.separated.terms).substitute(report.definitions)

@@ -19,11 +19,11 @@ from semican.bases import (canonical_fn, cc_multiplicities, m_coefficients,
 from semican.core import (DimVector, Orbit, PiModClass, dual_orbit,
                           enumerate_orbits, orbit_dim, sign_parity)
 from semican.geom import PairPoint, bilinear_form_B, hessian_rank_check
-from semican.separation import (back_substitute, build_and_separate,
-                                enumerate_instances)
+from semican.separation import build_and_separate, enumerate_instances
 from semican.wreg import w_regularity_sample
 
-from oracles import gauss_binom, monomial_matrix, spanning_words
+from oracles import (back_substitute, gauss_binom, monomial_matrix,
+                     spanning_words)
 
 
 def _report(number: int, ok: bool, detail: str):

@@ -441,7 +441,7 @@ def _broken(*args, **kwargs):
 
 
 def test_separate_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(separation, "bilinear_decompose", _broken)
+    monkeypatch.setattr(packed, "check_bilinear", _broken)
     code, out, err = run(capsys, "separate", "--d1", "2", "--d2", "2",
                          "--comp", "1,2,2,1", "--y0", "1:1")
     assert code == 2

