@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .core import (DimVector, dual_orbit, enumerate_orbits, orbit_dim,
                    sign_parity)
-from .separation import (NormalFormY, SeparationError, build_and_separate,
-                         enumerate_matchings, flag_shape, validate_matching)
+from .separation import (NormalFormY, SeparationError, enumerate_matchings,
+                         flag_shape, report_dicts, validate_matching)
 from .verify import SCHEMA_VERSION, run_verify
 
 _quote = json.encoder.encode_basestring_ascii
@@ -163,6 +163,9 @@ def _parse_y0(spec: str) -> NormalFormY:
 
 
 def cmd_separate(args) -> int:
+    if args.d1 + args.d2 < 1:
+        print("error: d1 + d2 must be at least 1", file=sys.stderr)
+        return 1
     try:
         comp = tuple(int(v) for v in args.comp.split(","))
     except ValueError:
@@ -185,10 +188,9 @@ def cmd_separate(args) -> int:
     try:
         if args.all:
             out = {"schema_version": SCHEMA_VERSION,
-                   "reports": [build_and_separate(comp, m).to_dict()
-                               for m in enumerate_matchings(shape)]}
+                   "reports": report_dicts(comp, enumerate_matchings(shape))}
         else:
-            out = {**build_and_separate(comp, y0).to_dict(),
+            out = {**report_dicts(comp, [y0])[0],
                    "schema_version": SCHEMA_VERSION}
     except SeparationError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)

@@ -8,11 +8,13 @@ carries from one field into the next only when an exponent reaches
 2**FIELD_BITS; `Slots` takes a bound on the total degree of every
 polynomial its caller forms and rejects a bound that does not fit a field.
 
-This module does all the arithmetic of the separation, for `certify` and
-for the reports of `build_and_separate` alike.  Nothing here builds a
-string except the witness of a failed bilinearity check: a report decodes
-its polynomials into `sympoly.MultiPoly`, which renders them.  The tests
-check this kernel against the `MultiPoly` arithmetic of `tests/oracles.py`,
+This module does all the arithmetic of the separation, for `certify`, for
+the reports of `separation.report_dicts` and for the `MultiPoly` view of
+`build_and_separate` alike.  Nothing here builds a string except the
+witness of a failed bilinearity check: `report_dicts` renders the reports
+from these polynomials through `Slots.decode`, and `build_and_separate`
+decodes them into `sympoly.MultiPoly` for the library.  The tests check
+this kernel against the `MultiPoly` arithmetic of `tests/oracles.py`,
 which shares no code with it.
 """
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from . import packed
 from .core import DimVector, compositions
-from .sympoly import BilinearForm, BilinearityError, Mono, MultiPoly, VarId
+from .sympoly import (BilinearForm, BilinearityError, Mono, MultiPoly, VarId,
+                      _mono_str, join_terms)
 
 
 class SeparationError(RuntimeError):
@@ -266,20 +267,8 @@ class SeparationReport:
         return self.separated.to_str()
 
     def to_dict(self) -> dict:
-        return {
-            "composition": list(self.composition),
-            "y0": [list(e) for e in self.y0],
-            "set_t": [[list(a), list(b)] for a, b in self.set_t],
-            "w1": [str(v) for v in self.w1],
-            "w2": [str(v) for v in self.w2],
-            "vc": [str(v) for v in self.vc],
-            "trace_poly": self.trace_poly,
-            "separated_poly": self.separated_poly,
-            "change_of_variables": [list(p) for p in self.change_of_variables],
-            "b_shape": [len(self.bilinear.rows), len(self.bilinear.cols)],
-            "b_matrix": [[cell.to_str() for cell in row]
-                         for row in self.bilinear.matrix],
-        }
+        """The JSON report of this instance, as `report_dicts` renders it."""
+        return report_dicts(self.composition, [NormalFormY.of(*self.y0)])[0]
 
 
 def _coupled_pairs(shape: FlagShape, entries):
@@ -442,8 +431,9 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     changes.update(x_expr)
     # one substitution for both maps equals one map after the other: no key
     # of either occurs in the other's values (the M expressions hold M, M'
-    # and N; the X expressions X', N and the X of rows outside J)
-    separated = packed.substitute(trace, changes)
+    # and N; the X expressions X', N and the X of rows outside J).  With T
+    # empty nothing changes, and the separated polynomial is the trace.
+    separated = packed.substitute(trace, changes) if changes else trace
     w1, w2, vc = _classify(shape, entries, t_pairs)
     try:
         packed.check_bilinear(separated, chart.slots, w1, w2, vc)
@@ -469,14 +459,98 @@ def certify(composition, y0: NormalFormY) -> bool:
     return back_substitute_packed(sep) == sep.trace
 
 
+def _bilinear_form(sep: PackedSeparation, render, zero):
+    """The bilinear form of a separation on the packed kernel.
+
+    Returns (rows, cols, matrix): the sorted W1 and W2 variables and the
+    matrix of `render(cell)` for each nonzero cell, `zero` elsewhere.  A
+    cell is the part of the separated trace with one W1 and one W2 factor,
+    split off by the two bit masks, as a packed polynomial in Vc.
+    """
+    unit = sep.chart.slots.unit
+    rows, cols = tuple(sorted(sep.w1)), tuple(sorted(sep.w2))
+    row_of = {unit[v]: i for i, v in enumerate(rows)}
+    col_of = {unit[v]: j for j, v in enumerate(cols)}
+    row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
+    cells: dict = {}
+    for m, c in sep.separated.items():
+        # W1 and W2 are disjoint, and each monomial is one unit of each
+        # times a monomial in Vc
+        r, s = m & row_mask, m & col_mask
+        cells.setdefault((row_of[r], col_of[s]), {})[m - r - s] = c
+    matrix = [[zero] * len(cols) for _ in rows]
+    for (i, j), cell in cells.items():
+        matrix[i][j] = render(cell)
+    return rows, cols, matrix
+
+
+class _MonomialNames(dict):
+    """Packed monomial -> (decoded monomial, its text), filled on first use."""
+
+    def __init__(self, slots: packed.Slots):
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, m: int) -> tuple[Mono, str]:
+        mono = self.slots.decode(m)
+        entry = self[m] = (mono, _mono_str(mono))
+        return entry
+
+
+def report_dicts(composition, matchings) -> list[dict]:
+    """The JSON report of the separation of each matching, in order.
+
+    The one producer of separation reports: `separate` prints its dicts
+    and `SeparationReport.to_dict` returns one.  Every field is rendered
+    straight from `separate_packed`'s polynomials through the composition's
+    slot table, in `MultiPoly.to_str` order and text.  A memo that lives
+    for this call only maps each packed monomial to its decoded monomial,
+    the sort key, and its text, so a monomial is decoded and rendered once
+    per call however many reports hold it.  Raises SeparationError like
+    `separate_packed`.
+    """
+    shape = flag_shape(composition)
+    named = _MonomialNames(shape.packed_chart.slots)
+
+    def render(p: dict[int, int]) -> str:
+        if len(p) == 1:  # most cells of a form: nothing to sort
+            for m, c in p.items():
+                return join_terms([(named[m][1], c)])
+        terms = sorted([(*named[m], c) for m, c in p.items()])
+        return join_terms([(text, c) for _, text, c in terms])
+
+    zero = join_terms([])
+    out = []
+    for y0 in matchings:
+        sep = separate_packed(shape.composition, y0)
+        rows, cols, matrix = _bilinear_form(sep, render, zero)
+        trace = render(sep.trace)
+        out.append({
+            "composition": list(shape.composition),
+            "y0": [list(e) for e in y0.sorted_entries()],
+            "set_t": [[list(a), list(b)] for a, b in sorted(sep.t_pairs)],
+            "w1": list(map(str, rows)),
+            "w2": list(map(str, cols)),
+            "vc": list(map(str, sorted(sep.vc))),
+            "trace_poly": trace,
+            "separated_poly": (trace if sep.separated is sep.trace
+                               else render(sep.separated)),
+            "change_of_variables": sorted(
+                [named[u][1], render(p)] for u, p in sep.changes.items()),
+            "b_shape": [len(rows), len(cols)],
+            "b_matrix": matrix,
+        })
+    return out
+
+
 def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
     """Separate one instance; the report's bilinear form certifies chi = 1.
 
     The construction is `certify`'s, `separate_packed`, and raises the same
     SeparationError.  Its polynomials are then decoded through the shape's
-    slot table, each packed monomial at most once per call, and each cell
-    of the form is the part of the separated trace with one W1 and one W2
-    factor, split off by the two bit masks.
+    slot table, each packed monomial at most once per call, into the
+    `MultiPoly` view of the library; the form is `_bilinear_form`'s, as in
+    `report_dicts`.
     """
     sep = separate_packed(composition, y0)
     slots = sep.chart.slots
@@ -494,20 +568,8 @@ def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
     def var(unit: int) -> VarId:
         return slots.decode(unit)[0][0]
 
-    rows, cols = tuple(sorted(sep.w1)), tuple(sorted(sep.w2))
-    row_of = {slots.unit[v]: i for i, v in enumerate(rows)}
-    col_of = {slots.unit[v]: j for j, v in enumerate(cols)}
-    row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
-    cells: dict = {}
-    for m, c in sep.separated.items():
-        # W1 and W2 are disjoint, and each monomial is one unit of each
-        # times a monomial in Vc
-        r, s = m & row_mask, m & col_mask
-        cells.setdefault((row_of[r], col_of[s]), {})[m - r - s] = c
-    zero = MultiPoly()  # shared by every zero cell; MultiPoly is never mutated
-    matrix = [[zero] * len(cols) for _ in rows]
-    for (i, j), cell in cells.items():
-        matrix[i][j] = poly(cell)
+    # one MultiPoly shared by every zero cell; MultiPoly is never mutated
+    rows, cols, matrix = _bilinear_form(sep, poly, MultiPoly())
     return SeparationReport(
         composition=sep.chart.shape.composition,
         y0=tuple(y0.sorted_entries()),

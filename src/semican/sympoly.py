@@ -4,10 +4,13 @@ Variables are entries of the five matrices that appear in the trace function
 on the flag-stabilizing chart: X (the representation), M (inverse of the
 first unipotent group element), N (the second), and their replacements M', X'
 introduced by the change of variables.  `semican.packed` computes with
-these polynomials; `MultiPoly` holds a decoded one and renders it, with its
-terms in a canonical sorted order so that every report is reproducible byte
-for byte.  The arithmetic on `MultiPoly` that the tests check the packed
-kernel against is in `tests/oracles.py`.
+these polynomials.  `MultiPoly` is the library's decoded view of one: it
+holds sorted tuple monomials and renders them with `to_str`.  The reports
+of `semican separate` are rendered straight from the packed kernel by
+`separation.report_dicts`, in the same canonical term order and through
+the same `join_terms`, so that every report is reproducible byte for byte.
+The arithmetic on `MultiPoly` that the tests check the packed kernel
+against is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -83,6 +86,19 @@ def _mono_str(mono: Mono) -> str:
                      for v, e in mono])
 
 
+def join_terms(terms) -> str:
+    """The text of a polynomial from its (monomial text, coefficient) terms.
+
+    The terms come in print order with nonzero coefficients; the constant
+    monomial's text is "1", as `_mono_str` writes it.  `MultiPoly.to_str`
+    and the reports of `separation.report_dicts` both render through here.
+    """
+    if not terms:
+        return "0"
+    return " + ".join([str(c) if text == "1" else text if c == 1
+                       else f"{c}*{text}" for text, c in terms])
+
+
 class MultiPoly:
     """A polynomial as a dict from sorted monomial to nonzero coefficient.
 
@@ -105,18 +121,8 @@ class MultiPoly:
         return hash(tuple(sorted(self.terms.items())))
 
     def to_str(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(_mono_str(mono))
-            else:
-                parts.append(f"{c}*{_mono_str(mono)}")
-        return " + ".join(parts)
+        return join_terms([(_mono_str(m), self.terms[m])
+                           for m in sorted(self.terms)])
 
     def __repr__(self):
         return f"MultiPoly({self.to_str()})"

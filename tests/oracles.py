@@ -12,7 +12,8 @@ the chart pairing, formal partial derivatives of polynomials, the bilinear
 split of a polynomial by degree counts, and the whole separation of an
 instance on tuple monomials (`RefPoly` arithmetic, the trace pieces, the
 inversion, the X change, the one-pass bilinear split and back-substitution),
-whose report the packed kernel of semican.separation must reproduce.
+whose report the packed kernel of semican.separation must reproduce, and the
+rendering of that report's JSON from its MultiPoly fields.
 """
 
 from __future__ import annotations
@@ -854,3 +855,25 @@ def separate_reference(composition, y0: NormalFormY) -> SeparationReport:
 def back_substitute(report: SeparationReport) -> RefPoly:
     """Replace the primed variables by their definitions in the originals."""
     return RefPoly(report.separated.terms).substitute(report.definitions)
+
+
+def reference_dict(report: SeparationReport) -> dict:
+    """The JSON report of an instance, rendered from its MultiPoly fields.
+
+    The reference that `separation.report_dicts`, which renders from the
+    packed kernel, must equal field for field.
+    """
+    return {
+        "composition": list(report.composition),
+        "y0": [list(e) for e in report.y0],
+        "set_t": [[list(a), list(b)] for a, b in report.set_t],
+        "w1": [str(v) for v in report.w1],
+        "w2": [str(v) for v in report.w2],
+        "vc": [str(v) for v in report.vc],
+        "trace_poly": report.trace_poly,
+        "separated_poly": report.separated_poly,
+        "change_of_variables": [list(p) for p in report.change_of_variables],
+        "b_shape": [len(report.bilinear.rows), len(report.bilinear.cols)],
+        "b_matrix": [[cell.to_str() for cell in row]
+                     for row in report.bilinear.matrix],
+    }

@@ -140,6 +140,23 @@ def test_separate_all_golden_with_warm_caches(capsys):
         assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("comp", ["1,2,2,1,1,2,2,1", "2,1,2,1,2,1,2,1"])
+def test_separate_y0_matches_all_report(capsys, comp):
+    # each --y0 report is its --all report plus schema_version, in the same
+    # key order and byte for byte
+    golden = Path(__file__).parent / "golden" / f"separate_4x4_{comp}.json"
+    reports = json.loads(golden.read_text())["reports"]
+    assert len(reports) == len(
+        enumerate_matchings(flag_shape(map(int, comp.split(",")))))
+    for report in reports:
+        spec = ",".join(f"{i}:{j}" for i, j in report["y0"])
+        code, out, _ = run(capsys, "separate", "--d1", "4", "--d2", "4",
+                           "--comp", comp, "--y0", spec)
+        assert code == 0
+        expected = {**report, "schema_version": cli.SCHEMA_VERSION}
+        assert out == json.dumps(expected, indent=2) + "\n", spec
+
+
 class _Key(str):
     pass
 
@@ -503,6 +520,18 @@ def test_separate_content_mismatch(capsys):
                        "--comp", "1,2", "--y0", "")
     assert code == 1
     assert "content" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--d1", "0", "--d2", "0"],
+    ["verify", "--d1", "0", "--d2", "0", "--skip-wreg"],
+    ["separate", "--d1", "0", "--d2", "0", "--comp", "", "--all"],
+    ["separate", "--d1", "0", "--d2", "0", "--comp", "", "--y0", ""],
+])
+def test_empty_dimension_vector_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: d1 + d2 must be at least 1\n"
 
 
 def test_usage_error_exit_code(capsys):

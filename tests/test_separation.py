@@ -6,16 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from semican.core import DimVector, PiModClass, representative_pair
+from semican.core import (DimVector, PiModClass, compositions,
+                          representative_pair)
 from semican.separation import (NormalFormY, SeparationError,
                                 build_and_separate, certify,
                                 enumerate_instances, enumerate_matchings,
-                                flag_shape, separate_packed, validate_matching)
+                                flag_shape, report_dicts, separate_packed,
+                                validate_matching)
 from semican.sympoly import MultiPoly, VarId
 
 from oracles import (RefPoly, _inversion, _x_change, back_substitute,
                      critical_locus_check, expand_trace, normal_form,
-                     separate_reference)
+                     reference_dict, separate_reference)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -373,31 +375,39 @@ def test_separated_polynomial_matches_six_piece_form():
 
 def test_certify_matches_multipoly_reference():
     # the report built on the packed kernel equals, field for field, the one
-    # the RefPoly construction of the oracle builds on tuple monomials
+    # the RefPoly construction of the oracle builds on tuple monomials, and
+    # its JSON, per instance and as one batch per composition, equals the
+    # one rendered from the reference's MultiPoly fields
     for d1 in range(0, 5):
         for d2 in range(0, 5):
             if d1 + d2 == 0:
                 continue
-            for a, y0 in enumerate_instances(DimVector(d1, d2)):
-                rep = build_and_separate(a, y0)
-                ref = separate_reference(a, y0)
-                where = (a, sorted(y0.entries))
-                assert rep == ref, where
-                assert rep.to_dict() == ref.to_dict(), where
-                assert rep.definitions == ref.definitions, where
-                sep = separate_packed(a, y0)
-                slots = sep.chart.slots
-                assert {slots.decode(m): c for m, c in sep.trace.items()} \
-                    == ref.trace.terms
-                assert {slots.decode(m): c
-                        for m, c in sep.separated.items()} \
-                    == ref.separated.terms, where
-                # the degree bound of the packed chart's docstring
-                k = len(y0.entries)
-                assert all(sum(e for _, e in mono) <= 2 * k + 2
-                           for mono in ref.separated.terms)
-                restored = back_substitute(ref) == ref.trace
-                assert restored and certify(a, y0) is restored
+            for a in compositions(d1, d2):
+                matchings = enumerate_matchings(flag_shape(a))
+                expected = []
+                for y0 in matchings:
+                    rep = build_and_separate(a, y0)
+                    ref = separate_reference(a, y0)
+                    where = (a, sorted(y0.entries))
+                    assert rep == ref, where
+                    assert rep.definitions == ref.definitions, where
+                    expected.append(reference_dict(ref))
+                    assert report_dicts(a, [y0]) == expected[-1:], where
+                    assert rep.to_dict() == expected[-1], where
+                    sep = separate_packed(a, y0)
+                    slots = sep.chart.slots
+                    assert {slots.decode(m): c for m, c in sep.trace.items()} \
+                        == ref.trace.terms
+                    assert {slots.decode(m): c
+                            for m, c in sep.separated.items()} \
+                        == ref.separated.terms, where
+                    # the degree bound of the packed chart's docstring
+                    k = len(y0.entries)
+                    assert all(sum(e for _, e in mono) <= 2 * k + 2
+                               for mono in ref.separated.terms)
+                    restored = back_substitute(ref) == ref.trace
+                    assert restored and certify(a, y0) is restored
+                assert report_dicts(a, matchings) == expected, a
 
 
 def test_packed_chart_guards_exponent_fields():
