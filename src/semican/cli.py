@@ -15,7 +15,7 @@ from pathlib import Path
 from .core import (DimVector, dual_orbit, enumerate_orbits, orbit_dim,
                    sign_parity)
 from .separation import (NormalFormY, SeparationError, enumerate_matchings,
-                         flag_shape, report_dicts, validate_matching)
+                         flag_shape, report_dicts)
 from .verify import SCHEMA_VERSION, run_verify
 
 _quote = json.encoder.encode_basestring_ascii
@@ -85,6 +85,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _require_nonempty(args) -> None:
+    """Reject d1 + d2 < 1; main reports the ValueError and exits 1.
+
+    Each command calls it after the checks that come first for it: the
+    negative dimension of `orbits` and the --max-dim bound of `verify`.
+    """
+    if args.d1 + args.d2 < 1:
+        raise ValueError("d1 + d2 must be at least 1")
+
+
 def _orbit_rows(dim: DimVector):
     rows = []
     for o in enumerate_orbits(dim):
@@ -99,9 +109,7 @@ def _orbit_rows(dim: DimVector):
 
 def cmd_orbits(args) -> int:
     dim = DimVector(args.d1, args.d2)
-    if dim.total < 1:
-        print("error: d1 + d2 must be at least 1", file=sys.stderr)
-        return 1
+    _require_nonempty(args)
     rows = _orbit_rows(dim)
     if args.format == "json":
         print(_dumps({"schema_version": SCHEMA_VERSION,
@@ -126,9 +134,7 @@ def cmd_verify(args) -> int:
         print(f"error: dimensions above {dim_bound} need --max-dim",
               file=sys.stderr)
         return 1
-    if args.d1 + args.d2 < 1:
-        print("error: d1 + d2 must be at least 1", file=sys.stderr)
-        return 1
+    _require_nonempty(args)
     report = run_verify(args.d1, args.d2, seed=args.seed,
                         skip_wreg=args.skip_wreg)
     text = _dumps(report)
@@ -163,9 +169,7 @@ def _parse_y0(spec: str) -> NormalFormY:
 
 
 def cmd_separate(args) -> int:
-    if args.d1 + args.d2 < 1:
-        print("error: d1 + d2 must be at least 1", file=sys.stderr)
-        return 1
+    _require_nonempty(args)
     try:
         comp = tuple(int(v) for v in args.comp.split(","))
     except ValueError:
@@ -177,20 +181,15 @@ def cmd_separate(args) -> int:
         print(f"error: composition {args.comp} has content ({d1}, {d2}), "
               f"expected ({args.d1}, {args.d2})", file=sys.stderr)
         return 1
-    shape = flag_shape(comp)
-    if not args.all:
-        try:
-            y0 = _parse_y0(args.y0)
-            validate_matching(shape, y0)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    # a bad --y0 raises ValueError, from _parse_y0 or from the validation
+    # in the construction, and main reports it
     try:
         if args.all:
+            matchings = enumerate_matchings(flag_shape(comp))
             out = {"schema_version": SCHEMA_VERSION,
-                   "reports": report_dicts(comp, enumerate_matchings(shape))}
+                   "reports": report_dicts(comp, matchings)}
         else:
-            out = {**report_dicts(comp, [y0])[0],
+            out = {**report_dicts(comp, [_parse_y0(args.y0)])[0],
                    "schema_version": SCHEMA_VERSION}
     except SeparationError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)

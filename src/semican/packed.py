@@ -8,14 +8,12 @@ carries from one field into the next only when an exponent reaches
 2**FIELD_BITS; `Slots` takes a bound on the total degree of every
 polynomial its caller forms and rejects a bound that does not fit a field.
 
-This module does all the arithmetic of the separation, for `certify`, for
-the reports of `separation.report_dicts` and for the `MultiPoly` view of
-`build_and_separate` alike.  Nothing here builds a string except the
-witness of a failed bilinearity check: `report_dicts` renders the reports
-from these polynomials through `Slots.decode`, and `build_and_separate`
-decodes them into `sympoly.MultiPoly` for the library.  The tests check
-this kernel against the `MultiPoly` arithmetic of `tests/oracles.py`,
-which shares no code with it.
+This module does all the arithmetic of the separation, for `certify` and
+for the reports of `separation.report_dicts` alike.  Nothing here builds a
+string except the witness of a failed bilinearity check: `report_dicts`
+renders the reports from these polynomials through `Slots.decode`.  The
+tests check this kernel against the `RefPoly` arithmetic on tuple
+monomials of `tests/oracles.py`, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ class Slots:
     """One exponent field per variable, in increasing VarId order.
 
     `unit[v]` is the monomial v.  Field k holds the exponent of
-    `variables[k]`, so a decoded monomial comes out sorted, as in MultiPoly.
+    `variables[k]`, so a decoded monomial comes out sorted, as a `Mono`.
     """
 
     def __init__(self, variables, max_degree: int):
@@ -42,14 +40,14 @@ class Slots:
         self.unit = {v: 1 << (FIELD_BITS * k)
                      for k, v in enumerate(self.variables)}
         # the factor (v, 1) of each variable, shared by every decoded
-        # monomial: fewer objects to allocate and to hold in a report
+        # monomial: fewer objects to allocate
         self._linear = [(v, 1) for v in self.variables]
 
     def encode(self, mono: Mono) -> int:
         return sum(self.unit[v] * e for v, e in mono)
 
     def decode(self, mono: int) -> Mono:
-        """The sorted MultiPoly monomial; visits only the set fields."""
+        """The sorted tuple monomial; visits only the set fields."""
         out = []
         while mono:
             k = ((mono & -mono).bit_length() - 1) // FIELD_BITS
@@ -126,7 +124,8 @@ def check_bilinear(p: dict, slots: Slots, w1, w2, vc) -> None:
 
     Passes iff every monomial has degree exactly 1 in W1, exactly 1 in W2
     and all other factors in Vc, with any exponent.  Otherwise raises
-    BilinearityError naming the first offending monomial in `to_str` order.
+    BilinearityError naming the first offending monomial in the term order
+    of the reports.
     """
     rows = {slots.unit[v] for v in w1}
     cols = {slots.unit[v] for v in w2}

@@ -13,14 +13,13 @@ origin equals 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import packed
 from .core import DimVector, compositions
-from .sympoly import (BilinearForm, BilinearityError, Mono, MultiPoly, VarId,
-                      _mono_str, join_terms)
+from .sympoly import BilinearityError, Mono, VarId, _mono_str, join_terms
 
 
 class SeparationError(RuntimeError):
@@ -47,10 +46,6 @@ class FlagShape:
     @property
     def d2(self) -> int:
         return len(self.s_slots)
-
-    @property
-    def dim(self) -> DimVector:
-        return DimVector(self.d1, self.d2)
 
     def adm_x(self, row: int, col: int) -> bool:
         return self.s_slots[row - 1] < self.t_slots[col - 1]
@@ -195,7 +190,8 @@ class NormalFormY:
 def validate_matching(shape: FlagShape, y0: NormalFormY) -> None:
     for i, j in sorted(y0.entries):
         if not (1 <= i <= shape.d1 and 1 <= j <= shape.d2):
-            raise ValueError(f"y0 entry ({i},{j}) out of range for {shape.dim}")
+            raise ValueError(f"y0 entry ({i},{j}) out of range for "
+                             f"({shape.d1}, {shape.d2})")
         if not shape.adm_y(i, j):
             raise ValueError(
                 f"y0 entry ({i},{j}) violates flag stability: "
@@ -234,41 +230,6 @@ def enumerate_instances(dim: DimVector):
         shape = flag_shape(a)
         for m in enumerate_matchings(shape):
             yield a, m
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Everything the separation of one instance produces.
-
-    The certificate is `bilinear`: `separated` is exactly bilinear in
-    (w1, w2) with coefficients in vc, so its Hessian rank is even at every
-    coefficient value and chi = 1 at the chart origin.  `definitions` gives
-    each primed variable in the original ones; it is not serialised.
-    """
-
-    composition: tuple[int, ...]
-    y0: tuple[tuple[int, int], ...]
-    set_t: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    w1: tuple[VarId, ...]
-    w2: tuple[VarId, ...]
-    vc: tuple[VarId, ...]
-    trace: MultiPoly
-    separated: MultiPoly
-    change_of_variables: tuple[tuple[str, str], ...]
-    bilinear: BilinearForm
-    definitions: dict[VarId, MultiPoly] = field(compare=False, repr=False)
-
-    @property
-    def trace_poly(self) -> str:
-        return self.trace.to_str()
-
-    @property
-    def separated_poly(self) -> str:
-        return self.separated.to_str()
-
-    def to_dict(self) -> dict:
-        """The JSON report of this instance, as `report_dicts` renders it."""
-        return report_dicts(self.composition, [NormalFormY.of(*self.y0)])[0]
 
 
 def _coupled_pairs(shape: FlagShape, entries):
@@ -459,31 +420,6 @@ def certify(composition, y0: NormalFormY) -> bool:
     return back_substitute_packed(sep) == sep.trace
 
 
-def _bilinear_form(sep: PackedSeparation, render, zero):
-    """The bilinear form of a separation on the packed kernel.
-
-    Returns (rows, cols, matrix): the sorted W1 and W2 variables and the
-    matrix of `render(cell)` for each nonzero cell, `zero` elsewhere.  A
-    cell is the part of the separated trace with one W1 and one W2 factor,
-    split off by the two bit masks, as a packed polynomial in Vc.
-    """
-    unit = sep.chart.slots.unit
-    rows, cols = tuple(sorted(sep.w1)), tuple(sorted(sep.w2))
-    row_of = {unit[v]: i for i, v in enumerate(rows)}
-    col_of = {unit[v]: j for j, v in enumerate(cols)}
-    row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
-    cells: dict = {}
-    for m, c in sep.separated.items():
-        # W1 and W2 are disjoint, and each monomial is one unit of each
-        # times a monomial in Vc
-        r, s = m & row_mask, m & col_mask
-        cells.setdefault((row_of[r], col_of[s]), {})[m - r - s] = c
-    matrix = [[zero] * len(cols) for _ in rows]
-    for (i, j), cell in cells.items():
-        matrix[i][j] = render(cell)
-    return rows, cols, matrix
-
-
 class _MonomialNames(dict):
     """Packed monomial -> (decoded monomial, its text), filled on first use."""
 
@@ -500,17 +436,20 @@ class _MonomialNames(dict):
 def report_dicts(composition, matchings) -> list[dict]:
     """The JSON report of the separation of each matching, in order.
 
-    The one producer of separation reports: `separate` prints its dicts
-    and `SeparationReport.to_dict` returns one.  Every field is rendered
-    straight from `separate_packed`'s polynomials through the composition's
-    slot table, in `MultiPoly.to_str` order and text.  A memo that lives
-    for this call only maps each packed monomial to its decoded monomial,
-    the sort key, and its text, so a monomial is decoded and rendered once
-    per call however many reports hold it.  Raises SeparationError like
+    The one producer of separation reports, which `separate` prints.  Every
+    field is rendered straight from `separate_packed`'s polynomials through
+    the composition's slot table, terms in sorted tuple-monomial order.  A
+    memo that lives for this call only maps each packed monomial to its
+    decoded monomial, the sort key, and its text, so a monomial is decoded
+    and rendered once per call however many reports hold it.  `b_matrix`
+    is the bilinear form, the certificate: a cell is the part of the
+    separated trace with one W1 and one W2 factor, split off by the two bit
+    masks, as a polynomial in Vc.  Raises SeparationError like
     `separate_packed`.
     """
     shape = flag_shape(composition)
     named = _MonomialNames(shape.packed_chart.slots)
+    unit = shape.packed_chart.slots.unit
 
     def render(p: dict[int, int]) -> str:
         if len(p) == 1:  # most cells of a form: nothing to sort
@@ -523,7 +462,19 @@ def report_dicts(composition, matchings) -> list[dict]:
     out = []
     for y0 in matchings:
         sep = separate_packed(shape.composition, y0)
-        rows, cols, matrix = _bilinear_form(sep, render, zero)
+        rows, cols = sorted(sep.w1), sorted(sep.w2)
+        row_of = {unit[v]: i for i, v in enumerate(rows)}
+        col_of = {unit[v]: j for j, v in enumerate(cols)}
+        row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
+        cells: dict = {}
+        for m, c in sep.separated.items():
+            # W1 and W2 are disjoint, and each monomial is one unit of each
+            # times a monomial in Vc
+            r, s = m & row_mask, m & col_mask
+            cells.setdefault((row_of[r], col_of[s]), {})[m - r - s] = c
+        matrix = [[zero] * len(cols) for _ in rows]
+        for (i, j), cell in cells.items():
+            matrix[i][j] = render(cell)
         trace = render(sep.trace)
         out.append({
             "composition": list(shape.composition),
@@ -541,46 +492,3 @@ def report_dicts(composition, matchings) -> list[dict]:
             "b_matrix": matrix,
         })
     return out
-
-
-def build_and_separate(composition, y0: NormalFormY) -> SeparationReport:
-    """Separate one instance; the report's bilinear form certifies chi = 1.
-
-    The construction is `certify`'s, `separate_packed`, and raises the same
-    SeparationError.  Its polynomials are then decoded through the shape's
-    slot table, each packed monomial at most once per call, into the
-    `MultiPoly` view of the library; the form is `_bilinear_form`'s, as in
-    `report_dicts`.
-    """
-    sep = separate_packed(composition, y0)
-    slots = sep.chart.slots
-    monos: dict[int, Mono] = {}
-
-    def poly(p: dict[int, int]) -> MultiPoly:
-        out = {}
-        for m, c in p.items():
-            mono = monos.get(m)
-            if mono is None:
-                mono = monos[m] = slots.decode(m)
-            out[mono] = c
-        return MultiPoly(out)
-
-    def var(unit: int) -> VarId:
-        return slots.decode(unit)[0][0]
-
-    # one MultiPoly shared by every zero cell; MultiPoly is never mutated
-    rows, cols, matrix = _bilinear_form(sep, poly, MultiPoly())
-    return SeparationReport(
-        composition=sep.chart.shape.composition,
-        y0=tuple(y0.sorted_entries()),
-        set_t=tuple(sorted(sep.t_pairs)),
-        w1=rows,
-        w2=cols,
-        vc=tuple(sorted(sep.vc)),
-        trace=poly(sep.trace),
-        separated=poly(sep.separated),
-        change_of_variables=tuple(sorted(
-            (str(var(u)), poly(p).to_str()) for u, p in sep.changes.items())),
-        bilinear=BilinearForm(rows, cols, tuple(map(tuple, matrix))),
-        definitions={var(u): poly(p) for u, p in sep.definitions.items()},
-    )

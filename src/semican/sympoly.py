@@ -1,21 +1,18 @@
-"""Matrix-entry variables and the rendering of polynomials in them.
+"""Matrix-entry variables and the rendering of monomials in them.
 
 Variables are entries of the five matrices that appear in the trace function
 on the flag-stabilizing chart: X (the representation), M (inverse of the
 first unipotent group element), N (the second), and their replacements M', X'
 introduced by the change of variables.  `semican.packed` computes with
-these polynomials.  `MultiPoly` is the library's decoded view of one: it
-holds sorted tuple monomials and renders them with `to_str`.  The reports
-of `semican separate` are rendered straight from the packed kernel by
-`separation.report_dicts`, in the same canonical term order and through
-the same `join_terms`, so that every report is reproducible byte for byte.
-The arithmetic on `MultiPoly` that the tests check the packed kernel
-against is in `tests/oracles.py`.
+polynomials in these variables; a `Mono` is one of its monomials decoded
+into a sorted tuple.  `separation.report_dicts` renders the reports from
+the packed kernel with `_mono_str` and `join_terms`, in the canonical term
+order, so that every report is reproducible byte for byte.  The tuple-
+monomial polynomial arithmetic that the tests check the packed kernel
+against is `RefPoly` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 KINDS = ("M", "Mp", "N", "X", "Xp")  # sorted, so int order is (kind, row, col)
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
@@ -90,42 +87,14 @@ def join_terms(terms) -> str:
     """The text of a polynomial from its (monomial text, coefficient) terms.
 
     The terms come in print order with nonzero coefficients; the constant
-    monomial's text is "1", as `_mono_str` writes it.  `MultiPoly.to_str`
-    and the reports of `separation.report_dicts` both render through here.
+    monomial's text is "1", as `_mono_str` writes it.  The reports of
+    `separation.report_dicts` and the reference `RefPoly.to_str` of the
+    tests both render through here.
     """
     if not terms:
         return "0"
     return " + ".join([str(c) if text == "1" else text if c == 1
                        else f"{c}*{text}" for text, c in terms])
-
-
-class MultiPoly:
-    """A polynomial as a dict from sorted monomial to nonzero coefficient.
-
-    A container: it compares by its terms and renders them with `to_str`.
-    Coefficients are kept as given, so a Fraction stays exact.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def to_str(self) -> str:
-        return join_terms([(_mono_str(m), self.terms[m])
-                           for m in sorted(self.terms)])
-
-    def __repr__(self):
-        return f"MultiPoly({self.to_str()})"
 
 
 class BilinearityError(ValueError):
@@ -134,12 +103,3 @@ class BilinearityError(ValueError):
     def __init__(self, witness: str):
         super().__init__(f"monomial {witness} is not bilinear in (W1, W2)")
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """Matrix of a bilinear form on W1 x W2 with coefficient-polynomial entries."""
-
-    rows: tuple[VarId, ...]
-    cols: tuple[VarId, ...]
-    matrix: tuple[tuple[MultiPoly, ...], ...]

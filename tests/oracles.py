@@ -10,10 +10,11 @@ by row, mat_pi = mat_e . T on every composition and sandwich word; the
 Borel normal form of a covector with its certificate, the critical locus of
 the chart pairing, formal partial derivatives of polynomials, the bilinear
 split of a polynomial by degree counts, and the whole separation of an
-instance on tuple monomials (`RefPoly` arithmetic, the trace pieces, the
-inversion, the X change, the one-pass bilinear split and back-substitution),
-whose report the packed kernel of semican.separation must reproduce, and the
-rendering of that report's JSON from its MultiPoly fields.
+instance on tuple monomials (`RefPoly` polynomials and arithmetic, the
+trace pieces, the inversion, the X change, the one-pass bilinear split and
+back-substitution), whose polynomials the packed kernel of
+semican.separation must reproduce once decoded, and the rendering of that
+separation's JSON report from its `RefPoly` fields.
 """
 
 from __future__ import annotations
@@ -22,18 +23,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from semican import ratlin
 from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
                            sandwich_words)
 from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
 from semican.qcount import Word, euler_counts, word_content
-from semican.separation import (FlagShape, NormalFormY, SeparationReport,
+from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _classify, _coupled_pairs, _fiber,
                                 _separation_error, _trace_factors, flag_shape,
                                 validate_matching)
-from semican.sympoly import (BilinearForm, BilinearityError, Mono, MultiPoly,
-                             VarId, _mono_str)
+from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
+                             join_terms)
 
 # ---------------------------------------------------------------------------
 # point counts over F_q as polynomials in q
@@ -531,7 +533,7 @@ def critical_locus_check(composition, x0, y) -> bool:
     return computed_critical == predicted_critical
 
 
-def partial_derivative(p: MultiPoly, v: VarId) -> MultiPoly:
+def partial_derivative(p: RefPoly, v: VarId) -> RefPoly:
     """Formal partial derivative, exact over Q."""
     out: dict = {}
     for mono, c in p.terms.items():
@@ -543,10 +545,19 @@ def partial_derivative(p: MultiPoly, v: VarId) -> MultiPoly:
             d[v] = e - 1
         key = tuple(sorted(d.items()))
         out[key] = out.get(key, 0) + c * e
-    return MultiPoly(out)
+    return RefPoly(out)
 
 
-def bilinear_decompose_two_pass(p: MultiPoly, w1, w2, vc) -> BilinearForm:
+@dataclass(frozen=True)
+class BilinearForm:
+    """Matrix of a bilinear form on W1 x W2 with coefficient-polynomial entries."""
+
+    rows: tuple[VarId, ...]
+    cols: tuple[VarId, ...]
+    matrix: tuple[tuple[RefPoly, ...], ...]
+
+
+def bilinear_decompose_two_pass(p: RefPoly, w1, w2, vc) -> BilinearForm:
     """`bilinear_decompose` by summing each monomial's degree in W1 and W2.
 
     Accepts exactly the monomials of degree 1 in W1, degree 1 in W2 and all
@@ -566,7 +577,7 @@ def bilinear_decompose_two_pass(p: MultiPoly, w1, w2, vc) -> BilinearForm:
         cell = cells.setdefault((u, w), {})
         cell[rest] = cell.get(rest, 0) + coeff
     return BilinearForm(rows, cols, tuple(
-        tuple(MultiPoly(cells.get((u, w))) for w in cols) for u in rows))
+        tuple(RefPoly(cells.get((u, w))) for w in cols) for u in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +602,34 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-class RefPoly(MultiPoly):
-    """A MultiPoly with exact arithmetic on its sorted tuple monomials."""
+class RefPoly:
+    """A polynomial as a dict from sorted monomial to nonzero coefficient.
 
-    __slots__ = ()
+    Exact arithmetic on sorted tuple monomials; it compares by its terms and
+    renders them with `to_str`, in the order and text of the reports.
+    Coefficients are kept as given, so a Fraction stays exact.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, RefPoly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    def to_str(self) -> str:
+        return join_terms([(_mono_str(m), self.terms[m])
+                           for m in sorted(self.terms)])
+
+    def __repr__(self):
+        return f"RefPoly({self.to_str()})"
 
     @classmethod
     def zero(cls) -> "RefPoly":
@@ -608,7 +643,7 @@ class RefPoly(MultiPoly):
     def var(cls, v: VarId) -> "RefPoly":
         return cls({((v, 1),): 1})
 
-    def __add__(self, other: MultiPoly) -> "RefPoly":
+    def __add__(self, other: RefPoly) -> "RefPoly":
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0) + c
@@ -617,10 +652,10 @@ class RefPoly(MultiPoly):
     def __neg__(self) -> "RefPoly":
         return RefPoly({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: MultiPoly) -> "RefPoly":
+    def __sub__(self, other: RefPoly) -> "RefPoly":
         return self + (-other)
 
-    def __mul__(self, other: MultiPoly) -> "RefPoly":
+    def __mul__(self, other: RefPoly) -> "RefPoly":
         return RefPoly(_mul_terms(self.terms, other.terms))
 
     def coefficient_of(self, v: VarId) -> "RefPoly":
@@ -636,7 +671,7 @@ class RefPoly(MultiPoly):
             out[tuple(sorted(d.items()))] = c
         return RefPoly(out)
 
-    def substitute(self, mapping: dict[VarId, MultiPoly]) -> "RefPoly":
+    def substitute(self, mapping: dict[VarId, RefPoly]) -> "RefPoly":
         """Simultaneously replace every mapped variable; exact."""
         out: dict = {}
         for mono, c in self.terms.items():
@@ -719,7 +754,7 @@ def _cells(terms: dict, role: dict) -> dict:
     return cells
 
 
-def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
+def bilinear_decompose(p: RefPoly, w1, w2, vc) -> BilinearForm:
     """Split p as sum_{u in W1, v in W2} B[u][v](Vc) * u * v.
 
     Succeeds iff every monomial has degree exactly 1 in W1, exactly 1 in W2,
@@ -740,11 +775,33 @@ def bilinear_decompose(p: MultiPoly, w1, w2, vc) -> BilinearForm:
         cells = None
     if cells is None:  # read again in to_str order, to name the first offender
         _cells(dict(sorted(p.terms.items())), role)
-    zero = MultiPoly()  # shared by every zero cell; MultiPoly is never mutated
+    zero = RefPoly()  # shared by every zero cell; no cell is mutated
     matrix = [[zero] * len(cols) for _ in rows]
     for (i, j), cell in cells.items():
-        matrix[i][j] = MultiPoly(cell)
+        matrix[i][j] = RefPoly(cell)
     return BilinearForm(rows, cols, tuple(map(tuple, matrix)))
+
+
+@dataclass(frozen=True)
+class SeparationReport:
+    """Everything `separate_reference` produces for one instance.
+
+    `separated` is bilinear in (w1, w2) with coefficients in vc, and
+    `bilinear` is that form; `definitions` gives each primed variable in
+    the original ones.
+    """
+
+    composition: tuple[int, ...]
+    y0: tuple[tuple[int, int], ...]
+    set_t: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    w1: tuple[VarId, ...]
+    w2: tuple[VarId, ...]
+    vc: tuple[VarId, ...]
+    trace: RefPoly
+    separated: RefPoly
+    change_of_variables: tuple[tuple[str, str], ...]
+    bilinear: BilinearForm
+    definitions: dict[VarId, RefPoly]
 
 
 def _inversion(shape: FlagShape, entries):
@@ -811,8 +868,9 @@ def _x_change(shape: FlagShape, entries, j_set, t_pairs, m_expr):
 
 
 def separate_reference(composition, y0: NormalFormY) -> SeparationReport:
-    """`separation.build_and_separate` on tuple monomials and RefPoly.
+    """The separation of one instance on tuple monomials and RefPoly.
 
+    The reference for `separation.separate_packed` and `report_dicts`.
     Expands the trace, inverts, changes X, substitutes both changes at once
     and splits the bilinear form with `bilinear_decompose`, raising the
     same SeparationError on a form that is not bilinear.
@@ -852,13 +910,37 @@ def separate_reference(composition, y0: NormalFormY) -> SeparationReport:
     )
 
 
-def back_substitute(report: SeparationReport) -> RefPoly:
-    """Replace the primed variables by their definitions in the originals."""
-    return RefPoly(report.separated.terms).substitute(report.definitions)
+def back_substitute(report) -> RefPoly:
+    """Replace the primed variables by their definitions in the originals.
+
+    `report` is a SeparationReport or a DecodedSeparation.
+    """
+    return report.separated.substitute(report.definitions)
+
+
+class DecodedSeparation(NamedTuple):
+    """The polynomials of a PackedSeparation as RefPoly fields."""
+
+    trace: RefPoly
+    separated: RefPoly
+    definitions: dict[VarId, RefPoly]
+
+
+def decode_separation(sep: PackedSeparation) -> DecodedSeparation:
+    """Decode the trace, the separated polynomial and the definitions of the
+    primed variables through the separation's slot table."""
+    slots = sep.chart.slots
+
+    def poly(p: dict[int, int]) -> RefPoly:
+        return RefPoly({slots.decode(m): c for m, c in p.items()})
+
+    return DecodedSeparation(
+        poly(sep.trace), poly(sep.separated),
+        {slots.decode(u)[0][0]: poly(p) for u, p in sep.definitions.items()})
 
 
 def reference_dict(report: SeparationReport) -> dict:
-    """The JSON report of an instance, rendered from its MultiPoly fields.
+    """The JSON report of an instance, rendered from its RefPoly fields.
 
     The reference that `separation.report_dicts`, which renders from the
     packed kernel, must equal field for field.
@@ -870,8 +952,8 @@ def reference_dict(report: SeparationReport) -> dict:
         "w1": [str(v) for v in report.w1],
         "w2": [str(v) for v in report.w2],
         "vc": [str(v) for v in report.vc],
-        "trace_poly": report.trace_poly,
-        "separated_poly": report.separated_poly,
+        "trace_poly": report.trace.to_str(),
+        "separated_poly": report.separated.to_str(),
         "change_of_variables": [list(p) for p in report.change_of_variables],
         "b_shape": [len(report.bilinear.rows), len(report.bilinear.cols)],
         "b_matrix": [[cell.to_str() for cell in row]

@@ -19,11 +19,12 @@ from semican.bases import (canonical_fn, cc_multiplicities, m_coefficients,
 from semican.core import (DimVector, Orbit, PiModClass, dual_orbit,
                           enumerate_orbits, orbit_dim, sign_parity)
 from semican.geom import PairPoint, bilinear_form_B, hessian_rank_check
-from semican.separation import build_and_separate, enumerate_instances
+from semican.separation import (enumerate_instances, report_dicts,
+                                separate_packed)
 from semican.wreg import w_regularity_sample
 
-from oracles import (back_substitute, gauss_binom, monomial_matrix,
-                     spanning_words)
+from oracles import (back_substitute, decode_separation, gauss_binom,
+                     monomial_matrix, spanning_words)
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -118,22 +119,27 @@ def _certificate_instances():
         out.extend(enumerate_instances(dim))
     full = list(enumerate_instances(DimVector(4, 4)))
     out.extend(random.Random(1).sample(full, 500))
-    return [(a, y0, build_and_separate(a, y0)) for a, y0 in out]
+    return [(a, y0, separate_packed(a, y0)) for a, y0 in out]
 
 
-def _is_bilinear_certificate(rep) -> bool:
+def _is_bilinear_certificate(a, y0, sep) -> bool:
     """B is indexed by W1 x W2 and every separated monomial has degree (1,1)."""
-    w1, w2 = set(rep.w1), set(rep.w2)
-    return (rep.bilinear.rows == rep.w1 and rep.bilinear.cols == rep.w2
+    w1, w2 = sep.w1, sep.w2
+    [report] = report_dicts(a, [y0])
+    return (report["w1"] == [str(v) for v in sorted(w1)]
+            and report["w2"] == [str(v) for v in sorted(w2)]
+            and report["b_shape"] == [len(w1), len(w2)]
+            and len(report["b_matrix"]) == len(w1)
+            and all(len(row) == len(w2) for row in report["b_matrix"])
             and all(sum(e for v, e in mono if v in w1) == 1
                     and sum(e for v, e in mono if v in w2) == 1
-                    for mono in rep.separated.terms))
+                    for mono in decode_separation(sep).separated.terms))
 
 
 def test_criterion_5_separation_certificate(capsys):
     start = time.perf_counter()
     instances = _certificate_instances()
-    ok = all(_is_bilinear_certificate(rep) for _, _, rep in instances)
+    ok = all(_is_bilinear_certificate(*instance) for instance in instances)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
     with capsys.disabled():
@@ -144,7 +150,8 @@ def test_criterion_5_separation_certificate(capsys):
 
 def test_criterion_6_substitution_identity(capsys):
     instances = _certificate_instances()
-    ok = all(back_substitute(rep) == rep.trace for _, _, rep in instances)
+    ok = all(back_substitute(dec) == dec.trace
+             for dec in (decode_separation(sep) for _, _, sep in instances))
     with capsys.disabled():
         _report(6, ok, f"back-substitution restores the trace polynomial "
                        f"term for term on all {len(instances)} instances, "

@@ -181,8 +181,8 @@ def test_dumps_matches_json_on_reports():
         {"schema_version": cli.SCHEMA_VERSION, "dim": [3, 4],
          "orbits": cli._orbit_rows(DimVector(3, 4))},
         {"schema_version": cli.SCHEMA_VERSION,
-         "reports": [separation.build_and_separate(comp, m).to_dict()
-                     for m in enumerate_matchings(flag_shape(comp))]},
+         "reports": separation.report_dicts(
+             comp, enumerate_matchings(flag_shape(comp)))},
     ]
     assert reports[0]["geometry"]["wreg_reports"]
     for report in reports:
@@ -418,11 +418,20 @@ def test_verify_sampled_iff_fewer_instances_checked(monkeypatch):
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy is imported by the wreg stage only, not by the command line
+    # numpy is imported by the wreg stage only: neither the command line nor
+    # `separate` nor `verify --skip-wreg` loads it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, semican.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'numpy'))")
+    code = (
+        "import contextlib, io, sys\n"
+        "from semican.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['separate', '--d1', '2', '--d2', '2',"
+        " '--comp', '1,2,2,1', '--all']) == 0\n"
+        "    assert main(['verify', '--d1', '2', '--d2', '2',"
+        " '--skip-wreg']) == 0\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'numpy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -498,6 +507,10 @@ def test_separate_inadmissible_y0(capsys):
                        "--comp", "1,2,2,1", "--y0", "2:1")
     assert code == 1
     assert "flag stability" in err
+    code, out, err = run(capsys, "separate", "--d1", "1", "--d2", "1",
+                         "--comp", "1,2", "--y0", "0:1")
+    assert code == 1 and out == ""
+    assert err == "error: y0 entry (0,1) out of range for (1, 1)\n"
 
 
 @pytest.mark.parametrize("spec", ["1", "1:x", "1:2:3"])

@@ -8,16 +8,15 @@ import pytest
 
 from semican.core import (DimVector, PiModClass, compositions,
                           representative_pair)
-from semican.separation import (NormalFormY, SeparationError,
-                                build_and_separate, certify,
+from semican.separation import (NormalFormY, SeparationError, certify,
                                 enumerate_instances, enumerate_matchings,
                                 flag_shape, report_dicts, separate_packed,
                                 validate_matching)
-from semican.sympoly import MultiPoly, VarId
+from semican.sympoly import VarId
 
 from oracles import (RefPoly, _inversion, _x_change, back_substitute,
-                     critical_locus_check, expand_trace, normal_form,
-                     reference_dict, separate_reference)
+                     critical_locus_check, decode_separation, expand_trace,
+                     normal_form, reference_dict, separate_reference)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -235,17 +234,19 @@ def test_normal_form_rejects_bad_support():
 
 
 def test_separate_trivial_instance():
-    rep = build_and_separate((2, 1), NormalFormY.of())
-    assert rep.trace == MultiPoly()
-    assert rep.set_t == ()
-    assert len(rep.bilinear.rows) == 0 and len(rep.bilinear.cols) == 0
+    sep = separate_packed((2, 1), NormalFormY.of())
+    assert decode_separation(sep).trace == RefPoly()
+    [rep] = report_dicts((2, 1), [NormalFormY.of()])
+    assert rep["set_t"] == []
+    assert rep["b_shape"] == [0, 0] and rep["b_matrix"] == []
 
 
 def test_separate_hand_instance():
-    rep = build_and_separate((1, 2, 2, 1), NormalFormY.of((1, 1)))
-    assert rep.w1 == (VarId("M", 2, 1),)
-    assert rep.w2 == (VarId("X", 1, 2),)
-    assert rep.bilinear.matrix == ((RefPoly.const(1),),)
+    sep = separate_packed((1, 2, 2, 1), NormalFormY.of((1, 1)))
+    assert sep.w1 == {VarId("M", 2, 1)}
+    assert sep.w2 == {VarId("X", 1, 2)}
+    [rep] = report_dicts((1, 2, 2, 1), [NormalFormY.of((1, 1))])
+    assert rep["b_matrix"] == [["1"]]
 
 
 def test_separate_exhaustive_small_dims():
@@ -254,17 +255,18 @@ def test_separate_exhaustive_small_dims():
             if d1 + d2 == 0:
                 continue
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
-                rep = build_and_separate(a, y0)
+                sep = separate_packed(a, y0)
                 # every monomial is degree (1,1) in the two quadratic groups
-                w1, w2 = set(rep.w1), set(rep.w2)
-                for mono in rep.separated.terms:
+                w1, w2 = sep.w1, sep.w2
+                for mono in decode_separation(sep).separated.terms:
                     assert sum(e for v, e in mono if v in w1) == 1
                     assert sum(e for v, e in mono if v in w2) == 1
 
 
 def test_separated_coefficients_stay_integers():
-    rep = build_and_separate((1, 2, 2, 1), NormalFormY.of((1, 1)))
-    coeffs = list(rep.separated.terms.values())
+    sep = decode_separation(
+        separate_packed((1, 2, 2, 1), NormalFormY.of((1, 1))))
+    coeffs = list(sep.separated.terms.values())
     assert coeffs and all(type(c) is int for c in coeffs)
 
 
@@ -274,8 +276,8 @@ def test_substitution_identity_exhaustive():
             if d1 + d2 == 0:
                 continue
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
-                rep = build_and_separate(a, y0)
-                assert back_substitute(rep) == rep.trace
+                sep = decode_separation(separate_packed(a, y0))
+                assert back_substitute(sep) == sep.trace
 
 
 def test_single_substitution_matches_chained():
@@ -295,8 +297,8 @@ def test_single_substitution_matches_chained():
                     assert not used & keys.keys(), (a, entries)
                 h = expand_trace(sh, y0)
                 chained = h.substitute(m_expr).substitute(x_expr)
-                assert build_and_separate(a, y0).separated == chained, \
-                    (a, entries)
+                sep = decode_separation(separate_packed(a, y0))
+                assert sep.separated == chained, (a, entries)
 
 
 def _mp_free(p):
@@ -368,16 +370,16 @@ def test_separated_polynomial_matches_six_piece_form():
             if d1 + d2 == 0:
                 continue
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
-                rep = build_and_separate(a, y0)
-                assert rep.separated == _six_pieces(a, y0), \
+                sep = decode_separation(separate_packed(a, y0))
+                assert sep.separated == _six_pieces(a, y0), \
                     (a, sorted(y0.entries))
 
 
 def test_certify_matches_multipoly_reference():
-    # the report built on the packed kernel equals, field for field, the one
-    # the RefPoly construction of the oracle builds on tuple monomials, and
-    # its JSON, per instance and as one batch per composition, equals the
-    # one rendered from the reference's MultiPoly fields
+    # the polynomials of the packed kernel, decoded, equal those the RefPoly
+    # construction of the oracle builds on tuple monomials, and the JSON
+    # reports, per instance and as one batch per composition, equal the
+    # ones rendered from the reference's RefPoly fields
     for d1 in range(0, 5):
         for d2 in range(0, 5):
             if d1 + d2 == 0:
@@ -386,21 +388,14 @@ def test_certify_matches_multipoly_reference():
                 matchings = enumerate_matchings(flag_shape(a))
                 expected = []
                 for y0 in matchings:
-                    rep = build_and_separate(a, y0)
+                    dec = decode_separation(separate_packed(a, y0))
                     ref = separate_reference(a, y0)
                     where = (a, sorted(y0.entries))
-                    assert rep == ref, where
-                    assert rep.definitions == ref.definitions, where
+                    assert dec.trace == ref.trace, where
+                    assert dec.separated == ref.separated, where
+                    assert dec.definitions == ref.definitions, where
                     expected.append(reference_dict(ref))
                     assert report_dicts(a, [y0]) == expected[-1:], where
-                    assert rep.to_dict() == expected[-1], where
-                    sep = separate_packed(a, y0)
-                    slots = sep.chart.slots
-                    assert {slots.decode(m): c for m, c in sep.trace.items()} \
-                        == ref.trace.terms
-                    assert {slots.decode(m): c
-                            for m, c in sep.separated.items()} \
-                        == ref.separated.terms, where
                     # the degree bound of the packed chart's docstring
                     k = len(y0.entries)
                     assert all(sum(e for _, e in mono) <= 2 * k + 2
@@ -419,7 +414,7 @@ def test_packed_chart_guards_exponent_fields():
 
 def test_separate_rejects_inadmissible_y0():
     with pytest.raises(ValueError):
-        build_and_separate((1, 2, 2, 1), NormalFormY.of((2, 1)))
+        separate_packed((1, 2, 2, 1), NormalFormY.of((2, 1)))
 
 
 def test_bilinearity_failure_is_hard_error(monkeypatch):
@@ -432,16 +427,17 @@ def test_bilinearity_failure_is_hard_error(monkeypatch):
 
     monkeypatch.setattr(packed, "check_bilinear", broken)
     with pytest.raises(SeparationError) as exc:
-        sep.build_and_separate((1, 2, 2, 1), NormalFormY.of((1, 1)))
+        sep.report_dicts((1, 2, 2, 1), [NormalFormY.of((1, 1))])
     assert "X(1,2)^2" in str(exc.value)
 
 
 def test_report_serializes():
-    rep = build_and_separate((1, 2, 2, 1), NormalFormY.of((1, 2)))
-    blob = json.dumps(rep.to_dict())
+    y0 = NormalFormY.of((1, 2))
+    sep = separate_packed((1, 2, 2, 1), y0)
+    blob = json.dumps(report_dicts((1, 2, 2, 1), [y0])[0])
     data = json.loads(blob)
-    assert data["trace_poly"] == rep.trace.to_str()
-    assert data["b_shape"] == [len(rep.bilinear.rows), len(rep.bilinear.cols)]
+    assert data["trace_poly"] == decode_separation(sep).trace.to_str()
+    assert data["b_shape"] == [len(sep.w1), len(sep.w2)]
 
 
 def test_readme_library_example(capsys):

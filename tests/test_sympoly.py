@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from semican import packed, sympoly
 from semican.core import DimVector
 from semican.separation import NormalFormY, flag_shape
-from semican.sympoly import KINDS, BilinearityError, MultiPoly, VarId
+from semican.sympoly import KINDS, BilinearityError, VarId
 
 from oracles import (RefPoly, bilinear_decompose, bilinear_decompose_two_pass,
                      expand_trace, partial_derivative)
@@ -138,7 +138,7 @@ def test_to_str_deterministic():
     p = V("X", 1, 2) * V("M", 2, 1) + RefPoly.const(Fraction(3, 2)) \
         * V("N", 2, 1)
     assert p.to_str() == "M(2,1)*X(1,2) + 3/2*N(2,1)"
-    assert MultiPoly().to_str() == "0"
+    assert RefPoly().to_str() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_bilinear_matches_two_pass_reference():
     # every monomial in three variables with exponents 0..2, against every
     # way of putting each variable into at most two of W1, W2 and Vc; the
     # packed kernel's check must agree (vs is sorted, so each monomial is
-    # canonical as in MultiPoly)
+    # canonical as in RefPoly)
     vs = (M21, N31, X12)
     slots = packed.Slots(vs, max_degree=6)
     roles = [set(r) for n in range(3)
