@@ -28,7 +28,7 @@ transfer_matrix(dim).apply(f.values).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ratlin
@@ -62,29 +62,30 @@ def sandwich_rows(dim: DimVector) -> dict:
     return rows
 
 
-@dataclass(frozen=True)
-class ConstructibleFnE:
+class ConstructibleFnE(namedtuple("ConstructibleFnE", "dim values")):
     """Invariant constructible function on the representation space: one exact
-    value per orbit rank."""
+    value per orbit rank, `values[r]` on the rank-r orbit."""
 
-    dim: DimVector
-    values: tuple[Fraction, ...]  # index = orbit rank
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim: DimVector, values: tuple[Fraction, ...]):
+        self = super().__new__(cls, dim, values)
         if len(self.values) != self.dim.rank_bound + 1:
             raise ValueError("one value per orbit required")
+        return self
 
     def value(self, r: int) -> Fraction:
         return self.values[r]
 
 
-@dataclass(frozen=True)
-class ExpansionMatrix:
+class ExpansionMatrix(namedtuple("ExpansionMatrix", "dim entries")):
     """Square matrix indexed by orbit ranks; entry (r_row, r_col) = coefficient
-    of the row orbit's function in the column orbit's expansion."""
+    of the row orbit's function in the column orbit's expansion.
 
-    dim: DimVector
-    entries: tuple[tuple[Fraction, ...], ...]  # entries[r_row][r_col]
+    `entries[r_row][r_col]`, a tuple of tuples of Fractions.
+    """
+
+    __slots__ = ()
 
     def entry(self, r_row: int, r_col: int) -> Fraction:
         return self.entries[r_row][r_col]
@@ -138,8 +139,7 @@ def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
     return ConstructibleFnE(dim, tuple(values))
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(namedtuple("TransferMatrix", "dim entries mismatch")):
     """The lift to the pair variety as one matrix: mat_pi = mat_e . T.
 
     Row per orbit rank, column per pair class in pi_classes order.
@@ -147,12 +147,11 @@ class TransferMatrix:
     `dim (a,c), letter v^b, orbit r', class (r,s): <lhs> != <rhs>` with r'
     an orbit rank of the child dimension and (r,s) a pair class of (a,c);
     None means that every identity holds, so every word of every content
-    up to `dim` satisfies mat_pi = mat_e . T at its content.
+    up to `dim` satisfies mat_pi = mat_e . T at its content.  `entries` is a
+    tuple of tuples of Fractions.
     """
 
-    dim: DimVector
-    entries: tuple[tuple[Fraction, ...], ...]
-    mismatch: str | None
+    __slots__ = ()
 
     def apply(self, values) -> tuple[Fraction, ...]:
         """f . T: pair-side values of the lift of the E-side values f."""

@@ -85,13 +85,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _require_nonempty(args) -> None:
+def _require_nonempty(dim: DimVector) -> None:
     """Reject d1 + d2 < 1; main reports the ValueError and exits 1.
 
-    Each command calls it after the checks that come first for it: the
-    negative dimension of `orbits` and the --max-dim bound of `verify`.
+    Each command builds `dim` first, so a negative dimension is reported as
+    such; `verify` calls this after its --max-dim bound.
     """
-    if args.d1 + args.d2 < 1:
+    if dim.total < 1:
         raise ValueError("d1 + d2 must be at least 1")
 
 
@@ -109,7 +109,7 @@ def _orbit_rows(dim: DimVector):
 
 def cmd_orbits(args) -> int:
     dim = DimVector(args.d1, args.d2)
-    _require_nonempty(args)
+    _require_nonempty(dim)
     rows = _orbit_rows(dim)
     if args.format == "json":
         print(_dumps({"schema_version": SCHEMA_VERSION,
@@ -129,12 +129,13 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    dim = DimVector(args.d1, args.d2)
     dim_bound = args.max_dim
-    if args.d1 > dim_bound or args.d2 > dim_bound:
+    if dim.d1 > dim_bound or dim.d2 > dim_bound:
         print(f"error: dimensions above {dim_bound} need --max-dim",
               file=sys.stderr)
         return 1
-    _require_nonempty(args)
+    _require_nonempty(dim)
     report = run_verify(args.d1, args.d2, seed=args.seed,
                         skip_wreg=args.skip_wreg)
     text = _dumps(report)
@@ -169,7 +170,7 @@ def _parse_y0(spec: str) -> NormalFormY:
 
 
 def cmd_separate(args) -> int:
-    _require_nonempty(args)
+    _require_nonempty(DimVector(args.d1, args.d2))
     try:
         comp = tuple(int(v) for v in args.comp.split(","))
     except ValueError:

@@ -11,20 +11,20 @@ representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True, order=True)
-class DimVector:
+class DimVector(namedtuple("DimVector", "d1 d2")):
     """Graded dimensions (d1, d2) at the two vertices."""
 
-    d1: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, d1: int, d2: int):
+        self = super().__new__(cls, d1, d2)
         if self.d1 < 0 or self.d2 < 0:
             raise ValueError(f"negative dimension in {(self.d1, self.d2)}")
+        return self
 
     @property
     def total(self) -> int:
@@ -35,42 +35,40 @@ class DimVector:
         return min(self.d1, self.d2)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(namedtuple("Orbit", "dim r")):
     """The orbit of rank-r maps V1 -> V2."""
 
-    dim: DimVector
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim: DimVector, r: int):
+        self = super().__new__(cls, dim, r)
         if not 0 <= self.r <= self.dim.rank_bound:
             raise ValueError(f"rank {self.r} out of range for {self.dim}")
+        return self
 
 
-@dataclass(frozen=True)
-class PiModClass:
+class PiModClass(namedtuple("PiModClass", "dim r s")):
     """Isomorphism class of a pair (x, y) with x y = 0 = y x.
 
     r = rank(x), s = rank(y); the vanishing of both products forces
     r + s <= min(d1, d2), and conversely every such (r, s) occurs.
     """
 
-    dim: DimVector
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim: DimVector, r: int, s: int):
+        self = super().__new__(cls, dim, r, s)
         if self.r < 0 or self.s < 0 or self.r + self.s > self.dim.rank_bound:
             raise ValueError(
                 f"no pair with ranks ({self.r}, {self.s}) exists on {self.dim}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class ConormalComponent:
+class ConormalComponent(namedtuple("ConormalComponent", "orbit")):
     """Closure of the conormal space to an orbit; a component of the pair variety."""
 
-    orbit: Orbit
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

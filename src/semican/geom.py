@@ -12,7 +12,7 @@ probe lives in semican.wreg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ratlin
@@ -23,14 +23,14 @@ class GenericityError(ValueError):
     """The pair is not a generic point of its conormal component."""
 
 
-@dataclass(frozen=True)
-class PairPoint:
+class PairPoint(namedtuple("PairPoint", "x y")):
     """A rational pair (x, y) with both products zero."""
 
-    x: tuple[tuple[Fraction, ...], ...]  # d2 x d1
-    y: tuple[tuple[Fraction, ...], ...]  # d1 x d2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, x: tuple[tuple[Fraction, ...], ...],  # d2 x d1
+                y: tuple[tuple[Fraction, ...], ...]):  # d1 x d2
+        self = super().__new__(cls, x, y)
         d2 = len(self.x)
         d1 = len(self.y)
         if any(len(r) != d1 for r in self.x) or any(len(r) != d2 for r in self.y):
@@ -41,6 +41,7 @@ class PairPoint:
             v != 0 for row in yx for v in row
         ):
             raise ValueError("x y and y x must both vanish")
+        return self
 
     @classmethod
     def from_class(cls, c: PiModClass) -> "PairPoint":

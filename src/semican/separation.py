@@ -13,7 +13,7 @@ origin equals 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -26,18 +26,16 @@ class SeparationError(RuntimeError):
     """Bilinearity failed; carries the witness monomial.  Must never happen."""
 
 
-@dataclass(frozen=True)
-class FlagShape:
+class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
     """Slot data of a composition: which matrix entries may be nonzero.
 
     t_slots / s_slots are the 1-based positions of the vertex-1 / vertex-2
-    letters.  x (d2 x d1) may be nonzero at (i, j) iff s_i < t_j; y (d1 x d2)
-    at (j, i) iff t_j < s_i.  Exactly one of the two holds for every pair.
+    letters, each a tuple of ints.  x (d2 x d1) may be nonzero at (i, j) iff
+    s_i < t_j; y (d1 x d2) at (j, i) iff t_j < s_i.  Exactly one of the two
+    holds for every pair.
     """
 
-    composition: tuple[int, ...]
-    t_slots: tuple[int, ...]
-    s_slots: tuple[int, ...]
+    # no __slots__: the two cached_property tables live in the __dict__
 
     @property
     def d1(self) -> int:
@@ -164,17 +162,18 @@ def _flag_shape(composition: tuple) -> FlagShape:
     return FlagShape(a, t, s)
 
 
-@dataclass(frozen=True)
-class NormalFormY:
+class NormalFormY(namedtuple("NormalFormY", "entries")):
     """Partial matching of unit entries: at most one per row and per column."""
 
-    entries: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: frozenset[tuple[int, int]]):
+        self = super().__new__(cls, entries)
         rows = [i for i, _ in self.entries]
         cols = [j for _, j in self.entries]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError(f"repeated row or column in {sorted(self.entries)}")
+        return self
 
     @classmethod
     def of(cls, *positions) -> "NormalFormY":

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -314,7 +313,7 @@ def test_cc_multiplicities_checks_the_section_identity():
     dim = DimVector(2, 2)
     t = transfer_matrix(dim)
     j = pi_classes(dim).index(PiModClass(dim, 1, 0))
-    t = dataclasses.replace(t, entries=tuple(
+    t = t._replace(entries=tuple(
         row[:j] + (2 * row[j],) + row[j + 1:] for row in t.entries))
     assert t.mismatch is None
     assert lift_failures(t) == ["section_identity (r=1)"]

@@ -378,12 +378,18 @@ def test_verify_non_value_error_in_stage_exits_2(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_verify_negative_dimension_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "--d1", "-1", "--d2", "2",
-                         "--skip-wreg")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d1", "-1", "--d2", "1", "--skip-wreg"],
+    ["verify", "--d1", "5", "--d2", "-5", "--skip-wreg"],
+    ["separate", "--d1", "-1", "--d2", "3", "--comp", "2,2", "--all"],
+    ["orbits", "--d1", "-1", "--d2", "1"],
+])
+def test_verify_negative_dimension_is_usage_error(capsys, argv):
+    # every command reports a negative dimension before any other check
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "negative dimension" in err
+    assert err == f"error: negative dimension in ({argv[2]}, {argv[4]})\n"
 
 
 def test_verify_sep_samples_option_is_gone(capsys):
@@ -419,22 +425,28 @@ def test_verify_sampled_iff_fewer_instances_checked(monkeypatch):
 
 def test_cli_import_does_not_load_numpy():
     # numpy is imported by the wreg stage only: neither the command line nor
-    # `separate` nor `verify --skip-wreg` loads it
+    # `separate` nor `verify --skip-wreg` loads it.  Nor do they, or the
+    # library modules, load dataclasses or the inspect module it imports,
+    # which together cost every process about 20 ms of set-up.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('numpy', 'dataclasses', 'inspect'))\n"
+        "import semican.bases, semican.core\n"
+        "print(loaded())\n"
         "from semican.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['separate', '--d1', '2', '--d2', '2',"
         " '--comp', '1,2,2,1', '--all']) == 0\n"
         "    assert main(['verify', '--d1', '2', '--d2', '2',"
         " '--skip-wreg']) == 0\n"
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'numpy'))")
+        "print(loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n") == ["[]", "[]", ""]
 
 
 def test_separate_single(capsys):

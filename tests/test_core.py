@@ -1,12 +1,17 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from semican import ratlin
+from semican.bases import (ConstructibleFnE, canonical_fn, m_coefficients,
+                           transfer_matrix)
 from semican.core import (ConormalComponent, DimVector, Orbit, PiModClass,
                           dual_orbit, enumerate_orbits, orbit_dim,
                           representative_pair, sign_parity)
+from semican.geom import PairPoint
+from semican.separation import NormalFormY, flag_shape
 
 from oracles import QPoly, gauss_binom
 
@@ -187,6 +192,39 @@ def test_invalid_classes_rejected():
         PiModClass(DimVector(2, 2), 2, 1)
     with pytest.raises(ValueError):
         DimVector(-1, 2)
+    with pytest.raises(ValueError, match="negative dimension in \\(1, -2\\)"):
+        DimVector(d1=1, d2=-2)
+    with pytest.raises(ValueError, match="one value per orbit required"):
+        ConstructibleFnE(DimVector(2, 2), (Fraction(1), Fraction(0)))
+    one, zero = Fraction(1), Fraction(0)
+    with pytest.raises(ValueError, match="incompatible matrix shapes"):
+        PairPoint(((one, zero),), ((zero,),))  # x is 1 x 2, y 1 x 1
+    with pytest.raises(ValueError, match="x y and y x must both vanish"):
+        PairPoint(((one,),), ((one,),))
+    with pytest.raises(ValueError,
+                       match=r"repeated row or column in \[\(1, 1\), \(1, 2\)\]"):
+        NormalFormY(frozenset({(1, 1), (1, 2)}))
+
+
+def test_value_types_by_keyword_and_pickle():
+    # immutable tuples whose equality is tuple equality; a worker process
+    # receives them pickled
+    assert DimVector(d1=1, d2=2) == DimVector(1, 2) == (1, 2)
+    assert Orbit(dim=DimVector(1, 2), r=1).dim.d2 == 2
+    dim = DimVector(2, 2)
+    shape = flag_shape((1, 2, 2, 1))
+    assert shape.packed_chart is shape.packed_chart  # cached in __dict__
+    values = [dim, Orbit(dim, 1), PiModClass(dim, 1, 1),
+              ConormalComponent(Orbit(dim, 1)), canonical_fn(dim, 1),
+              m_coefficients(dim), transfer_matrix(dim),
+              PairPoint.from_class(PiModClass(dim, 1, 1)), shape,
+              NormalFormY.of((1, 1))]
+    assert len({type(v) for v in values}) == 10
+    for v in values:
+        copy = pickle.loads(pickle.dumps(v))
+        assert type(copy) is type(v) and copy == v and hash(copy) == hash(v)
+        with pytest.raises(AttributeError):
+            setattr(v, v._fields[0], None)
 
 
 def test_conormal_component():
