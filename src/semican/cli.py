@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--skip-wreg", action="store_true",
                    help="skip the floating-point stratification probe")
-    p.add_argument("--max-dim", type=int, default=4,
+    p.add_argument("--max-dim", type=int, default=6,
                    help="largest vertex dimension accepted")
     p.add_argument("--out", help="write the JSON report to a file")
     p.set_defaults(func=cmd_verify)

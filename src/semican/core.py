@@ -12,7 +12,6 @@ representatives.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 
 class DimVector(namedtuple("DimVector", "d1 d2")):
@@ -127,14 +126,14 @@ def sign_parity(o: Orbit) -> int:
     return o.dim.d1 * o.dim.d2 - orbit_dim(dual_orbit(o)) - orbit_dim(o)
 
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def _zeros(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+def _zeros(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
 
 
-def _freeze(m: list[list[Fraction]]) -> Matrix:
+def _freeze(m: list[list[int]]) -> Matrix:
     return tuple(tuple(row) for row in m)
 
 
@@ -143,13 +142,13 @@ def representative_pair(c: PiModClass) -> tuple[Matrix, Matrix]:
 
     x (d2 x d1) carries an identity block in the top-left corner, y (d1 x d2)
     in the bottom-right; r + s <= min(d1, d2) keeps the blocks disjoint, so
-    x y = 0 = y x holds exactly.
+    x y = 0 = y x holds exactly.  The entries are the ints 0 and 1.
     """
     d1, d2 = c.dim.d1, c.dim.d2
     x = _zeros(d2, d1)
     for i in range(c.r):
-        x[i][i] = Fraction(1)
+        x[i][i] = 1
     y = _zeros(d1, d2)
     for k in range(c.s):
-        y[d1 - 1 - k][d2 - 1 - k] = Fraction(1)
+        y[d1 - 1 - k][d2 - 1 - k] = 1
     return _freeze(x), _freeze(y)

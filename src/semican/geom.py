@@ -6,8 +6,9 @@ orbit dimensions: rank = dim S + dim S-hat - d1*d2 at points where the pair
 is generic in its conormal component.  Because both products vanish, the
 Hessian is determined by its mixed block, the pairing form B, whose entries
 are single products x[.][.] y[.][.] in closed form; the check ranks B alone.
-Everything here is rational and exact; the floating-point stratification
-probe lives in semican.wreg.
+Everything here is exact: the class representatives are integer matrices, and
+rationals appear only where a kernel is read off.  The floating-point
+stratification probe lives in semican.wreg.
 """
 
 from __future__ import annotations
@@ -24,12 +25,16 @@ class GenericityError(ValueError):
 
 
 class PairPoint(namedtuple("PairPoint", "x y")):
-    """A rational pair (x, y) with both products zero."""
+    """A pair (x, y) of int or Fraction matrices with both products zero.
+
+    `from_class` gives int entries, so the forms and ranks built from it
+    stay in integers.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, x: tuple[tuple[Fraction, ...], ...],  # d2 x d1
-                y: tuple[tuple[Fraction, ...], ...]):  # d1 x d2
+    def __new__(cls, x: tuple[tuple[int | Fraction, ...], ...],  # d2 x d1
+                y: tuple[tuple[int | Fraction, ...], ...]):  # d1 x d2
         self = super().__new__(cls, x, y)
         d2 = len(self.x)
         d1 = len(self.y)

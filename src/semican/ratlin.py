@@ -27,8 +27,9 @@ class InconsistentSystem(ValueError):
 
 
 def mat_mul(a, b):
+    """The product of two matrices of ints or Fractions, exactly."""
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         for t in range(k):
             ait = a[i][t]

@@ -13,6 +13,7 @@ origin equals 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -36,6 +37,10 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
     """
 
     # no __slots__: the two cached_property tables live in the __dict__
+
+    def __reduce__(self):
+        # pickled as its composition alone, without the cached tables
+        return flag_shape, (self.composition,)
 
     @property
     def d1(self) -> int:
@@ -229,6 +234,128 @@ def enumerate_instances(dim: DimVector):
         shape = flag_shape(a)
         for m in enumerate_matchings(shape):
             yield a, m
+
+
+# ---------------------------------------------------------------------------
+# the instances by index, in `enumerate_instances` order
+#
+# Row i of a composition admits the columns j > before[i - 1], the number
+# of letters 2 before its i-th letter 1.  These sets shrink as i grows, so
+# the admissible positions form a Ferrers board, and removing some rows and
+# columns leaves one.
+
+
+def _rook_numbers(heights, most: int) -> list[int]:
+    """r[k], for k <= most: the k-entry matchings of a Ferrers board.
+
+    `heights` are its row lengths, nondecreasing, so each row's columns
+    contain those of the rows before it, and an entry in a row has (length
+    - entries placed so far) free columns (Goldman, Joichi and White, Proc.
+    AMS 52, 1975).
+    """
+    r = [1] + [0] * most
+    for h in heights:
+        for k in range(most, 0, -1):
+            r[k] += (h - k + 1) * r[k - 1]
+    return r
+
+
+def _blocks(sized, base: int, ranks: list[int]):
+    """The blocks that hold a rank, in order.
+
+    `sized` yields (key, size) of consecutive blocks, the first starting at
+    `base`; `ranks` are sorted.  Yields (key, start, the ranks in it), and
+    stops once every rank is placed, so later sizes are never computed.
+    """
+    for key, n in sized:
+        k = bisect_left(ranks, base + n)
+        if k:
+            yield key, base, ranks[:k]
+            ranks = ranks[k:]
+            if not ranks:
+                return
+        base += n
+
+
+def _sized_compositions(dim: DimVector):
+    """((composition, before), its instance count) of each composition, in
+    `compositions` order."""
+    for a in compositions(dim.d1, dim.d2):
+        before, twos = [], 0
+        for letter in a:
+            if letter == 1:
+                before.append(twos)
+            else:
+                twos += 1
+        free = [dim.d2 - b for b in reversed(before)]
+        yield (a, before), sum(_rook_numbers(free, dim.d1))
+
+
+def count_instances(dim: DimVector) -> int:
+    """len(list(enumerate_instances(dim))), without listing them: the sum
+    over all compositions of their rook numbers."""
+    return sum(n for _, n in _sized_compositions(dim))
+
+
+def instances_at(dim: DimVector, indices) -> list[tuple[tuple, NormalFormY]]:
+    """The instances of `enumerate_instances(dim)` at these indices.
+
+    One walk over the compositions, skipping each by its instance count;
+    the indices in one composition share its counting.  Raises IndexError
+    unless every index is in range(count_instances(dim)).
+    """
+    indices = list(indices)
+    wanted = sorted(set(indices))
+    if wanted and wanted[0] < 0:
+        raise IndexError(f"instance index {wanted[0]} is negative")
+    found: dict[int, tuple[tuple, NormalFormY]] = {}
+    for (a, before), base, ranks in _blocks(_sized_compositions(dim), 0,
+                                            wanted):
+        picked = _matchings_at(before, dim.d2, [r - base for r in ranks])
+        for r, entries in zip(ranks, picked):
+            found[r] = a, NormalFormY(frozenset(entries))
+    if len(found) < len(wanted):
+        raise IndexError(f"instance index {wanted[-1]} out of range for "
+                         f"({dim.d1}, {dim.d2})")
+    return [found[i] for i in indices]
+
+
+def _matchings_at(before: list[int], d2: int, ranks: list[int]) -> list:
+    """The entries of the matchings of these sorted ranks in one composition.
+
+    Row i (from 1) admits the columns j with before[i - 1] < j <= d2.  The
+    matchings are ordered as `enumerate_matchings` orders them, by (size,
+    sorted entries): the blocks are the matchings of each size, by rook
+    number, then those of each next entry in (row, column) order, by the
+    count of their completions in the later rows, less its column.
+    """
+    out: list[tuple] = []
+
+    def walk(free, row, entries, size, base, ranks):
+        cols = {c for _, c in entries}
+        if size < 2:  # a block of one matching each
+            last = [()] if not size else [
+                ((i + 1, j),) for i in range(row, len(before))
+                for j in range(before[i] + 1, d2 + 1) if j not in cols]
+            out.extend(entries + last[r - base] for r in ranks)
+            return
+
+        def next_entries():
+            for i in range(row, len(before)):
+                for j in range(before[i] + 1, d2 + 1):
+                    if j not in cols:
+                        rest = [f - (j > b) for f, b in zip(free, before)]
+                        yield ((i + 1, j), rest), _rook_numbers(
+                            rest[:i:-1], size - 1)[-1]
+
+        for (entry, rest), start, part in _blocks(next_entries(), base, ranks):
+            walk(rest, entry[0], entries + (entry,), size - 1, start, part)
+
+    free = [d2 - b for b in before]  # the free columns of each row
+    sizes = _rook_numbers(free[::-1], len(before))
+    for size, start, part in _blocks(enumerate(sizes), 0, ranks):
+        walk(free, 0, (), size, start, part)
+    return out
 
 
 def _coupled_pairs(shape: FlagShape, entries):

@@ -16,7 +16,8 @@ from .bases import (SpanningError, lift_failures, m_coefficients,
 from .core import (ConormalComponent, DimVector, Orbit, enumerate_orbits,
                    sign_parity)
 from .geom import GenericityError, PairPoint, hessian_rank_check
-from .separation import SeparationError, certify, enumerate_instances
+from .separation import (SeparationError, certify, count_instances,
+                         instances_at)
 
 SCHEMA_VERSION = 2
 # separation checks every instance when there are at most this many, and a
@@ -76,10 +77,13 @@ def run_verify(d1: int, d2: int, seed: int = 1,
     separation = {"instances": 0, "sampled": False,
                   "bilinear_ok": False, "substitution_ok": False}
     with stage("separation"):
-        instances = list(enumerate_instances(dim))
-        total = len(instances)
-        if total > SEP_SAMPLES:
-            instances = random.Random(seed).sample(instances, SEP_SAMPLES)
+        total = count_instances(dim)
+        sampled = total > SEP_SAMPLES
+        # `sample` picks the same positions from a range as from a list of
+        # its length: these are the instances a sample of the list would be
+        indices = (random.Random(seed).sample(range(total), SEP_SAMPLES)
+                   if sampled else range(total))
+        instances = instances_at(dim, indices)
         bilinear_fail = subst_fail = None  # first witness of each kind
         for a, y0 in instances:
             try:
@@ -93,8 +97,8 @@ def run_verify(d1: int, d2: int, seed: int = 1,
             failed.append(f"separation_bilinear_ok ({bilinear_fail})")
         if subst_fail:
             failed.append(f"separation_substitution_ok ({subst_fail})")
-        separation.update(instances=len(instances),
-                          sampled=len(instances) < total,
+        separation.update(instances=len(indices),
+                          sampled=sampled,
                           bilinear_ok=bilinear_fail is None,
                           substitution_ok=subst_fail is None)
 

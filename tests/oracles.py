@@ -7,9 +7,10 @@ q = 1 the integer counts of semican.qcount must equal; the expansion of a
 constructible function in flag monomials and the smallness test of the
 resolutions behind canonical_fn; the word sweep that checks the lift row
 by row, mat_pi = mat_e . T on every composition and sandwich word; the
-Borel normal form of a covector with its certificate, the critical locus of
-the chart pairing, formal partial derivatives of polynomials, the bilinear
-split of a polynomial by degree counts, and the whole separation of an
+separation sample drawn from the listed instances; the Borel normal form of
+a covector with its certificate, the critical locus of the chart pairing,
+formal partial derivatives of polynomials, the bilinear split of a
+polynomial by degree counts, and the whole separation of an
 instance on tuple monomials (`RefPoly` polynomials and arithmetic, the
 trace pieces, the inversion, the X change, the one-pass bilinear split and
 back-substitution), whose polynomials the packed kernel of
@@ -20,6 +21,7 @@ separation's JSON report from its `RefPoly` fields.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +34,8 @@ from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
 from semican.qcount import Word, euler_counts, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _classify, _coupled_pairs, _fiber,
-                                _separation_error, _trace_factors, flag_shape,
+                                _separation_error, _trace_factors,
+                                enumerate_instances, flag_shape,
                                 validate_matching)
 from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
                              join_terms)
@@ -406,6 +409,20 @@ def express_in_monomials(f: ConstructibleFnE, words) -> list[Fraction]:
 
 # ---------------------------------------------------------------------------
 # separation
+
+
+def sample_by_list(dim: DimVector, seed: int, k: int) -> list:
+    """The seeded sample of k instances, drawn from the listed instances.
+
+    The way `verify` drew its separation sample before it drew indices; it
+    lists all of `enumerate_instances(dim)`.
+    """
+    return random.Random(seed).sample(_listed_instances(dim), k)
+
+
+@lru_cache(maxsize=2)
+def _listed_instances(dim: DimVector) -> tuple:
+    return tuple(enumerate_instances(dim))
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,25 @@ def test_verify_dimension_bound(capsys):
     assert "max-dim" in err
 
 
+def test_verify_6x6_by_default_in_bounded_memory():
+    # the separation sample is drawn by index, so no instance list of the
+    # 845691 instances of (6, 6) is built
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semican.cli", "verify", "--d1", "6", "--d2",
+         "6", "--skip-wreg"], env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    assert proc.returncode == 0
+    report = json.loads(out)
+    assert report["verdict"] == "PASS"
+    assert report["separation"]["instances"] == 500
+    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+
+
 def test_verify_reports_failure_with_exit_2(capsys, monkeypatch):
     def fake_verify(*args, **kwargs):
         return {"schema_version": 1, "failed_checks": ["section_identity"],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,15 +9,18 @@ import pytest
 
 from semican.core import (DimVector, PiModClass, compositions,
                           representative_pair)
+import semican.verify as verify
 from semican.separation import (NormalFormY, SeparationError, certify,
-                                enumerate_instances, enumerate_matchings,
-                                flag_shape, report_dicts, separate_packed,
+                                count_instances, enumerate_instances,
+                                enumerate_matchings, flag_shape, instances_at,
+                                report_dicts, separate_packed,
                                 validate_matching)
 from semican.sympoly import VarId
 
 from oracles import (RefPoly, _inversion, _x_change, back_substitute,
                      critical_locus_check, decode_separation, expand_trace,
-                     normal_form, reference_dict, separate_reference)
+                     normal_form, reference_dict, sample_by_list,
+                     separate_reference)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -114,6 +118,68 @@ def test_enumerate_instances_counts():
         ((1, 2), []), ((1, 2), [(1, 1)]), ((2, 1), []),
     ]
     assert len(list(enumerate_instances(DimVector(0, 1)))) == 1
+
+
+def test_count_instances_matches_the_listing():
+    for d1 in range(6):
+        for d2 in range(6):
+            dim = DimVector(d1, d2)
+            assert count_instances(dim) == \
+                len(list(enumerate_instances(dim))), (d1, d2)
+
+
+def test_count_instances_large():
+    assert count_instances(DimVector(6, 6)) == 845691
+    assert count_instances(DimVector(8, 8)) == 429658515
+
+
+def test_instances_at_matches_the_listing():
+    for d1 in range(5):
+        for d2 in range(5):
+            if d1 + d2:
+                dim = DimVector(d1, d2)
+                listed = list(enumerate_instances(dim))
+                assert [instances_at(dim, [i])[0]
+                        for i in range(len(listed))] == listed
+                assert instances_at(dim, reversed(range(len(listed)))) \
+                    == listed[::-1]
+
+
+def test_instances_at_rejects_out_of_range():
+    dim = DimVector(1, 1)
+    assert instances_at(dim, []) == []
+    for i in (-1, 3):
+        with pytest.raises(IndexError):
+            instances_at(dim, [0, i])
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_verify_certifies_the_list_sample(monkeypatch, d):
+    # a report does not list its instances, so the golden reports cannot
+    # see a changed sample; record what verify certifies instead
+    dim = DimVector(d, d)
+    certified = []
+
+    def record(a, y0):
+        certified.append((a, y0))
+        return True
+
+    monkeypatch.setattr(verify, "certify", record)
+    for seed in range(1, 6):
+        certified.clear()
+        verify.run_verify(d, d, seed=seed, skip_wreg=True)
+        assert certified == sample_by_list(dim, seed, verify.SEP_SAMPLES)
+
+
+def test_flag_shape_pickles_as_its_composition():
+    comp = (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)
+    shape = flag_shape(comp)
+    size = len(pickle.dumps(shape))
+    for y0 in enumerate_matchings(shape):
+        certify(comp, y0)
+    assert "packed_chart" in vars(shape)
+    assert len(pickle.dumps(shape)) == size
+    assert pickle.loads(pickle.dumps(shape)) == shape
 
 
 def test_matching_validation():
