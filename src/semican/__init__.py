@@ -3,8 +3,8 @@
 Orbit combinatorics, Euler characteristics of flag fibres (integer counts at
 q = 1), the monomial expansion relating canonical stalk functions to generic
 values on conormal components, a symbolic variable-separation certificate
-for the chart trace functions, and exact second-order geometry checks, all
-over the rationals; only the optional regularity probe (semican.wreg) uses
+for the chart trace functions, and exact second-order geometry and
+w-regularity checks, all over the integers and rationals; nothing here uses
 floats.
 """
 

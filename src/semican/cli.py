@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .core import (DimVector, dual_orbit, enumerate_orbits, orbit_dim,
                    sign_parity)
-from .separation import (NormalFormY, SeparationError, enumerate_matchings,
-                         flag_shape, report_dicts)
+from .separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
+                         matchings, report_dicts)
 from .verify import SCHEMA_VERSION, run_verify
 
 _quote = json.encoder.encode_basestring_ascii
@@ -136,6 +136,11 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 1
     _require_nonempty(dim)
+    if dim.rank_bound > MAX_RANK_BOUND:
+        print(f"error: min(d1, d2) = {dim.rank_bound} is above "
+              f"{MAX_RANK_BOUND}, the largest the separation's exponent "
+              f"fields hold", file=sys.stderr)
+        return 1
     report = run_verify(args.d1, args.d2, seed=args.seed,
                         skip_wreg=args.skip_wreg)
     text = _dumps(report)
@@ -186,9 +191,8 @@ def cmd_separate(args) -> int:
     # in the construction, and main reports it
     try:
         if args.all:
-            matchings = enumerate_matchings(flag_shape(comp))
             out = {"schema_version": SCHEMA_VERSION,
-                   "reports": report_dicts(comp, matchings)}
+                   "reports": report_dicts(comp, matchings(comp))}
         else:
             out = {**report_dicts(comp, [_parse_y0(args.y0)])[0],
                    "schema_version": SCHEMA_VERSION}
@@ -218,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--skip-wreg", action="store_true",
-                   help="skip the floating-point stratification probe")
+                   help="skip the exact w-regularity rank checks of the "
+                        "orbit stratification")
     p.add_argument("--max-dim", type=int, default=6,
                    help="largest vertex dimension accepted")
     p.add_argument("--out", help="write the JSON report to a file")

@@ -6,9 +6,10 @@ orbit dimensions: rank = dim S + dim S-hat - d1*d2 at points where the pair
 is generic in its conormal component.  Because both products vanish, the
 Hessian is determined by its mixed block, the pairing form B, whose entries
 are single products x[.][.] y[.][.] in closed form; the check ranks B alone.
-Everything here is exact: the class representatives are integer matrices, and
-rationals appear only where a kernel is read off.  The floating-point
-stratification probe lives in semican.wreg.
+The rank stratification of Hom(V1, V2) is checked to be regular by ranks
+too: `w_regularity` checks the premises of the orbit argument for Verdier's
+condition (w).  Everything here is exact: the class and orbit
+representatives are integer matrices, and every check is an integer rank.
 """
 
 from __future__ import annotations
@@ -113,6 +114,81 @@ def hessian_rank_check(p: PairPoint) -> bool:
     return ratlin.rank(bilinear_form_B(p)) == expected_hessian_rank(p)
 
 
+# the points x(t) = rep_ri + t (rep_rj - rep_ri) at which each pair of
+# orbits ri < rj is checked
+LINE_STEPS = (1, 2, 3)
+
+
+def action_rank(z) -> int:
+    """Rank of L_z: (a, b) -> a z + z b on gl(d2) x gl(d1), for z d2 x d1.
+
+    L_z is the derivative of (g, h) -> g z h^-1 at the identity, up to the
+    sign of b, so its image is the tangent space of the orbit of z.  One
+    row per entry (i, j) of z: a[i][k] has the coefficient z[k][j], and
+    b[k][j] the coefficient z[i][k].
+    """
+    d2, d1 = len(z), len(z[0]) if z else 0
+    rows = []
+    for i in range(d2):
+        for j in range(d1):
+            row = [0] * (d2 * d2 + d1 * d1)
+            for k in range(d2):
+                row[i * d2 + k] = z[k][j]
+            for k in range(d1):
+                row[d2 * d2 + k * d1 + j] = z[i][k]
+            rows.append(row)
+    return ratlin.rank(rows)
+
+
+def w_regularity(dim: DimVector) -> tuple[list[dict], list[str]]:
+    """The exact premises of Verdier's condition (w) for the rank strata.
+
+    Orbit r: rank L_y = orbit_dim(r), the dimension of the stratum S_r
+    (one orbit), at its representative y, so T_y S_r = im L_y.  Pair
+    ri < rj: x(t) has rank rj (the frontier relation) and rank L_x(t) =
+    orbit_dim(rj) at each of LINE_STEPS.  Then (a, b) -> (L_y(a, b), L_x(a, b)) pairs T_y S_ri with
+    T_x S_rj, and L_y(a, b) - L_x(a, b) = a (y - x) + (y - x) b bounds
+    their distance by 2 |(a, b)| |x - y| (README, "Regularity").
+
+    Returns one report per pair, in (ri, rj) order, holding the ranks that
+    were checked, and the failed checks, each naming its orbit or pair.
+    """
+    n = dim.rank_bound
+    # the x of the pair class (r, 0): an identity block of size r top-left
+    reps = [representative_pair(PiModClass(dim, r, 0))[0]
+            for r in range(n + 1)]
+    expected = [orbit_dim(Orbit(dim, r)) for r in range(n + 1)]
+    tangent = [action_rank(rep) for rep in reps]
+    failed = [f"w_regularity (orbit {r}: tangent rank {tangent[r]}, "
+              f"expected {expected[r]})"
+              for r in range(n + 1) if tangent[r] != expected[r]]
+    reports = []
+    for ri in range(n + 1):
+        for rj in range(ri + 1, n + 1):
+            line = [[[a + t * (b - a) for a, b in zip(row_i, row_j)]
+                     for row_i, row_j in zip(reps[ri], reps[rj])]
+                    for t in LINE_STEPS]
+            ranks = [ratlin.rank(x) for x in line]
+            tangents = [action_rank(x) for x in line]
+            bad = [(t, k, m) for t, k, m in zip(LINE_STEPS, ranks, tangents)
+                   if k != rj or m != expected[rj]]
+            if bad:
+                t, k, m = bad[0]
+                what = (f"rank {k} at t = {t}, expected {rj}" if k != rj
+                        else f"tangent rank {m} at t = {t}, "
+                             f"expected {expected[rj]}")
+                failed.append(f"w_regularity (inner {ri}, outer {rj}: {what})")
+            reports.append({
+                "inner_rank": ri,
+                "outer_rank": rj,
+                "inner_tangent_rank": tangent[ri],
+                "line_ranks": ranks,
+                "outer_tangent_ranks": tangents,
+                "passed": tangent[ri] == expected[ri] and not bad,
+            })
+    return reports, failed
+
+
 def _conormal_rows(p: PairPoint) -> list[list]:
     """Equations of [u, y] + [x, v] = 0, one row per matrix entry.
 
@@ -142,21 +218,9 @@ def _conormal_rows(p: PairPoint) -> list[list]:
     return rows
 
 
-def conormal_tangent(p: PairPoint):
-    """Basis of the solution space of [u, y] + [x, v] = 0, as (u, v) pairs.
-
-    At a smooth point of one component it has dimension exactly d1*d2.
-    """
-    d1, d2 = p.dim.d1, p.dim.d2
-    nu = d1 * d2
-    out = []
-    for vec in ratlin.kernel_basis(_conormal_rows(p)):
-        u = tuple(tuple(vec[i * d1 + j] for j in range(d1)) for i in range(d2))
-        v = tuple(tuple(vec[nu + i * d2 + j] for j in range(d2)) for i in range(d1))
-        out.append((u, v))
-    return out
-
-
 def conormal_dimension(p: PairPoint) -> int:
-    """Dimension of the solution space of conormal_tangent, by one rank."""
+    """Dimension of the solution space of [u, y] + [x, v] = 0, by one rank.
+
+    At a smooth point of one component it is exactly d1*d2.
+    """
     return 2 * p.dim.d1 * p.dim.d2 - ratlin.rank(_conormal_rows(p))

@@ -43,9 +43,6 @@ class Slots:
         # monomial: fewer objects to allocate
         self._linear = [(v, 1) for v in self.variables]
 
-    def encode(self, mono: Mono) -> int:
-        return sum(self.unit[v] * e for v, e in mono)
-
     def decode(self, mono: int) -> Mono:
         """The sorted tuple monomial; visits only the set fields."""
         out = []

@@ -5,8 +5,8 @@ takes the rows in the given order and reduces each against the rows kept so
 far with the fraction-free step v <- p*v - f*b (Bareiss 1968, Math. Comp. 22),
 dividing by the gcd of the entries to keep them small.  The kept rows are the
 reduced row echelon form up to one nonzero integer per row.  That form is
-unique, so rank, pivot columns, kernel and solutions do not depend on the
-order of the steps; rationals are built only when a result is read off.
+unique, so the rank and the solutions of `solve_square` do not depend on
+the order of the steps; rationals are built only when a result is read off.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ def mat_mul(a, b):
             for j in range(m):
                 orow[j] += ait * brow[j]
     return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -90,47 +86,6 @@ def echelon(a, limit: int | None = None) -> tuple[list[int], Basis]:
 
 def rank(a) -> int:
     return len(echelon(a)[1])
-
-
-def pivot_columns(a) -> list[int]:
-    """Columns reached by elimination in the given column order."""
-    return [c for c, _ in echelon(a)[1]]
-
-
-def kernel_basis(a) -> list[Row]:
-    """Basis of the right nullspace {v : a v = 0}."""
-    if not a:
-        return []
-    n_cols = len(a[0])
-    basis = echelon(a)[1]
-    pivots = {c for c, _ in basis}
-    out = []
-    for fc in range(n_cols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for c, b in basis:
-            v[c] = Fraction(-b[fc], b[c])
-        out.append(v)
-    return out
-
-
-def solve_pivoted(a, b) -> Row:
-    """One exact solution of a x = b, free variables pinned to zero.
-
-    Pivoting follows the column order of `a`, so for a fixed matrix the
-    returned solution is deterministic.  Raises InconsistentSystem when b is
-    outside the column span.
-    """
-    n_cols = len(a[0]) if a else 0
-    basis = echelon([list(row) + [b[i]] for i, row in enumerate(a)])[1]
-    x = [Fraction(0)] * n_cols
-    for k, (c, row) in enumerate(basis):
-        if c == n_cols:
-            raise InconsistentSystem(k)
-        x[c] = Fraction(row[n_cols], row[c])
-    return x
 
 
 def solve_square(a, b) -> list[Row]:

@@ -60,10 +60,6 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
         return [(i, j) for i in range(1, self.d2 + 1)
                 for j in range(1, self.d1 + 1) if self.adm_x(i, j)]
 
-    def y_positions(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(1, self.d1 + 1)
-                for j in range(1, self.d2 + 1) if self.adm_y(i, j)]
-
     @cached_property
     def chart_vars(self):
         """(M, N, X) chart variables of the shape, each as (var, row, col).
@@ -120,9 +116,10 @@ class _PackedChart:
     M expression of the inversion has degree <= max(1, k), each X
     expression and each primed definition degree <= k + 1, so the separated
     trace (from X*N, X*M, X*M*N terms) has degree <= 2k + 2 and its back
-    substitution degree <= 2(k + 1)**2.  No exponent exceeds the degree of
-    its monomial, so this bound, checked by `packed.Slots`, keeps every
-    exponent inside its field; it allows k <= 10 with 8-bit fields.
+    substitution degree <= 2(k + 1)**2 (`_degree_bound`).  No exponent
+    exceeds the degree of its monomial, so this bound, checked by
+    `packed.Slots`, keeps every exponent inside its field; MAX_RANK_BOUND
+    is the largest k it allows.
     """
 
     def __init__(self, shape: FlagShape):
@@ -134,7 +131,7 @@ class _PackedChart:
                 for _, r, c in group]
         variables = [VarId(*key) for key in keys]
         self.slots = packed.Slots(
-            variables, max_degree=2 * (min(shape.d1, shape.d2) + 1) ** 2)
+            variables, max_degree=_degree_bound(min(shape.d1, shape.d2)))
         self.unit = dict(zip(keys, map(self.slots.unit.get, variables)))
         self._pieces: dict = {}
 
@@ -146,6 +143,17 @@ class _PackedChart:
                 sum([unit[f] for f in fs]): 1
                 for fs in _trace_factors(self.shape, entry)}
         return p
+
+
+def _degree_bound(k: int) -> int:
+    """The degree bound of `_PackedChart` when min(d1, d2) = k."""
+    return 2 * (k + 1) ** 2
+
+
+# the largest min(d1, d2) whose charts fit the exponent fields (10 with
+# 8-bit fields); `verify` refuses larger dimension vectors up front
+MAX_RANK_BOUND = max(k for k in range(packed.FIELD_MASK)
+                     if _degree_bound(k) <= packed.FIELD_MASK)
 
 
 def flag_shape(composition) -> FlagShape:
@@ -204,41 +212,11 @@ def validate_matching(shape: FlagShape, y0: NormalFormY) -> None:
             )
 
 
-def enumerate_matchings(shape: FlagShape) -> list[NormalFormY]:
-    """All admissible partial matchings, the empty one included."""
-    adm = shape.y_positions()
-    by_col: dict[int, list[int]] = {}
-    for i, j in adm:
-        by_col.setdefault(j, []).append(i)
-    cols = sorted(by_col)
-    out: list[NormalFormY] = []
-
-    def walk(idx: int, used_rows: frozenset, acc: tuple):
-        if idx == len(cols):
-            out.append(NormalFormY(frozenset(acc)))
-            return
-        walk(idx + 1, used_rows, acc)
-        j = cols[idx]
-        for i in sorted(by_col[j]):
-            if i not in used_rows:
-                walk(idx + 1, used_rows | {i}, acc + ((i, j),))
-
-    walk(0, frozenset(), ())
-    out.sort(key=lambda m: (len(m.entries), sorted(m.entries)))
-    return out
-
-
-def enumerate_instances(dim: DimVector):
-    """Every (composition, normal-form y0) pair for this dimension vector."""
-    for a in compositions(dim.d1, dim.d2):
-        shape = flag_shape(a)
-        for m in enumerate_matchings(shape):
-            yield a, m
-
-
 # ---------------------------------------------------------------------------
-# the instances by index, in `enumerate_instances` order
+# the instances by index
 #
+# The instances of a dimension vector are ordered by composition, in
+# `compositions` order, then by matching, by (size, sorted entries).
 # Row i of a composition admits the columns j > before[i - 1], the number
 # of letters 2 before its i-th letter 1.  These sets shrink as i grows, so
 # the admissible positions form a Ferrers board, and removing some rows and
@@ -277,28 +255,47 @@ def _blocks(sized, base: int, ranks: list[int]):
         base += n
 
 
+def _twos_before(composition) -> list[int]:
+    """The number of letters 2 before each letter 1, in order."""
+    before, twos = [], 0
+    for letter in composition:
+        if letter == 1:
+            before.append(twos)
+        else:
+            twos += 1
+    return before
+
+
+def _count_matchings(before: list[int], d2: int) -> int:
+    return sum(_rook_numbers([d2 - b for b in reversed(before)], len(before)))
+
+
 def _sized_compositions(dim: DimVector):
     """((composition, before), its instance count) of each composition, in
     `compositions` order."""
     for a in compositions(dim.d1, dim.d2):
-        before, twos = [], 0
-        for letter in a:
-            if letter == 1:
-                before.append(twos)
-            else:
-                twos += 1
-        free = [dim.d2 - b for b in reversed(before)]
-        yield (a, before), sum(_rook_numbers(free, dim.d1))
+        before = _twos_before(a)
+        yield (a, before), _count_matchings(before, dim.d2)
 
 
 def count_instances(dim: DimVector) -> int:
-    """len(list(enumerate_instances(dim))), without listing them: the sum
-    over all compositions of their rook numbers."""
+    """The number of instances, without listing them: the sum over all
+    compositions of their rook numbers."""
     return sum(n for _, n in _sized_compositions(dim))
 
 
+def matchings(composition) -> list[NormalFormY]:
+    """Every admissible matching of a composition, the empty one included,
+    in instance order."""
+    shape = flag_shape(composition)
+    before = _twos_before(shape.composition)
+    ranks = list(range(_count_matchings(before, shape.d2)))
+    return [NormalFormY(frozenset(entries))
+            for entries in _matchings_at(before, shape.d2, ranks)]
+
+
 def instances_at(dim: DimVector, indices) -> list[tuple[tuple, NormalFormY]]:
-    """The instances of `enumerate_instances(dim)` at these indices.
+    """The instances of `dim` at these indices of the instance order.
 
     One walk over the compositions, skipping each by its instance count;
     the indices in one composition share its counting.  Raises IndexError
@@ -324,10 +321,10 @@ def _matchings_at(before: list[int], d2: int, ranks: list[int]) -> list:
     """The entries of the matchings of these sorted ranks in one composition.
 
     Row i (from 1) admits the columns j with before[i - 1] < j <= d2.  The
-    matchings are ordered as `enumerate_matchings` orders them, by (size,
-    sorted entries): the blocks are the matchings of each size, by rook
-    number, then those of each next entry in (row, column) order, by the
-    count of their completions in the later rows, less its column.
+    matchings are in instance order, by (size, sorted entries): the blocks
+    are the matchings of each size, by rook number, then those of each next
+    entry in (row, column) order, by the count of their completions in the
+    later rows, less its column.
     """
     out: list[tuple] = []
 

@@ -15,11 +15,12 @@ from .bases import (SpanningError, lift_failures, m_coefficients,
                     transfer_matrix)
 from .core import (ConormalComponent, DimVector, Orbit, enumerate_orbits,
                    sign_parity)
-from .geom import GenericityError, PairPoint, hessian_rank_check
+from .geom import (GenericityError, PairPoint, hessian_rank_check,
+                   w_regularity)
 from .separation import (SeparationError, certify, count_instances,
                          instances_at)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # separation checks every instance when there are at most this many, and a
 # seeded sample of this many otherwise
 SEP_SAMPLES = 500
@@ -122,22 +123,9 @@ def run_verify(d1: int, d2: int, seed: int = 1,
     if not skip_wreg:
         wreg_status = "FAIL"
         with stage("wreg"):
-            from . import wreg  # floats, imported only when the probe runs
-            n_failed = len(failed)
-            for ri in range(dim.rank_bound + 1):
-                for rj in range(ri + 1, dim.rank_bound + 1):
-                    try:
-                        rep = wreg.w_regularity_sample(
-                            Orbit(dim, ri), Orbit(dim, rj), n_samples=6,
-                            seed=seed)
-                    except ArithmeticError as exc:
-                        failed.append(
-                            f"w_regularity (inner {ri}, outer {rj}: {exc})")
-                        continue
-                    wreg_reports.append(rep.to_dict())
-            if not all(rep["passed"] for rep in wreg_reports):
-                failed.append("w_regularity")
-            wreg_status = "PASS" if len(failed) == n_failed else "FAIL"
+            wreg_reports, wreg_failed = w_regularity(dim)
+            failed.extend(wreg_failed)
+            wreg_status = "FAIL" if wreg_failed else "PASS"
 
     return {
         "schema_version": SCHEMA_VERSION,

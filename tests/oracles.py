@@ -3,11 +3,15 @@
 They recompute, by a different route, what the library relies on: the
 counting polynomials in q of flags of subrepresentations (Gaussian
 binomials, one-step and grouped steps, the word evaluator), whose values at
-q = 1 the integer counts of semican.qcount must equal; the expansion of a
-constructible function in flag monomials and the smallness test of the
-resolutions behind canonical_fn; the word sweep that checks the lift row
-by row, mat_pi = mat_e . T on every composition and sandwich word; the
-separation sample drawn from the listed instances; the Borel normal form of
+q = 1 the integer counts of semican.qcount must equal; pivot columns,
+kernels and pivoted solutions read off `ratlin.echelon`, and the tangent
+space of the conormal variety; the expansion of a constructible function
+in flag monomials and the smallness test of the resolutions behind
+canonical_fn; the word sweep that checks the lift row by row,
+mat_pi = mat_e . T on every composition and sandwich word; the listed
+separation instances, whose order `instances_at` and `matchings` must
+reproduce, and the sample drawn from them; the packed encoding of a tuple
+monomial; the Borel normal form of
 a covector with its certificate, the critical locus of the chart pairing,
 formal partial derivatives of polynomials, the bilinear split of a
 polynomial by degree counts, and the whole separation of an
@@ -15,7 +19,10 @@ instance on tuple monomials (`RefPoly` polynomials and arithmetic, the
 trace pieces, the inversion, the X change, the one-pass bilinear split and
 back-substitution), whose polynomials the packed kernel of
 semican.separation must reproduce once decoded, and the rendering of that
-separation's JSON report from its `RefPoly` fields.
+separation's JSON report from its `RefPoly` fields; and the seeded
+floating-point probe of the regularity of the rank stratification, the
+reference of the exact `geom.w_regularity`, the only code here that needs
+numpy.
 """
 
 from __future__ import annotations
@@ -27,16 +34,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from semican import ratlin
 from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
                            sandwich_words)
 from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
+from semican.geom import PairPoint, _conormal_rows
+from semican.packed import Slots
 from semican.qcount import Word, euler_counts, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _classify, _coupled_pairs, _fiber,
                                 _separation_error, _trace_factors,
-                                enumerate_instances, flag_shape,
-                                validate_matching)
+                                flag_shape, validate_matching)
 from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
                              join_terms)
 
@@ -334,6 +344,70 @@ def transitions(word: Word, cls, side: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra read off `ratlin.echelon`
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def pivot_columns(a) -> list[int]:
+    """Columns reached by elimination in the given column order."""
+    return [c for c, _ in ratlin.echelon(a)[1]]
+
+
+def kernel_basis(a) -> list[list[Fraction]]:
+    """Basis of the right nullspace {v : a v = 0}."""
+    if not a:
+        return []
+    n_cols = len(a[0])
+    basis = ratlin.echelon(a)[1]
+    pivots = {c for c, _ in basis}
+    out = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[fc] = Fraction(1)
+        for c, b in basis:
+            v[c] = Fraction(-b[fc], b[c])
+        out.append(v)
+    return out
+
+
+def solve_pivoted(a, b) -> list[Fraction]:
+    """One exact solution of a x = b, free variables pinned to zero.
+
+    Pivoting follows the column order of `a`, so for a fixed matrix the
+    returned solution is deterministic.  Raises InconsistentSystem when b is
+    outside the column span.
+    """
+    n_cols = len(a[0]) if a else 0
+    basis = ratlin.echelon([list(row) + [b[i]] for i, row in enumerate(a)])[1]
+    x = [Fraction(0)] * n_cols
+    for k, (c, row) in enumerate(basis):
+        if c == n_cols:
+            raise ratlin.InconsistentSystem(k)
+        x[c] = Fraction(row[n_cols], row[c])
+    return x
+
+
+def conormal_tangent(p: PairPoint):
+    """Basis of the solution space of [u, y] + [x, v] = 0, as (u, v) pairs.
+
+    At a smooth point of one component it has dimension exactly d1*d2.
+    """
+    d1, d2 = p.dim.d1, p.dim.d2
+    nu = d1 * d2
+    out = []
+    for vec in kernel_basis(_conormal_rows(p)):
+        u = tuple(tuple(vec[i * d1 + j] for j in range(d1)) for i in range(d2))
+        v = tuple(tuple(vec[nu + i * d2 + j] for j in range(d2)) for i in range(d1))
+        out.append((u, v))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the word sweep
 
 
@@ -399,16 +473,65 @@ def express_in_monomials(f: ConstructibleFnE, words) -> list[Fraction]:
     """
     mat_e = monomial_matrix(f.dim, words, "E")
     n_orbits = f.dim.rank_bound + 1
-    covered = set(ratlin.pivot_columns(mat_e))
+    covered = set(pivot_columns(mat_e))
     if len(covered) < n_orbits:
         missing = [r for r in range(n_orbits) if r not in covered]
         raise SpanningError(f.dim, missing)
-    system = ratlin.transpose(mat_e)  # orbit equations, word unknowns
-    return ratlin.solve_pivoted(system, list(f.values))
+    system = transpose(mat_e)  # orbit equations, word unknowns
+    return solve_pivoted(system, list(f.values))
 
 
 # ---------------------------------------------------------------------------
 # separation
+
+
+def enumerate_matchings(shape: FlagShape) -> list[NormalFormY]:
+    """All admissible partial matchings, the empty one included, by (size,
+    sorted entries): a walk over the columns, then a sort."""
+    adm = y_positions(shape)
+    by_col: dict[int, list[int]] = {}
+    for i, j in adm:
+        by_col.setdefault(j, []).append(i)
+    cols = sorted(by_col)
+    out: list[NormalFormY] = []
+
+    def walk(idx: int, used_rows: frozenset, acc: tuple):
+        if idx == len(cols):
+            out.append(NormalFormY(frozenset(acc)))
+            return
+        walk(idx + 1, used_rows, acc)
+        j = cols[idx]
+        for i in sorted(by_col[j]):
+            if i not in used_rows:
+                walk(idx + 1, used_rows | {i}, acc + ((i, j),))
+
+    walk(0, frozenset(), ())
+    out.sort(key=lambda m: (len(m.entries), sorted(m.entries)))
+    return out
+
+
+def enumerate_instances(dim: DimVector):
+    """Every (composition, normal-form y0) pair for this dimension vector,
+    in instance order: the reference `count_instances`, `instances_at` and
+    `matchings` are tested against."""
+    for a in compositions(dim.d1, dim.d2):
+        shape = flag_shape(a)
+        for m in enumerate_matchings(shape):
+            yield a, m
+
+
+
+
+def y_positions(shape: FlagShape) -> list[tuple[int, int]]:
+    """The admissible entries (row, column) of y0, row-major."""
+    return [(i, j) for i in range(1, shape.d1 + 1)
+            for j in range(1, shape.d2 + 1) if shape.adm_y(i, j)]
+
+
+def encode(slots: Slots, mono: Mono) -> int:
+    """The packed monomial of a tuple monomial: the inverse of
+    `slots.decode`."""
+    return sum(slots.unit[v] * e for v, e in mono)
 
 
 def sample_by_list(dim: DimVector, seed: int, k: int) -> list:
@@ -976,3 +1099,154 @@ def reference_dict(report: SeparationReport) -> dict:
         "b_matrix": [[cell.to_str() for cell in row]
                      for row in report.bilinear.matrix],
     }
+
+
+# ---------------------------------------------------------------------------
+# the floating-point probe of the regularity of the rank stratification
+#
+# Sampled points on a larger rank orbit approach a point of a smaller one
+# along a shrinking distance ladder, and the distance between the two
+# tangent spaces is compared with the distance between the points.  The
+# exact `geom.w_regularity` is tested against it.
+
+
+@dataclass(frozen=True)
+class WRegReport:
+    """Sampled tangent-distance ratios along a shrinking distance ladder."""
+
+    dim: tuple[int, int]
+    inner_rank: int
+    outer_rank: int
+    seed: int
+    n_samples: int
+    scales: tuple[float, ...]
+    max_ratios: tuple[float, ...]
+    threshold: float
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "dim": list(self.dim),
+            "inner_rank": self.inner_rank,
+            "outer_rank": self.outer_rank,
+            "seed": self.seed,
+            "n_samples": self.n_samples,
+            "scales": list(self.scales),
+            "max_ratios": list(self.max_ratios),
+            "threshold": self.threshold,
+            "passed": self.passed,
+        }
+
+
+def _orthonormal_rowspace(gens: np.ndarray, expected_rank: int) -> np.ndarray:
+    _, svals, vt = np.linalg.svd(gens, full_matrices=False)
+    tol = max(gens.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0)
+    k = int((svals > tol).sum())
+    if expected_rank is not None and k != expected_rank:
+        raise ArithmeticError(f"tangent rank {k}, expected {expected_rank}")
+    return vt[:k]
+
+
+def _tangent_basis(z: np.ndarray, expected_rank: int) -> np.ndarray:
+    d2, d1 = z.shape
+    gens = []
+    for a in range(d2):
+        for b in range(d2):
+            g = np.zeros_like(z)
+            g[a, :] = z[b, :]
+            gens.append(g.ravel())
+    for a in range(d1):
+        for b in range(d1):
+            g = np.zeros_like(z)
+            g[:, b] = z[:, a]
+            gens.append(g.ravel())
+    return _orthonormal_rowspace(np.array(gens), expected_rank)
+
+
+def _subspace_distance(qi: np.ndarray, qj: np.ndarray) -> float:
+    """Largest distance of a unit vector of rowspace(qi) from rowspace(qj)."""
+    if qi.shape[0] == 0:
+        return 0.0
+    if qj.shape[0] == 0:
+        return 1.0
+    resid = qi - (qi @ qj.T) @ qj
+    return float(np.linalg.svd(resid, compute_uv=False)[0])
+
+
+def _random_invertible(rng, n: int) -> np.ndarray:
+    while True:
+        a = rng.normal(size=(n, n))
+        if n == 0 or np.linalg.cond(a) < 50.0:
+            return a
+
+
+def w_regularity_sample(
+    inner: Orbit,
+    outer: Orbit,
+    n_samples: int = 8,
+    seed: int = 1,
+    n_scales: int = 6,
+    base_scale: float = 0.5,
+    threshold: float = 10.0,
+) -> WRegReport:
+    """Probe the tangent-distance bound d(T S_in, T S_out) <= C |x'' - x'|.
+
+    Sampled points on the outer orbit approach a random inner point along a
+    geometric distance ladder; the per-scale maximum of distance ratios must
+    stay within `threshold` of the coarsest scale.  Heuristic by design:
+    floating point, finitely many samples.
+    """
+    if inner.dim != outer.dim:
+        raise ValueError("orbits live on different dimension vectors")
+    if not inner.r < outer.r:
+        raise ValueError("inner rank must be smaller than outer rank")
+    d1, d2 = inner.dim.d1, inner.dim.d2
+    ri, rj = inner.r, outer.r
+    rng = np.random.default_rng(seed)
+    base = np.zeros((d2, d1))
+    base[:ri, :ri] = np.eye(ri)
+    scales = tuple(base_scale * 2.0 ** (-k) for k in range(n_scales))
+    dim_in = ri * (d1 + d2 - ri)
+    dim_out = rj * (d1 + d2 - rj)
+
+    def nearest_rank(z: np.ndarray, r: int) -> np.ndarray:
+        u, svals, vt = np.linalg.svd(z, full_matrices=False)
+        return (u[:, :r] * svals[:r]) @ vt[:r]
+
+    max_ratios = [0.0] * n_scales
+    for _ in range(n_samples):
+        a = _random_invertible(rng, d2)
+        b = _random_invertible(rng, d1)
+        x_in = a @ base @ b
+        ti = _tangent_basis(x_in, dim_in)
+        for k, eps in enumerate(scales):
+            # approach from a generic direction: perturb, then project back
+            # onto the rank-rj stratum
+            for attempt in range(50):
+                w = rng.normal(size=(d2, d1))
+                w /= np.linalg.norm(w)
+                x_out = nearest_rank(x_in + eps * w, rj)
+                svals = np.linalg.svd(x_out, compute_uv=False)
+                gap = float(np.linalg.norm(x_out - x_in))
+                if (svals > 1e-12 * max(svals[0], 1.0)).sum() == rj and gap > 0:
+                    break
+            else:
+                raise ArithmeticError("could not draw a nondegenerate sample")
+            tj = _tangent_basis(x_out, dim_out)
+            dist = _subspace_distance(ti, tj)
+            max_ratios[k] = max(max_ratios[k], dist / gap)
+
+    floor = 1e-9
+    anchor = max(max_ratios[0], floor)
+    passed = max(max_ratios) <= threshold * anchor
+    return WRegReport(
+        dim=(d1, d2),
+        inner_rank=ri,
+        outer_rank=rj,
+        seed=seed,
+        n_samples=n_samples,
+        scales=scales,
+        max_ratios=tuple(max_ratios),
+        threshold=threshold,
+        passed=passed,
+    )

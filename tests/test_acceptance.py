@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Every check is exact (rational arithmetic) except the stratification probe of
-criterion 10, which is a seeded floating-point heuristic with a fixed 10x
-boundedness threshold over a six-step distance ladder.
+Every check is exact (rational arithmetic).  Criterion 10 also runs the
+seeded floating-point stratification probe of tests/oracles.py, with a
+fixed 10x boundedness threshold over a six-step distance ladder, and checks
+that the exact w-regularity stage passes on every pair it probes.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
@@ -18,13 +19,13 @@ from semican.bases import (canonical_fn, cc_multiplicities, m_coefficients,
                            pi_classes, transfer_matrix)
 from semican.core import (DimVector, Orbit, PiModClass, dual_orbit,
                           enumerate_orbits, orbit_dim, sign_parity)
-from semican.geom import PairPoint, bilinear_form_B, hessian_rank_check
-from semican.separation import (enumerate_instances, report_dicts,
-                                separate_packed)
-from semican.wreg import w_regularity_sample
+from semican.geom import (PairPoint, bilinear_form_B, hessian_rank_check,
+                          w_regularity)
+from semican.separation import report_dicts, separate_packed
 
-from oracles import (back_substitute, decode_separation, gauss_binom,
-                     monomial_matrix, spanning_words)
+from oracles import (back_substitute, decode_separation, enumerate_instances,
+                     gauss_binom, kernel_basis, monomial_matrix,
+                     spanning_words, transpose, w_regularity_sample)
 
 
 def _report(number: int, ok: bool, detail: str):
@@ -101,7 +102,7 @@ def test_criterion_4_kernel_invariance(capsys):
         words = spanning_words(dim)
         mat_e = monomial_matrix(dim, words, "E")
         mat_pi = monomial_matrix(dim, words, "Pi")
-        basis = ratlin.kernel_basis(ratlin.transpose(mat_e))
+        basis = kernel_basis(transpose(mat_e))
         ok = ok and len(basis) == len(words) - ratlin.rank(mat_e)
         for vec in basis:
             for col in zip(*mat_pi):
@@ -211,17 +212,24 @@ def test_criterion_10_w_regularity(capsys):
     start = time.perf_counter()
     ok = True
     for dim in _dims(3, include_zero=False):
+        exact, failed = w_regularity(dim)
+        ok = ok and not failed
+        probed = []
         for ri in range(dim.rank_bound + 1):
             for rj in range(ri + 1, dim.rank_bound + 1):
+                probed.append((ri, rj))
                 for seed in (1, 2, 3):
                     rep = w_regularity_sample(
                         Orbit(dim, ri), Orbit(dim, rj),
                         n_samples=6, seed=seed, n_scales=6, threshold=10.0,
                     )
                     ok = ok and rep.passed
+        ok = ok and [(e["inner_rank"], e["outer_rank"]) for e in exact
+                     if e["passed"]] == probed
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     with capsys.disabled():
         _report(10, ok, f"tangent-distance ratios bounded within 10x across "
                         f"a 6-step ladder, all orbit pairs d1,d2 <= 3, "
-                        f"seeds 1-3 ({elapsed:.1f}s < 30s)")
+                        f"seeds 1-3, and the exact rank premises hold on "
+                        f"every probed pair ({elapsed:.1f}s < 30s)")

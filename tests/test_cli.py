@@ -15,10 +15,8 @@ import semican.packed as packed
 import semican.ratlin as ratlin
 import semican.separation as separation
 import semican.verify as verify
-import semican.wreg as wreg
 from semican.bases import ExpansionMatrix
 from semican.core import DimVector, PiModClass, pi_classes
-from semican.separation import enumerate_matchings, flag_shape
 from semican.sympoly import BilinearityError, VarId
 
 
@@ -50,7 +48,7 @@ def test_orbits_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["orbits"]) == 3
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
 
 
 def test_orbits_csv(capsys):
@@ -147,7 +145,7 @@ def test_separate_y0_matches_all_report(capsys, comp):
     golden = Path(__file__).parent / "golden" / f"separate_4x4_{comp}.json"
     reports = json.loads(golden.read_text())["reports"]
     assert len(reports) == len(
-        enumerate_matchings(flag_shape(map(int, comp.split(",")))))
+        separation.matchings(map(int, comp.split(","))))
     for report in reports:
         spec = ",".join(f"{i}:{j}" for i, j in report["y0"])
         code, out, _ = run(capsys, "separate", "--d1", "4", "--d2", "4",
@@ -177,12 +175,12 @@ def test_dumps_matches_json(obj):
 def test_dumps_matches_json_on_reports():
     comp = (1, 2, 1, 2, 2, 1)
     reports = [
-        cli.run_verify(2, 2, seed=3),  # float timings, wreg floats, bools
+        cli.run_verify(2, 2, seed=3),  # float timings, wreg ranks, bools
         {"schema_version": cli.SCHEMA_VERSION, "dim": [3, 4],
          "orbits": cli._orbit_rows(DimVector(3, 4))},
         {"schema_version": cli.SCHEMA_VERSION,
          "reports": separation.report_dicts(
-             comp, enumerate_matchings(flag_shape(comp)))},
+             comp, separation.matchings(comp))},
     ]
     assert reports[0]["geometry"]["wreg_reports"]
     for report in reports:
@@ -345,22 +343,47 @@ def test_verify_conormal_failure_names_class(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_verify_wreg_probe_failure_names_orbits(capsys, monkeypatch):
-    def failing_probe(inner, outer, **kwargs):
-        raise ArithmeticError("could not draw a nondegenerate sample")
-
-    monkeypatch.setattr(wreg, "w_regularity_sample", failing_probe)
+def test_verify_wreg_failure_names_orbit_and_pair(capsys, monkeypatch):
+    # a zero tangent rank fails the premise of orbit 1 and of the pair whose
+    # line runs through it; orbit 0 has tangent rank 0 anyway
+    monkeypatch.setattr(geom, "action_rank", lambda z: 0)
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1")
     assert code == 2
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
     assert report["geometry"]["wreg"] == "FAIL"
     assert "wreg" in report["timings"]
-    witness = ("w_regularity (inner 0, outer 1: could not draw a "
-               "nondegenerate sample)")
-    assert report["failed_checks"] == [witness]
-    assert witness in err
+    assert report["failed_checks"] == [
+        "w_regularity (orbit 1: tangent rank 0, expected 1)",
+        "w_regularity (inner 0, outer 1: tangent rank 0 at t = 1, "
+        "expected 1)"]
+    assert report["geometry"]["wreg_reports"] == [
+        {"inner_rank": 0, "outer_rank": 1, "inner_tangent_rank": 0,
+         "line_ranks": [1, 1, 1], "outer_tangent_ranks": [0, 0, 0],
+         "passed": False}]
+    assert f"FAILED: {report['failed_checks'][0]}" in err
     assert "Traceback" not in err
+
+
+def test_verify_wreg_frontier_failure_names_pair(capsys, monkeypatch):
+    # at t = 0 the line is at the inner representative, of the wrong rank
+    monkeypatch.setattr(geom, "LINE_STEPS", (1, 0))
+    code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2")
+    assert code == 2
+    report = json.loads(out)
+    assert report["failed_checks"] == [
+        f"w_regularity (inner {ri}, outer {rj}: rank {ri} at t = 0, "
+        f"expected {rj})" for ri, rj in [(0, 1), (0, 2), (1, 2)]]
+    assert f"FAILED: {report['failed_checks'][0]}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_dimensions_the_exponent_fields_cannot_hold(capsys):
+    code, out, err = run(capsys, "verify", "--d1", "11", "--d2", "12",
+                         "--max-dim", "12", "--skip-wreg")
+    assert code == 1 and out == ""
+    assert err == ("error: min(d1, d2) = 11 is above 10, the largest the "
+                   "separation's exponent fields hold\n")
 
 
 def test_verify_stage_exception_becomes_failed_check(capsys, monkeypatch):
@@ -443,10 +466,11 @@ def test_verify_sampled_iff_fewer_instances_checked(monkeypatch):
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy is imported by the wreg stage only: neither the command line nor
-    # `separate` nor `verify --skip-wreg` loads it.  Nor do they, or the
-    # library modules, load dataclasses or the inspect module it imports,
-    # which together cost every process about 20 ms of set-up.
+    # the library is exact end to end: neither the command line nor
+    # `separate` nor `verify`, with or without its wreg stage, loads numpy.
+    # Nor do they, or the library modules, load dataclasses or the inspect
+    # module it imports, which together cost every process about 20 ms of
+    # set-up.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
@@ -462,6 +486,7 @@ def test_cli_import_does_not_load_numpy():
         " '--comp', '1,2,2,1', '--all']) == 0\n"
         "    assert main(['verify', '--d1', '2', '--d2', '2',"
         " '--skip-wreg']) == 0\n"
+        "    assert main(['verify', '--d1', '2', '--d2', '2']) == 0\n"
         "print(loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -489,7 +514,7 @@ def test_separate_all(capsys):
                        "--comp", "1,2,2,1", "--all")
     assert code == 0
     data = json.loads(out)
-    expected = len(enumerate_matchings(flag_shape((1, 2, 2, 1))))
+    expected = len(separation.matchings((1, 2, 2, 1)))
     assert len(data["reports"]) == expected
 
 

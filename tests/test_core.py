@@ -13,7 +13,7 @@ from semican.core import (ConormalComponent, DimVector, Orbit, PiModClass,
 from semican.geom import PairPoint
 from semican.separation import NormalFormY, flag_shape
 
-from oracles import QPoly, gauss_binom
+from oracles import QPoly, gauss_binom, kernel_basis
 
 
 def test_enumerate_orbits():
@@ -109,7 +109,7 @@ def test_dual_orbit_generic_annihilator_rank():
                     for k in range(d2):
                         row[i * d2 + k] += x[k][j]
                     rows.append(row)
-            basis = ratlin.kernel_basis(rows)
+            basis = kernel_basis(rows)
             best = 0
             for _ in range(12):
                 combo = [Fraction(rng.randint(-5, 5)) for _ in basis]

@@ -5,11 +5,13 @@ import pytest
 
 from semican import ratlin
 from semican.core import (DimVector, Orbit, PiModClass, dual_orbit, orbit_dim,
-                          pi_classes)
-from semican.geom import (GenericityError, PairPoint, bilinear_form_B,
-                          conormal_dimension, conormal_tangent,
-                          expected_hessian_rank, hessian_rank_check)
-from semican.wreg import w_regularity_sample
+                          pi_classes, representative_pair)
+from semican.geom import (GenericityError, PairPoint, action_rank,
+                          bilinear_form_B, conormal_dimension,
+                          expected_hessian_rank, hessian_rank_check,
+                          w_regularity)
+
+from oracles import conormal_tangent, w_regularity_sample
 
 
 def P(d1, d2, r, s):
@@ -211,6 +213,51 @@ def test_conormal_tangent_solutions_satisfy_equations():
         xv = ratlin.mat_mul([list(r) for r in p.x], [list(r) for r in v])
         assert all(a + b == 0 for ra, rb in zip(yu, vx) for a, b in zip(ra, rb))
         assert all(a + b == 0 for ra, rb in zip(uy, xv) for a, b in zip(ra, rb))
+
+
+def test_action_rank_is_orbit_dim_at_every_point():
+    # at the representatives, and at random integer matrices of every rank:
+    # each rank stratum is one orbit, of dimension r (d1 + d2 - r)
+    rng = random.Random(5)
+    for d1 in range(5):
+        for d2 in range(5):
+            dim = DimVector(d1, d2)
+            for r in range(dim.rank_bound + 1):
+                rep = representative_pair(PiModClass(dim, r, 0))[0]
+                assert ratlin.rank(rep) == r
+                assert action_rank(rep) == orbit_dim(Orbit(dim, r))
+            for _ in range(3):
+                z = [[rng.randint(-2, 2) for _ in range(d1)]
+                     for _ in range(d2)]
+                r = ratlin.rank(z)
+                assert action_rank(z) == orbit_dim(Orbit(dim, r)), z
+
+
+def test_w_regularity_reports():
+    reports, failed = w_regularity(DimVector(2, 3))
+    assert failed == []
+    assert reports == [
+        {"inner_rank": 0, "outer_rank": 1, "inner_tangent_rank": 0,
+         "line_ranks": [1, 1, 1], "outer_tangent_ranks": [4, 4, 4],
+         "passed": True},
+        {"inner_rank": 0, "outer_rank": 2, "inner_tangent_rank": 0,
+         "line_ranks": [2, 2, 2], "outer_tangent_ranks": [6, 6, 6],
+         "passed": True},
+        {"inner_rank": 1, "outer_rank": 2, "inner_tangent_rank": 4,
+         "line_ranks": [2, 2, 2], "outer_tangent_ranks": [6, 6, 6],
+         "passed": True},
+    ]
+    # one orbit and no pair
+    assert w_regularity(DimVector(0, 3)) == ([], [])
+
+
+def test_w_regularity_passes_up_to_6x6():
+    for d1 in range(7):
+        for d2 in range(7):
+            reports, failed = w_regularity(DimVector(d1, d2))
+            assert not failed and all(r["passed"] for r in reports)
+            n = min(d1, d2) + 1
+            assert len(reports) == n * (n - 1) // 2
 
 
 def test_wreg_examples_pass():

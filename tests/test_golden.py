@@ -6,8 +6,12 @@ d1, d2 <= 4, keyed by "d1,d2"; `golden/verify_5_5.json` holds the one of
 (5, 5), which samples 500 of its 45297 separation instances.
 SEPARATE_4X4_SHA256 is the sha256 of the `separate --d1 4 --d2 4 --comp <c>
 --all` outputs of all 70 compositions, concatenated in `compositions(4, 4)`
-order.  A change that alters a report on purpose regenerates them with
-`python tests/test_golden.py` and says why.
+order.  `tests/test_cli.py` compares two more pins with the command line:
+`golden/verify_1_1.json`, the `verify --d1 1 --d2 1 --skip-wreg` report
+with empty timings, and the `separate --all` output of two compositions of
+(4, 4) in `golden/separate_4x4_<c>.json`.  A change that alters a report on
+purpose regenerates all of them with `python tests/test_golden.py`, which
+prints the new SEPARATE_4X4_SHA256, and says why.
 """
 
 import contextlib
@@ -18,13 +22,16 @@ from pathlib import Path
 
 import semican.cli as cli
 from semican.core import compositions
-from semican.separation import enumerate_matchings, flag_shape, report_dicts
+from semican.separation import matchings, report_dicts
 from semican.verify import run_verify
 
-VERIFY_REPORTS = Path(__file__).parent / "golden" / "verify_reports.json"
-VERIFY_5_5 = Path(__file__).parent / "golden" / "verify_5_5.json"
+GOLDEN = Path(__file__).parent / "golden"
+VERIFY_REPORTS = GOLDEN / "verify_reports.json"
+VERIFY_5_5 = GOLDEN / "verify_5_5.json"
+VERIFY_1_1 = GOLDEN / "verify_1_1.json"
+SEPARATE_4X4_PINNED = ("1,2,2,1,1,2,2,1", "2,1,2,1,2,1,2,1")
 SEPARATE_4X4_SHA256 = (
-    "57423c72f04a8954e7369ac6c7f9b555928506b072a9cfc5700559d9a895fa2e")
+    "1d1e754d2d4380a87904b347a86bab677dab2c6883bbf47ef8de553cc49f5a2e")
 
 
 def verify_reports() -> dict:
@@ -44,15 +51,24 @@ def verify_5_5_report() -> dict:
     return report
 
 
+def cli_output(*argv: str) -> str:
+    """The stdout of one command, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def separate_4x4(comp: str) -> str:
+    return cli_output("separate", "--d1", "4", "--d2", "4", "--comp", comp,
+                      "--all")
+
+
 def separate_4x4_sha256() -> str:
     digest = hashlib.sha256()
     for comp in compositions(4, 4):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["separate", "--d1", "4", "--d2", "4", "--comp",
-                             ",".join(map(str, comp)), "--all"])
-        assert code == 0, comp
-        digest.update(out.getvalue().encode())
+        digest.update(separate_4x4(",".join(map(str, comp))).encode())
     return digest.hexdigest()
 
 
@@ -86,10 +102,16 @@ def test_separate_4x4_outputs_match_pinned_sha256():
 
 def test_separation_reports_hold_no_value_types():
     comp = (1, 2, 2, 1, 1, 2, 2, 1)
-    _assert_plain(report_dicts(comp, enumerate_matchings(flag_shape(comp))))
+    _assert_plain(report_dicts(comp, matchings(comp)))
 
 
 if __name__ == "__main__":
     VERIFY_REPORTS.write_text(json.dumps(verify_reports(), indent=2) + "\n")
     VERIFY_5_5.write_text(json.dumps(verify_5_5_report(), indent=2) + "\n")
+    report = json.loads(cli_output("verify", "--d1", "1", "--d2", "1",
+                                   "--seed", "1", "--skip-wreg"))
+    report["timings"] = {}
+    VERIFY_1_1.write_text(json.dumps(report, indent=2) + "\n")
+    for comp in SEPARATE_4X4_PINNED:
+        (GOLDEN / f"separate_4x4_{comp}.json").write_text(separate_4x4(comp))
     print(separate_4x4_sha256())

@@ -10,17 +10,17 @@ import pytest
 from semican.core import (DimVector, PiModClass, compositions,
                           representative_pair)
 import semican.verify as verify
-from semican.separation import (NormalFormY, SeparationError, certify,
-                                count_instances, enumerate_instances,
-                                enumerate_matchings, flag_shape, instances_at,
-                                report_dicts, separate_packed,
-                                validate_matching)
+from semican.separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
+                                certify, count_instances, flag_shape,
+                                instances_at, matchings, report_dicts,
+                                separate_packed, validate_matching)
 from semican.sympoly import VarId
 
 from oracles import (RefPoly, _inversion, _x_change, back_substitute,
-                     critical_locus_check, decode_separation, expand_trace,
+                     critical_locus_check, decode_separation,
+                     enumerate_instances, enumerate_matchings, expand_trace,
                      normal_form, reference_dict, sample_by_list,
-                     separate_reference)
+                     separate_reference, y_positions)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -34,7 +34,7 @@ def test_flag_shape_examples():
     assert not sh.adm_x(1, 1) and sh.adm_y(1, 1)
     sh = flag_shape((1, 2, 2, 1))
     assert set(sh.x_positions()) == {(1, 2), (2, 2)}
-    assert set(sh.y_positions()) == {(1, 1), (1, 2)}
+    assert set(y_positions(sh)) == {(1, 1), (1, 2)}
 
 
 def test_flag_shape_slots_partition():
@@ -145,6 +145,16 @@ def test_instances_at_matches_the_listing():
                     == listed[::-1]
 
 
+def test_matchings_match_the_listing():
+    # `separate --all` lists a composition's matchings by the ranked walk
+    for d1 in range(5):
+        for d2 in range(5):
+            for a in compositions(d1, d2):
+                assert matchings(a) == enumerate_matchings(flag_shape(a)), a
+    with pytest.raises(ValueError, match="letters must be 1 or 2"):
+        matchings((1, 3))
+
+
 def test_instances_at_rejects_out_of_range():
     dim = DimVector(1, 1)
     assert instances_at(dim, []) == []
@@ -246,7 +256,7 @@ def test_normal_form_certificate_and_idempotence():
         sh = flag_shape(comp)
         for _ in range(20):
             y = [[Fraction(0)] * sh.d2 for _ in range(sh.d1)]
-            for i, j in sh.y_positions():
+            for i, j in y_positions(sh):
                 if rng.random() < 0.6:
                     y[i - 1][j - 1] = Fraction(rng.randint(-4, 4))
             nf, cert = normal_form(sh, y)
@@ -279,7 +289,7 @@ def test_normal_form_invariant_under_borel_action():
         sh = flag_shape(comp)
         for _ in range(15):
             y = [[Fraction(0)] * sh.d2 for _ in range(sh.d1)]
-            for i, j in sh.y_positions():
+            for i, j in y_positions(sh):
                 if rng.random() < 0.5:
                     y[i - 1][j - 1] = Fraction(rng.randint(-4, 4))
             nf, _ = normal_form(sh, y)
@@ -451,9 +461,9 @@ def test_certify_matches_multipoly_reference():
             if d1 + d2 == 0:
                 continue
             for a in compositions(d1, d2):
-                matchings = enumerate_matchings(flag_shape(a))
+                listed = enumerate_matchings(flag_shape(a))
                 expected = []
-                for y0 in matchings:
+                for y0 in listed:
                     dec = decode_separation(separate_packed(a, y0))
                     ref = separate_reference(a, y0)
                     where = (a, sorted(y0.entries))
@@ -468,11 +478,12 @@ def test_certify_matches_multipoly_reference():
                                for mono in ref.separated.terms)
                     restored = back_substitute(ref) == ref.trace
                     assert restored and certify(a, y0) is restored
-                assert report_dicts(a, matchings) == expected, a
+                assert report_dicts(a, listed) == expected, a
 
 
 def test_packed_chart_guards_exponent_fields():
     # 2 (k + 1)**2 must fit 8 bits: k = min(d1, d2) <= 10
+    assert MAX_RANK_BOUND == 10
     assert flag_shape((1,) * 10 + (2,) * 11).packed_chart.slots.variables
     with pytest.raises(ValueError, match="degree bound 288"):
         flag_shape((1,) * 11 + (2,) * 11).packed_chart

@@ -14,7 +14,8 @@ from semican.separation import NormalFormY, flag_shape
 from semican.sympoly import KINDS, BilinearityError, VarId
 
 from oracles import (RefPoly, bilinear_decompose, bilinear_decompose_two_pass,
-                     expand_trace, partial_derivative)
+                     encode, enumerate_instances, expand_trace,
+                     partial_derivative)
 
 
 def V(kind, r, c):
@@ -212,7 +213,7 @@ def test_bilinear_matches_two_pass_reference():
         for role in itertools.product(roles, repeat=3):
             groups = [{v for v, r in zip(vs, role) if g in r}
                       for g in ("w1", "w2", "vc")]
-            packed_p = {slots.encode(m): c for m, c in p.terms.items()}
+            packed_p = {encode(slots, m): c for m, c in p.terms.items()}
             try:
                 expected = bilinear_decompose_two_pass(p, *groups)
             except BilinearityError as exc:
@@ -239,7 +240,7 @@ def test_bilinear_witness_is_first_in_term_order():
             bilinear_decompose(RefPoly(terms), {M21}, {X12}, {N31})
         witnesses.add(exc.value.witness)
         with pytest.raises(BilinearityError) as exc:
-            packed.check_bilinear({slots.encode(m): c for m, c in terms.items()},
+            packed.check_bilinear({encode(slots, m): c for m, c in terms.items()},
                                   slots, {M21}, {X12}, {N31})
         witnesses.add(exc.value.witness)
     assert witnesses == {"M(2,1)*N(3,1)"}
@@ -256,7 +257,7 @@ def test_packed_arithmetic_matches_multipoly(a, b, c):
     slots = packed.Slots(_vars, max_degree=36)
 
     def enc(p):
-        return {slots.encode(m): coeff for m, coeff in p.terms.items()}
+        return {encode(slots, m): coeff for m, coeff in p.terms.items()}
 
     def dec(d):
         return RefPoly({slots.decode(m): coeff for m, coeff in d.items()})
@@ -280,7 +281,7 @@ def test_packed_slots_guard_field_width():
     assert packed.FIELD_MASK == 255
     slots = packed.Slots([X12, M21], max_degree=255)
     mono = ((M21, 255), (X12, 1))
-    assert slots.decode(slots.encode(mono)) == mono
+    assert slots.decode(encode(slots, mono)) == mono
     with pytest.raises(ValueError, match="degree bound 256"):
         packed.Slots([X12, M21], max_degree=256)
 
@@ -332,7 +333,6 @@ def _symbolic_trace(shape, y0):
 
 
 def test_expand_trace_matches_matrix_product():
-    from semican.separation import enumerate_instances
     for d1 in range(0, 4):
         for d2 in range(0, 4):
             if d1 + d2 == 0 or d1 + d2 > 5:
@@ -347,7 +347,6 @@ def test_expand_trace_matches_matrix_product():
 
 
 def test_expand_trace_degree_bounds():
-    from semican.separation import enumerate_instances
     for a, y0 in enumerate_instances(DimVector(2, 2)):
         h = expand_trace(flag_shape(a), y0)
         for mono, _ in h.terms.items():
