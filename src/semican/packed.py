@@ -9,11 +9,14 @@ carries from one field into the next only when an exponent reaches
 polynomial its caller forms and rejects a bound that does not fit a field.
 
 This module does all the arithmetic of the separation, for `certify` and
-for the reports of `separation.report_dicts` alike.  Nothing here builds a
-string except the witness of a failed bilinearity check: `report_dicts`
-renders the reports from these polynomials through `Slots.decode`.  The
-tests check this kernel against the `RefPoly` arithmetic on tuple
-monomials of `tests/oracles.py`, which shares no code with it.
+for the reports of `separation.report_dicts` alike.  Its callers name a
+variable by its unit monomial: `check_bilinear` takes the variable groups
+as sets of units.  Nothing here builds a string except the witness of a
+failed bilinearity check, decoded through `Slots.decode`, the one place a
+unit is turned back into its `VarId`; `report_dicts` renders the reports
+from these polynomials the same way.  The tests check this kernel against
+the `RefPoly` arithmetic on tuple monomials of `tests/oracles.py`, which
+shares no code with it.
 """
 
 from __future__ import annotations
@@ -116,18 +119,17 @@ def substitute(p: dict, mapping: dict) -> dict:
     return nonzero(out)
 
 
-def check_bilinear(p: dict, slots: Slots, w1, w2, vc) -> None:
+def check_bilinear(p: dict, slots: Slots, rows, cols, vc) -> None:
     """Check that p is bilinear in (W1, W2) with coefficients in Vc.
 
-    Passes iff every monomial has degree exactly 1 in W1, exactly 1 in W2
-    and all other factors in Vc, with any exponent.  Otherwise raises
-    BilinearityError naming the first offending monomial in the term order
-    of the reports.
+    `rows`, `cols` and `vc` are the sets of unit monomials of W1, W2 and
+    Vc.  Passes iff every monomial has degree exactly 1 in W1, exactly 1 in
+    W2 and all other factors in Vc, with any exponent.  Otherwise raises
+    BilinearityError naming the first offending monomial, decoded through
+    `slots`, in the term order of the reports.
     """
-    rows = {slots.unit[v] for v in w1}
-    cols = {slots.unit[v] for v in w2}
     row_mask, col_mask = mask(rows), mask(cols)
-    other = ~(row_mask | col_mask | mask({slots.unit[v] for v in vc}))
+    other = ~(row_mask | col_mask | mask(vc))
     bad = [m for m in p if m & other or (m & row_mask) not in rows
            or (m & col_mask) not in cols]
     if bad:

@@ -36,10 +36,10 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
     holds for every pair.
     """
 
-    # no __slots__: the two cached_property tables live in the __dict__
+    # no __slots__: the cached_property table lives in the __dict__
 
     def __reduce__(self):
-        # pickled as its composition alone, without the cached tables
+        # pickled as its composition alone, without the cached table
         return flag_shape, (self.composition,)
 
     @property
@@ -55,24 +55,6 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
 
     def adm_y(self, row: int, col: int) -> bool:
         return self.t_slots[row - 1] < self.s_slots[col - 1]
-
-    def x_positions(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(1, self.d2 + 1)
-                for j in range(1, self.d1 + 1) if self.adm_x(i, j)]
-
-    @cached_property
-    def chart_vars(self):
-        """(M, N, X) chart variables of the shape, each as (var, row, col).
-
-        M and N are the strictly lower entries of the two unipotent factors,
-        X the admissible entries of x.
-        """
-        def lower(kind, d):
-            return tuple((VarId(kind, j, i), j, i)
-                         for j in range(2, d + 1) for i in range(1, j))
-
-        return (lower("M", self.d1), lower("N", self.d2),
-                tuple((VarId("X", i, j), i, j) for i, j in self.x_positions()))
 
     @cached_property
     def packed_chart(self) -> _PackedChart:
@@ -106,11 +88,14 @@ class _PackedChart:
     """One shape's exponent slots and packed trace pieces.
 
     There is a slot for every M, N and X chart variable and for the primed
-    copy M'/X' of every M and X.  `unit[kind, row, col]` is the monomial of
-    one variable.  `piece(entry)` holds the trace terms of one y0 entry,
-    each with coefficient 1; it is built on first use, because a sampled
-    run touches few entries of each shape, and shared after that, so
-    callers must not mutate it.
+    copy M'/X' of every M and X.  Its `VarId`, built here once, names the
+    slot and orders the fields; the separation itself knows a variable only
+    by its unit monomial `unit[kind, row, col]`.  `m_vars`, `n_vars` and
+    `x_vars` list the unprimed variables as (unit, row, col).
+    `piece(entry)` holds the trace terms of one y0 entry, each with
+    coefficient 1; it is built on first use, because a sampled run touches
+    few entries of each shape, and shared after that, so callers must not
+    mutate it.
 
     Degree bound, with k = min(d1, d2) >= the number of y0 entries: each
     M expression of the inversion has degree <= max(1, k), each X
@@ -124,15 +109,21 @@ class _PackedChart:
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
-        m_vars, n_vars, x_vars = shape.chart_vars
-        keys = [(kind, r, c) for kind, group in (("M", m_vars), ("Mp", m_vars),
-                                                 ("N", n_vars), ("X", x_vars),
-                                                 ("Xp", x_vars))
-                for _, r, c in group]
+        d1, d2 = shape.d1, shape.d2
+        m, n = ([(j, i) for j in range(2, d + 1) for i in range(1, j)]
+                for d in (d1, d2))  # strictly lower entries of the unipotents
+        x = [(i, j) for i in range(1, d2 + 1) for j in range(1, d1 + 1)
+             if shape.adm_x(i, j)]
+        keys = [(kind, r, c) for kind, group in (("M", m), ("Mp", m), ("N", n),
+                                                 ("X", x), ("Xp", x))
+                for r, c in group]
         variables = [VarId(*key) for key in keys]
         self.slots = packed.Slots(
-            variables, max_degree=_degree_bound(min(shape.d1, shape.d2)))
-        self.unit = dict(zip(keys, map(self.slots.unit.get, variables)))
+            variables, max_degree=_degree_bound(min(d1, d2)))
+        self.unit = unit = dict(zip(keys, map(self.slots.unit.get, variables)))
+        self.m_vars, self.n_vars, self.x_vars = (
+            [(unit[kind, r, c], r, c) for r, c in group]
+            for kind, group in (("M", m), ("N", n), ("X", x)))
         self._pieces: dict = {}
 
     def piece(self, entry: tuple[int, int]) -> dict[int, int]:
@@ -243,8 +234,11 @@ def _blocks(sized, base: int, ranks: list[int]):
 
     `sized` yields (key, size) of consecutive blocks, the first starting at
     `base`; `ranks` are sorted.  Yields (key, start, the ranks in it), and
-    stops once every rank is placed, so later sizes are never computed.
+    stops once every rank is placed, so later sizes are never computed:
+    with no ranks, `sized` is not read at all.
     """
+    if not ranks:
+        return
     for key, n in sized:
         k = bisect_left(ranks, base + n)
         if k:
@@ -366,38 +360,39 @@ def _fiber(t_pairs, al):
     return sorted((ap for ap, a2 in t_pairs if a2 == al), key=lambda e: -e[1])
 
 
-def _classify(shape: FlagShape, entries, t_pairs):
-    """The quadratic/coefficient split of all chart variables."""
+def _classify(chart: _PackedChart, entries, t_pairs):
+    """The quadratic/coefficient split of all chart variables, as sets of
+    unit monomials."""
+    unit = chart.unit
     i_set = {i for i, _ in entries}
     j_set = {j for _, j in entries}
-    t_m = {VarId("M", al[0], ap[0]) for ap, al in t_pairs}
-    t_x = {VarId("X", ap[1], al[0]) for ap, al in t_pairs}
+    t_m = {unit["M", al[0], ap[0]] for ap, al in t_pairs}
+    t_x = {unit["X", ap[1], al[0]] for ap, al in t_pairs}
 
-    w1 = {VarId("Mp", al[0], ap[0]) for ap, al in t_pairs}
-    w2 = {VarId("Xp", ap[1], al[0]) for ap, al in t_pairs}
+    w1 = {unit["Mp", al[0], ap[0]] for ap, al in t_pairs}
+    w2 = {unit["Xp", ap[1], al[0]] for ap, al in t_pairs}
     vc = set()
-    m_vars, n_vars, x_vars = shape.chart_vars
-    for v, j, i in m_vars:
-        if v in t_m:
+    for u, j, i in chart.m_vars:
+        if u in t_m:
             continue  # replaced by M'
         if j not in i_set and i in i_set:
-            w1.add(v)
+            w1.add(u)
         else:
-            vc.add(v)
-    for v, j, i in n_vars:
+            vc.add(u)
+    for u, j, i in chart.n_vars:
         if j in j_set and i not in j_set:
-            w2.add(v)
+            w2.add(u)
         else:
-            vc.add(v)
-    for v, i, j in x_vars:
-        if v in t_x:
+            vc.add(u)
+    for u, i, j in chart.x_vars:
+        if u in t_x:
             continue  # replaced by X'
         if i not in j_set and j in i_set:
-            w1.add(v)
+            w1.add(u)
         elif i in j_set and j not in i_set:
-            w2.add(v)
+            w2.add(u)
         else:
-            vc.add(v)
+            vc.add(u)
     return w1, w2, vc
 
 
@@ -415,8 +410,8 @@ class PackedSeparation(NamedTuple):
 
     `changes` maps each coupled M and X unit monomial to its expression in
     the new variables, `definitions` each primed unit monomial to its
-    definition in the original ones; `w1`, `w2` and `vc` are the VarId
-    groups of `_classify`.
+    definition in the original ones; `w1`, `w2` and `vc` are the unit
+    monomial groups of `_classify`.
     """
 
     chart: _PackedChart
@@ -518,7 +513,7 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     # and N; the X expressions X', N and the X of rows outside J).  With T
     # empty nothing changes, and the separated polynomial is the trace.
     separated = packed.substitute(trace, changes) if changes else trace
-    w1, w2, vc = _classify(shape, entries, t_pairs)
+    w1, w2, vc = _classify(chart, entries, t_pairs)
     try:
         packed.check_bilinear(separated, chart.slots, w1, w2, vc)
     except BilinearityError as exc:
@@ -527,20 +522,15 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
                             {**mp_def, **xp_def}, w1, w2, vc)
 
 
-def back_substitute_packed(sep: PackedSeparation) -> dict[int, int]:
-    """Replace the primed variables by their definitions in the originals."""
-    return packed.substitute(sep.separated, sep.definitions)
-
-
 def certify(composition, y0: NormalFormY) -> bool:
     """Check one instance's separation certificate; render nothing.
 
     Raises SeparationError, from `separate_packed`, when the separated
-    trace is not bilinear.  Otherwise returns whether back-substitution
-    gives back the trace.
+    trace is not bilinear.  Otherwise returns whether replacing the primed
+    variables by their definitions gives back the trace.
     """
     sep = separate_packed(composition, y0)
-    return back_substitute_packed(sep) == sep.trace
+    return packed.substitute(sep.separated, sep.definitions) == sep.trace
 
 
 class _MonomialNames(dict):
@@ -572,7 +562,6 @@ def report_dicts(composition, matchings) -> list[dict]:
     """
     shape = flag_shape(composition)
     named = _MonomialNames(shape.packed_chart.slots)
-    unit = shape.packed_chart.slots.unit
 
     def render(p: dict[int, int]) -> str:
         if len(p) == 1:  # most cells of a form: nothing to sort
@@ -585,9 +574,10 @@ def report_dicts(composition, matchings) -> list[dict]:
     out = []
     for y0 in matchings:
         sep = separate_packed(shape.composition, y0)
+        # a unit's field order is its VarId order, the order of the report
         rows, cols = sorted(sep.w1), sorted(sep.w2)
-        row_of = {unit[v]: i for i, v in enumerate(rows)}
-        col_of = {unit[v]: j for j, v in enumerate(cols)}
+        row_of = {u: i for i, u in enumerate(rows)}
+        col_of = {u: j for j, u in enumerate(cols)}
         row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
         cells: dict = {}
         for m, c in sep.separated.items():
@@ -603,9 +593,9 @@ def report_dicts(composition, matchings) -> list[dict]:
             "composition": list(shape.composition),
             "y0": [list(e) for e in y0.sorted_entries()],
             "set_t": [[list(a), list(b)] for a, b in sorted(sep.t_pairs)],
-            "w1": list(map(str, rows)),
-            "w2": list(map(str, cols)),
-            "vc": list(map(str, sorted(sep.vc))),
+            "w1": [named[u][1] for u in rows],
+            "w2": [named[u][1] for u in cols],
+            "vc": [named[u][1] for u in sorted(sep.vc)],
             "trace_poly": trace,
             "separated_poly": (trace if sep.separated is sep.trace
                                else render(sep.separated)),

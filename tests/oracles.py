@@ -44,9 +44,8 @@ from semican.geom import PairPoint, _conormal_rows
 from semican.packed import Slots
 from semican.qcount import Word, euler_counts, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
-                                _classify, _coupled_pairs, _fiber,
-                                _separation_error, _trace_factors,
-                                flag_shape, validate_matching)
+                                _coupled_pairs, _fiber, _separation_error,
+                                _trace_factors, flag_shape, validate_matching)
 from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
                              join_terms)
 
@@ -528,6 +527,12 @@ def y_positions(shape: FlagShape) -> list[tuple[int, int]]:
             for j in range(1, shape.d2 + 1) if shape.adm_y(i, j)]
 
 
+def x_positions(shape: FlagShape) -> list[tuple[int, int]]:
+    """The admissible entries (row, column) of x, row-major."""
+    return [(i, j) for i in range(1, shape.d2 + 1)
+            for j in range(1, shape.d1 + 1) if shape.adm_x(i, j)]
+
+
 def encode(slots: Slots, mono: Mono) -> int:
     """The packed monomial of a tuple monomial: the inverse of
     `slots.decode`."""
@@ -639,7 +644,7 @@ def critical_locus_check(composition, x0, y) -> bool:
 
     # chart directions: d/dt <x0 + t E_ij, y> = y[j][i], over admissible (i, j)
     chart_zero = all(
-        y[j - 1][i - 1] == 0 for i, j in shape.x_positions()
+        y[j - 1][i - 1] == 0 for i, j in x_positions(shape)
     )
     # group directions: d/dt <(1 + t u) x0 (1 + t u')^{-1}...> over gl basis
     group_zero = True
@@ -1007,6 +1012,51 @@ def _x_change(shape: FlagShape, entries, j_set, t_pairs, m_expr):
     return x_expr, xp_def
 
 
+def _classify(shape: FlagShape, entries, t_pairs):
+    """The quadratic/coefficient split of all chart variables, as VarIds.
+
+    The reference for `separation._classify`, which splits the same
+    variables by their unit monomials.
+    """
+    i_set = {i for i, _ in entries}
+    j_set = {j for _, j in entries}
+    t_m = {VarId("M", al[0], ap[0]) for ap, al in t_pairs}
+    t_x = {VarId("X", ap[1], al[0]) for ap, al in t_pairs}
+
+    w1 = {VarId("Mp", al[0], ap[0]) for ap, al in t_pairs}
+    w2 = {VarId("Xp", ap[1], al[0]) for ap, al in t_pairs}
+    vc = set()
+
+    def lower(d):
+        return [(j, i) for j in range(2, d + 1) for i in range(1, j)]
+
+    for j, i in lower(shape.d1):
+        v = VarId("M", j, i)
+        if v in t_m:
+            continue  # replaced by M'
+        if j not in i_set and i in i_set:
+            w1.add(v)
+        else:
+            vc.add(v)
+    for j, i in lower(shape.d2):
+        v = VarId("N", j, i)
+        if j in j_set and i not in j_set:
+            w2.add(v)
+        else:
+            vc.add(v)
+    for i, j in x_positions(shape):
+        v = VarId("X", i, j)
+        if v in t_x:
+            continue  # replaced by X'
+        if i not in j_set and j in i_set:
+            w1.add(v)
+        elif i in j_set and j not in i_set:
+            w2.add(v)
+        else:
+            vc.add(v)
+    return w1, w2, vc
+
+
 def separate_reference(composition, y0: NormalFormY) -> SeparationReport:
     """The separation of one instance on tuple monomials and RefPoly.
 
@@ -1059,24 +1109,34 @@ def back_substitute(report) -> RefPoly:
 
 
 class DecodedSeparation(NamedTuple):
-    """The polynomials of a PackedSeparation as RefPoly fields."""
+    """The polynomials of a PackedSeparation as RefPoly fields, and its
+    variable groups as VarId sets."""
 
     trace: RefPoly
     separated: RefPoly
     definitions: dict[VarId, RefPoly]
+    w1: set
+    w2: set
+    vc: set
 
 
 def decode_separation(sep: PackedSeparation) -> DecodedSeparation:
-    """Decode the trace, the separated polynomial and the definitions of the
-    primed variables through the separation's slot table."""
+    """Decode the trace, the separated polynomial, the definitions of the
+    primed variables and the variable groups through the separation's slot
+    table."""
     slots = sep.chart.slots
+
+    def var(unit: int) -> VarId:
+        [(v, _)] = slots.decode(unit)
+        return v
 
     def poly(p: dict[int, int]) -> RefPoly:
         return RefPoly({slots.decode(m): c for m, c in p.items()})
 
     return DecodedSeparation(
         poly(sep.trace), poly(sep.separated),
-        {slots.decode(u)[0][0]: poly(p) for u, p in sep.definitions.items()})
+        {var(u): poly(p) for u, p in sep.definitions.items()},
+        *({var(u) for u in group} for group in (sep.w1, sep.w2, sep.vc)))
 
 
 def reference_dict(report: SeparationReport) -> dict:

@@ -125,7 +125,8 @@ def _certificate_instances():
 
 def _is_bilinear_certificate(a, y0, sep) -> bool:
     """B is indexed by W1 x W2 and every separated monomial has degree (1,1)."""
-    w1, w2 = sep.w1, sep.w2
+    dec = decode_separation(sep)
+    w1, w2 = dec.w1, dec.w2
     [report] = report_dicts(a, [y0])
     return (report["w1"] == [str(v) for v in sorted(w1)]
             and report["w2"] == [str(v) for v in sorted(w2)]
@@ -134,7 +135,7 @@ def _is_bilinear_certificate(a, y0, sep) -> bool:
             and all(len(row) == len(w2) for row in report["b_matrix"])
             and all(sum(e for v, e in mono if v in w1) == 1
                     and sum(e for v, e in mono if v in w2) == 1
-                    for mono in decode_separation(sep).separated.terms))
+                    for mono in dec.separated.terms))
 
 
 def test_criterion_5_separation_certificate(capsys):

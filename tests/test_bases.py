@@ -328,12 +328,17 @@ def test_cc_multiplicities_checks_the_section_identity():
 
 
 def test_m_matrix_hand_oracles():
-    for d1, d2 in [(1, 1), (2, 1)]:
-        m = m_coefficients(DimVector(d1, d2))
+    # m is exactly the identity at every dimension vector up to (6, 6); a
+    # lift that keeps m unitriangular but not the identity fails here
+    dims = [DimVector(d1, d2) for d1 in range(7) for d2 in range(7)
+            if d1 + d2]
+    assert len(dims) == 48
+    for dim in dims:
+        m = m_coefficients(dim)
         n = m.size
         for i in range(n):
             for j in range(n):
-                assert m.entry(i, j) == (1 if i == j else 0)
+                assert m.entry(i, j) == (1 if i == j else 0), (dim, i, j)
 
 
 def test_m_matrix_structure():

@@ -546,8 +546,9 @@ def test_verify_separation_failure_names_instance(capsys, monkeypatch):
 
 
 def test_verify_substitution_failure_names_instance(capsys, monkeypatch):
-    monkeypatch.setattr(separation, "back_substitute_packed",
-                        lambda sep: {0: 1})
+    # nothing is coupled at (1, 1), so the separation substitutes nothing
+    # and the one call is certify's back substitution
+    monkeypatch.setattr(packed, "substitute", lambda p, mapping: {0: 1})
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
     assert code == 2

@@ -11,7 +11,7 @@ from semican.core import (DimVector, PiModClass, compositions,
                           representative_pair)
 import semican.verify as verify
 from semican.separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
-                                certify, count_instances, flag_shape,
+                                _blocks, certify, count_instances, flag_shape,
                                 instances_at, matchings, report_dicts,
                                 separate_packed, validate_matching)
 from semican.sympoly import VarId
@@ -20,7 +20,7 @@ from oracles import (RefPoly, _inversion, _x_change, back_substitute,
                      critical_locus_check, decode_separation,
                      enumerate_instances, enumerate_matchings, expand_trace,
                      normal_form, reference_dict, sample_by_list,
-                     separate_reference, y_positions)
+                     separate_reference, x_positions, y_positions)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -33,7 +33,7 @@ def test_flag_shape_examples():
     sh = flag_shape((1, 2))
     assert not sh.adm_x(1, 1) and sh.adm_y(1, 1)
     sh = flag_shape((1, 2, 2, 1))
-    assert set(sh.x_positions()) == {(1, 2), (2, 2)}
+    assert {(r, c) for _, r, c in sh.packed_chart.x_vars} == {(1, 2), (2, 2)}
     assert set(y_positions(sh)) == {(1, 1), (1, 2)}
 
 
@@ -88,7 +88,13 @@ def test_flag_shape_reproduces_block_description():
 def test_flag_shape_shared_per_composition():
     sh = flag_shape((1, 2, 2, 1))
     assert flag_shape([1, 2, 2, 1]) is sh
-    m_vars, n_vars, x_vars = sh.chart_vars
+    chart = sh.packed_chart
+
+    def named(group):
+        return [(chart.slots.decode(u)[0][0], r, c) for u, r, c in group]
+
+    m_vars, n_vars, x_vars = map(named, (chart.m_vars, chart.n_vars,
+                                         chart.x_vars))
     assert [v for v, _, _ in m_vars] == [VarId("M", 2, 1)]
     assert [v for v, _, _ in n_vars] == [VarId("N", 2, 1)]
     assert [v for v, _, _ in x_vars] == [VarId("X", 1, 2), VarId("X", 2, 2)]
@@ -161,6 +167,15 @@ def test_instances_at_rejects_out_of_range():
     for i in (-1, 3):
         with pytest.raises(IndexError):
             instances_at(dim, [0, i])
+
+
+def test_blocks_reads_no_size_without_ranks():
+    def unread():
+        raise AssertionError("a block size was read")
+        yield
+
+    assert list(_blocks(unread(), 0, [])) == []
+    assert list(_blocks(iter([("a", 2), ("b", 3)]), 0, [3])) == [("b", 2, [3])]
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -318,7 +333,8 @@ def test_separate_trivial_instance():
 
 
 def test_separate_hand_instance():
-    sep = separate_packed((1, 2, 2, 1), NormalFormY.of((1, 1)))
+    sep = decode_separation(
+        separate_packed((1, 2, 2, 1), NormalFormY.of((1, 1))))
     assert sep.w1 == {VarId("M", 2, 1)}
     assert sep.w2 == {VarId("X", 1, 2)}
     [rep] = report_dicts((1, 2, 2, 1), [NormalFormY.of((1, 1))])
@@ -331,10 +347,10 @@ def test_separate_exhaustive_small_dims():
             if d1 + d2 == 0:
                 continue
             for a, y0 in enumerate_instances(DimVector(d1, d2)):
-                sep = separate_packed(a, y0)
+                sep = decode_separation(separate_packed(a, y0))
                 # every monomial is degree (1,1) in the two quadratic groups
                 w1, w2 = sep.w1, sep.w2
-                for mono in decode_separation(sep).separated.terms:
+                for mono in sep.separated.terms:
                     assert sum(e for v, e in mono if v in w1) == 1
                     assert sum(e for v, e in mono if v in w2) == 1
 
@@ -549,7 +565,7 @@ def test_critical_locus_matches_prediction_everywhere():
         d1, d2 = sh.d1, sh.d2
         for _ in range(25):
             x0 = [[Fraction(0)] * d1 for _ in range(d2)]
-            for i, j in sh.x_positions():
+            for i, j in x_positions(sh):
                 if rng.random() < 0.5:
                     x0[i - 1][j - 1] = Fraction(rng.randint(-3, 3))
             y = [[Fraction(rng.randint(-2, 2)) if rng.random() < 0.4

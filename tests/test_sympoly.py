@@ -214,6 +214,7 @@ def test_bilinear_matches_two_pass_reference():
             groups = [{v for v, r in zip(vs, role) if g in r}
                       for g in ("w1", "w2", "vc")]
             packed_p = {encode(slots, m): c for m, c in p.terms.items()}
+            units = [{slots.unit[v] for v in g} for g in groups]
             try:
                 expected = bilinear_decompose_two_pass(p, *groups)
             except BilinearityError as exc:
@@ -221,18 +222,19 @@ def test_bilinear_matches_two_pass_reference():
                     bilinear_decompose(p, *groups)
                 assert got.value.witness == exc.witness
                 with pytest.raises(BilinearityError) as got:
-                    packed.check_bilinear(packed_p, slots, *groups)
+                    packed.check_bilinear(packed_p, slots, *units)
                 assert got.value.witness == exc.witness
             else:
                 assert bilinear_decompose(p, *groups) == expected
-                packed.check_bilinear(packed_p, slots, *groups)
+                packed.check_bilinear(packed_p, slots, *units)
 
 
 def test_bilinear_witness_is_first_in_term_order():
     ok = V("M", 2, 1) * V("X", 1, 2)
     late = V("N", 3, 1) * V("X", 1, 2)   # no W1 factor
     early = V("M", 2, 1) * V("N", 3, 1)  # no W2 factor
-    slots = packed.Slots([M21, X12, N31], max_degree=3)
+    vs = (M21, X12, N31)  # one in each of W1, W2 and Vc
+    slots = packed.Slots(vs, max_degree=3)
     witnesses = set()
     for first, second in ((late, early), (early, late)):
         terms = {**first.terms, **second.terms, **ok.terms}
@@ -241,7 +243,7 @@ def test_bilinear_witness_is_first_in_term_order():
         witnesses.add(exc.value.witness)
         with pytest.raises(BilinearityError) as exc:
             packed.check_bilinear({encode(slots, m): c for m, c in terms.items()},
-                                  slots, {M21}, {X12}, {N31})
+                                  slots, *({slots.unit[v]} for v in vs))
         witnesses.add(exc.value.witness)
     assert witnesses == {"M(2,1)*N(3,1)"}
 
