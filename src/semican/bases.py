@@ -13,11 +13,12 @@ The monomial values are q = 1 flag counts (integers, from qcount).  The lift
 is linear, so on each dimension vector D it is one transfer matrix T_D with
 mat_pi = mat_e . T_D on the count rows of the words of content D.  T_D is
 solved from the rows of the sandwich words 1^a 2^d2 1^c and 2^a 1^d1 2^c of
-D.  The count row of a word (v, b) + rest is the row of rest times the
-transpose of the step matrix S_{v,b}(D) of qcount.step_matrix, so by
-induction on word length from T_(0,0) = [[1]] the identity holds for every
-word of every content D <= dim exactly when, for every such D and every
-letter v^b peeled off it,
+D, and held in ints as (u, s) with T_D = u / s; Fractions are built only
+for the entries of m.  The count row of a word (v, b) + rest is the row of
+rest times the transpose of the step matrix S_{v,b}(D) of
+qcount.step_matrix, so by induction on word length from T_(0,0) = [[1]] the
+identity holds for every word of every content D <= dim exactly when, for
+every such D and every letter v^b peeled off it,
 
     T_child . S^Pi_{v,b}(D)^T == S^E_{v,b}(D)^T . T_D:
 
@@ -32,9 +33,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import ratlin
-from .core import (ConormalComponent, DimVector, Orbit, PiModClass,
-                   orbit_dim, pi_classes)
-from .qcount import Word, euler_counts, step_matrix
+from .core import ConormalComponent, DimVector, Orbit, orbit_dim, pi_classes
+from .qcount import Word, _pi_index, euler_counts, step_matrix
 
 
 def sandwich_words(dim: DimVector) -> list[Word]:
@@ -122,6 +122,13 @@ class ConjectureViolation(AssertionError):
     """A structural consequence of the multiplicity identity failed."""
 
 
+def _stalk_values(dim: DimVector, r: int) -> list[int]:
+    """The values of canonical_fn(dim, r), as ints."""
+    n = dim.rank_bound
+    return [math.comb(n - rp, n - r) if rp <= r else 0
+            for rp in range(n + 1)]
+
+
 def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
     """Stalk Euler characteristics of the IC sheaf of the rank-r orbit closure,
     normalized to 1 on the open stratum.
@@ -131,45 +138,43 @@ def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
     d1, d2 swapped when d2 < d1).  The resolution on the side of the smaller
     dimension is always small: for d1 <= d2 its condition reduces to
     d2 - d1 + r - r' > 0 for every r' < r."""
-    n = dim.d1 if dim.d1 <= dim.d2 else dim.d2
-    values = [
-        Fraction(math.comb(n - rp, n - r)) if rp <= r else Fraction(0)
-        for rp in range(dim.rank_bound + 1)
-    ]
-    return ConstructibleFnE(dim, tuple(values))
+    return ConstructibleFnE(
+        dim, tuple(Fraction(v) for v in _stalk_values(dim, r)))
 
 
-class TransferMatrix(namedtuple("TransferMatrix", "dim entries mismatch")):
-    """The lift to the pair variety as one matrix: mat_pi = mat_e . T.
+class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
+    """The lift to the pair variety as one matrix: mat_pi = mat_e . T, held
+    as T = u / scale.
 
-    Row per orbit rank, column per pair class in pi_classes order.
-    `mismatch` names the first intertwining identity that fails, as
-    `dim (a,c), letter v^b, orbit r', class (r,s): <lhs> != <rhs>` with r'
-    an orbit rank of the child dimension and (r,s) a pair class of (a,c);
-    None means that every identity holds, so every word of every content
-    up to `dim` satisfies mat_pi = mat_e . T at its content.  `entries` is a
-    tuple of tuples of Fractions.
+    Row per orbit rank, column per pair class in pi_classes order.  `u` is
+    a tuple of tuples of ints and `scale` the least positive int that makes
+    scale * T integral.  `mismatch` names the first intertwining identity
+    that fails, as `dim (a,c), letter v^b, orbit r', class (r,s): <lhs> !=
+    <rhs>` with r' an orbit rank of the child dimension and (r,s) a pair
+    class of (a,c); None means that every identity holds, so every word of
+    every content up to `dim` satisfies mat_pi = mat_e . T at its content.
     """
 
     __slots__ = ()
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """T itself, as a tuple of tuples of Fractions."""
+        return tuple(tuple(Fraction(v, self.scale) for v in row)
+                     for row in self.u)
+
     def apply(self, values) -> tuple[Fraction, ...]:
         """f . T: pair-side values of the lift of the E-side values f."""
-        return tuple(
-            sum((Fraction(v) * t for v, t in zip(values, col)), Fraction(0))
-            for col in zip(*self.entries)
-        )
+        values = [Fraction(v) for v in values]
+        return tuple(sum((v * x for v, x in zip(values, col)), Fraction(0))
+                     / self.scale for col in zip(*self.u))
 
     def section_failures(self) -> list[int]:
         """Ranks r whose (r, 0) column of T is not the unit vector at r."""
-        classes = pi_classes(self.dim)
-        out = []
-        for r in range(self.dim.rank_bound + 1):
-            j = classes.index(PiModClass(self.dim, r, 0))
-            if any(row[j] != (1 if rp == r else 0)
-                   for rp, row in enumerate(self.entries)):
-                out.append(r)
-        return out
+        index = _pi_index(*self.dim)
+        return [r for r in range(self.dim.rank_bound + 1)
+                if any(row[index[r, 0]] != (self.scale if rp == r else 0)
+                       for rp, row in enumerate(self.u))]
 
 
 def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
@@ -179,12 +184,12 @@ def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
     `rows` maps each D to its (E-side, pair-side) count rows, as
     sandwich_rows builds them.  At each D the first rank_bound + 1
     independent E-side rows give a square system solved once for all pair
-    classes.  Raises SpanningError at the first D whose E-side rows do not
-    reach every orbit rank.
+    classes, as (u, s) with T_D = u / s.  Raises SpanningError at the first
+    D whose E-side rows do not reach every orbit rank.
     """
     if rows is None:
         rows = sandwich_rows(dim)
-    scaled = {}  # D -> (integer matrix U, scale s) with T_D = U / s
+    scaled = {}  # D -> (integer rows u, scale s) with T_D = u / s
     for sub, (mat_e, mat_pi) in rows.items():
         n_orbits = sub.rank_bound + 1
         picked, basis = ratlin.echelon(mat_e, n_orbits)
@@ -192,13 +197,11 @@ def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
             covered = {c for c, _ in basis}
             raise SpanningError(
                 sub, [r for r in range(n_orbits) if r not in covered])
-        t = ratlin.solve_square([mat_e[i] for i in picked],
-                                [mat_pi[i] for i in picked])
-        scale = math.lcm(*(v.denominator for row in t for v in row))
-        scaled[sub] = ([[int(v * scale) for v in row] for row in t], scale)
+        scaled[sub] = ratlin.solve_square([mat_e[i] for i in picked],
+                                          [mat_pi[i] for i in picked])
     u, scale = scaled[dim]
-    entries = tuple(tuple(Fraction(v, scale) for v in row) for row in u)
-    return TransferMatrix(dim, entries, _first_broken_identity(scaled))
+    return TransferMatrix(dim, tuple(map(tuple, u)), scale,
+                          _first_broken_identity(scaled))
 
 
 def _first_broken_identity(scaled) -> str | None:
@@ -233,17 +236,24 @@ def _first_broken_identity(scaled) -> str | None:
 def m_coefficients(dim: DimVector, *,
                    transfer: TransferMatrix | None = None) -> ExpansionMatrix:
     """m[r', r] = value of the lifted IC stalk function of orbit r at the
-    generic pair class (r', min - r') of the r'-component."""
+    generic pair class (r', min - r') of the r'-component.
+
+    That value is f_r . T at the generic column, so only those columns of
+    u are read, in ints, and divided by the scale once per entry."""
     if transfer is None:
         transfer = transfer_matrix(dim)
     bound = dim.rank_bound
-    classes = pi_classes(dim)
-    generic = [classes.index(ConormalComponent(Orbit(dim, rp)).generic_class)
-               for rp in range(bound + 1)]
-    cols = [transfer.apply(canonical_fn(dim, r).values)
-            for r in range(bound + 1)]
-    entries = tuple(tuple(cols[r][generic[rp]] for r in range(bound + 1))
-                    for rp in range(bound + 1))
+    index = _pi_index(*dim)
+    generic = []
+    for rp in range(bound + 1):
+        c = ConormalComponent(Orbit(dim, rp)).generic_class
+        j = index[c.r, c.s]
+        generic.append([row[j] for row in transfer.u])
+    stalks = [_stalk_values(dim, r) for r in range(bound + 1)]
+    entries = tuple(
+        tuple(Fraction(sum([f * t for f, t in zip(f_r, col)]), transfer.scale)
+              for f_r in stalks)
+        for col in generic)
     return ExpansionMatrix(dim, entries)
 
 

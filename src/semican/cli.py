@@ -95,6 +95,15 @@ def _require_nonempty(dim: DimVector) -> None:
         raise ValueError("d1 + d2 must be at least 1")
 
 
+def _require_rank_bound(dim: DimVector) -> None:
+    """Reject min(d1, d2) above separation.MAX_RANK_BOUND, which the packed
+    kernel's exponent fields cannot hold; main exits 1 with the message."""
+    if dim.rank_bound > MAX_RANK_BOUND:
+        raise ValueError(f"min(d1, d2) = {dim.rank_bound} is above "
+                         f"{MAX_RANK_BOUND}, the largest the separation's "
+                         f"exponent fields hold")
+
+
 def _orbit_rows(dim: DimVector):
     rows = []
     for o in enumerate_orbits(dim):
@@ -136,11 +145,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 1
     _require_nonempty(dim)
-    if dim.rank_bound > MAX_RANK_BOUND:
-        print(f"error: min(d1, d2) = {dim.rank_bound} is above "
-              f"{MAX_RANK_BOUND}, the largest the separation's exponent "
-              f"fields hold", file=sys.stderr)
-        return 1
+    _require_rank_bound(dim)
     report = run_verify(args.d1, args.d2, seed=args.seed,
                         skip_wreg=args.skip_wreg)
     text = _dumps(report)
@@ -175,15 +180,20 @@ def _parse_y0(spec: str) -> NormalFormY:
 
 
 def cmd_separate(args) -> int:
-    _require_nonempty(DimVector(args.d1, args.d2))
+    dim = DimVector(args.d1, args.d2)
+    _require_nonempty(dim)
+    _require_rank_bound(dim)
     try:
         comp = tuple(int(v) for v in args.comp.split(","))
     except ValueError:
         print(f"error: bad composition {args.comp!r}", file=sys.stderr)
         return 1
-    d1 = sum(1 for v in comp if v == 1)
-    d2 = sum(1 for v in comp if v == 2)
-    if (d1, d2) != (args.d1, args.d2) or len(comp) != d1 + d2:
+    if any(v not in (1, 2) for v in comp):
+        print(f"error: composition letters must be 1 or 2: {args.comp}",
+              file=sys.stderr)
+        return 1
+    d1, d2 = comp.count(1), comp.count(2)
+    if (d1, d2) != dim:
         print(f"error: composition {args.comp} has content ({d1}, {d2}), "
               f"expected ({args.d1}, {args.d2})", file=sys.stderr)
         return 1

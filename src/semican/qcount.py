@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .core import DimVector, pi_classes
+from .core import DimVector
 
 Word = tuple[tuple[int, int], ...]  # ((vertex, multiplicity), ...)
 
@@ -28,40 +28,43 @@ def word_content(word: Word) -> tuple[int, int]:
     return c1, c2
 
 
-def _split(ambient: int, special: int, b: int):
-    """(t, count): b-subspaces of an `ambient`-dim space meeting a fixed
-    `special`-dim subspace in dimension exactly t, counted at q = 1."""
-    for t in range(max(0, b - (ambient - special)), min(b, special) + 1):
-        yield t, comb(special, t) * comb(ambient - special, b - t)
-
-
 def _steps_E(d1: int, d2: int, r: int, vertex: int, b: int):
-    """(child rank, count) for a b-dimensional sub at `vertex` of a rank-r
-    map.  At vertex 1 the sub lies in ker x; at vertex 2 it meets im x in
-    dimension t, which lowers the rank by t."""
+    """((child rank, count), ...) for a b-dimensional sub at `vertex` of a
+    rank-r map.  At vertex 1 the sub lies in ker x; at vertex 2 it meets
+    im x in dimension t, which lowers the rank by t.  The range of t keeps
+    both binomials nonzero and the child rank at most min(d1, d2 - b)."""
     if vertex == 1:
-        if r > d1 - b:
-            return []
-        return [(r, comb(d1 - r, b))]
-    return [(r - t, n) for t, n in _split(d2, r, b)
-            if r - t <= min(d1, d2 - b)]
+        return ((r, comb(d1 - r, b)),) if r <= d1 - b else ()
+    return tuple([(r - t, comb(r, t) * comb(d2 - r, b - t))
+                  for t in range(max(0, b - (d2 - r), r - min(d1, d2 - b)),
+                                 min(b, r) + 1)])
 
 
-def _steps_Pi(d1: int, d2: int, r: int, s: int, vertex: int, b: int):
-    """((child r, child s), count) for a b-dimensional sub at `vertex` of a
-    pair (x, y) with ranks (r, s) and x y = 0 = y x.  At vertex 1 the sub
-    lies in ker x and meets im y in dimension t, which lowers s by t; at
-    vertex 2 it lies in ker y and meets im x, which lowers r."""
+def _steps_Pi(d1: int, d2: int, r: int, s: int, vertex: int, b: int,
+              child: dict):
+    """((child index, count), ...) for a b-dimensional sub at `vertex` of a
+    pair (x, y) with ranks (r, s) and x y = 0 = y x; `child` indexes the
+    classes of the child dimension.  At vertex 1 the sub lies in ker x and
+    meets im y in dimension t, which lowers s by t; at vertex 2 it lies in
+    ker y and meets im x, which lowers r.  The range of t keeps both
+    binomials nonzero and r + s - t at most the child's rank bound."""
     if vertex == 1:
-        return [((r, s - t), n) for t, n in _split(d1 - r, s, b)
-                if r + s - t <= min(d1 - b, d2)]
-    return [((r - t, s), n) for t, n in _split(d2 - s, r, b)
-            if r - t + s <= min(d1, d2 - b)]
+        return tuple([(child[r, s - t], comb(s, t) * comb(d1 - r - s, b - t))
+                      for t in range(max(0, b - (d1 - r - s),
+                                         r + s - min(d1 - b, d2)),
+                                     min(b, s) + 1)])
+    return tuple([(child[r - t, s], comb(r, t) * comb(d2 - r - s, b - t))
+                  for t in range(max(0, b - (d2 - r - s),
+                                     r + s - min(d1, d2 - b)),
+                                 min(b, r) + 1)])
 
 
 @lru_cache(maxsize=None)
-def _pi_index(dim: DimVector) -> dict:
-    return {(c.r, c.s): i for i, c in enumerate(pi_classes(dim))}
+def _pi_index(d1: int, d2: int) -> dict:
+    """(r, s) -> position of the pair class in pi_classes order."""
+    k = min(d1, d2)
+    return {(r, s): i for i, (r, s) in enumerate(
+        (r, s) for r in range(k + 1) for s in range(k - r + 1))}
 
 
 @lru_cache(maxsize=None)
@@ -72,16 +75,13 @@ def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
 
     The count row of a word (vertex, b) + rest is S times the count row of
     rest on the child dimension."""
-    d1, d2 = dim.d1, dim.d2
+    d1, d2 = dim
     if side == "E":
-        return tuple(tuple(_steps_E(d1, d2, r, vertex, b))
-                     for r in range(dim.rank_bound + 1))
-    index = _pi_index(DimVector(d1 - b, d2) if vertex == 1
-                      else DimVector(d1, d2 - b))
-    return tuple(
-        tuple((index[c], n) for c, n in _steps_Pi(d1, d2, c.r, c.s, vertex, b))
-        for c in pi_classes(dim)
-    )
+        return tuple([_steps_E(d1, d2, r, vertex, b)
+                      for r in range(min(d1, d2) + 1)])
+    child = _pi_index(d1 - b, d2) if vertex == 1 else _pi_index(d1, d2 - b)
+    return tuple([_steps_Pi(d1, d2, r, s, vertex, b, child)
+                  for r, s in _pi_index(d1, d2)])
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +93,7 @@ def _count_row(word: Word, side: str) -> tuple[int, ...]:
     (vertex, mult), rest = word[0], word[1:]
     below = _count_row(rest, side)
     steps = step_matrix(DimVector(*word_content(word)), vertex, mult, side)
-    return tuple(sum(n * below[j] for j, n in cls_steps) for cls_steps in steps)
+    return tuple([sum([n * below[j] for j, n in row]) for row in steps])
 
 
 def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:

@@ -6,15 +6,15 @@ far with the fraction-free step v <- p*v - f*b (Bareiss 1968, Math. Comp. 22),
 dividing by the gcd of the entries to keep them small.  The kept rows are the
 reduced row echelon form up to one nonzero integer per row.  That form is
 unique, so the rank and the solutions of `solve_square` do not depend on
-the order of the steps; rationals are built only when a result is read off.
+the order of the steps.  Rationals come in as input rows only; every result
+is in ints: `solve_square` returns its solution as integer rows over one
+common denominator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-Row = list[Fraction]
 Basis = list[tuple[int, list[int]]]  # (pivot column, integer row)
 
 
@@ -88,10 +88,15 @@ def rank(a) -> int:
     return len(echelon(a)[1])
 
 
-def solve_square(a, b) -> list[Row]:
-    """The X with a X = b, for square invertible `a` and `b` given by rows.
+def solve_square(a, b) -> tuple[list[list[int]], int]:
+    """(u, s) with X = u / s solving a X = b, for square invertible `a` and
+    `b` given by rows: u integer rows, s the least positive integer that
+    makes s X integral.
 
-    Raises InconsistentSystem when `a` is singular.
+    Read off the echelon basis: row k is (pivot * e_k | rhs), so row k of X
+    is rhs / pivot, and after dividing both by their gcd, signed like the
+    pivot, den_k = pivot / g is the least denominator of that row.  Raises
+    InconsistentSystem when `a` is singular.
     """
     n = len(a)
     basis = echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])[1]
@@ -100,5 +105,13 @@ def solve_square(a, b) -> list[Row]:
             raise InconsistentSystem(k)
     if len(basis) < n:
         raise InconsistentSystem(len(basis))
-    return [[Fraction(x, row[k]) for x in row[n:]]
-            for k, (_, row) in enumerate(basis)]
+    dens, nums = [], []
+    for k, (_, row) in enumerate(basis):
+        rhs = row[n:]
+        g = math.gcd(row[k], *rhs)
+        if row[k] < 0:
+            g = -g
+        dens.append(row[k] // g)
+        nums.append([x // g for x in rhs])
+    s = math.lcm(*dens)
+    return [[x * (s // den) for x in num] for num, den in zip(nums, dens)], s

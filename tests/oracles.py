@@ -4,7 +4,8 @@ They recompute, by a different route, what the library relies on: the
 counting polynomials in q of flags of subrepresentations (Gaussian
 binomials, one-step and grouped steps, the word evaluator), whose values at
 q = 1 the integer counts of semican.qcount must equal; pivot columns,
-kernels and pivoted solutions read off `ratlin.echelon`, and the tangent
+kernels and pivoted solutions read off `ratlin.echelon`, a Gauss-Jordan
+solve in Fractions that shares no code with it, and the tangent
 space of the conormal variety; the expansion of a constructible function
 in flag monomials and the smallness test of the resolutions behind
 canonical_fn; the word sweep that checks the lift row by row,
@@ -343,7 +344,8 @@ def transitions(word: Word, cls, side: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra read off `ratlin.echelon`
+# linear algebra read off `ratlin.echelon`, and one solve that shares no code
+# with it
 
 
 def transpose(a):
@@ -389,6 +391,28 @@ def solve_pivoted(a, b) -> list[Fraction]:
             raise ratlin.InconsistentSystem(k)
         x[c] = Fraction(row[n_cols], row[c])
     return x
+
+
+def gauss_jordan_solve(a, b) -> list[list[Fraction]]:
+    """The X with a X = b, for square invertible `a` and `b` given by rows,
+    by textbook Gauss-Jordan elimination in Fractions: pivot on the first
+    nonzero entry of each column, scale the pivot row to 1, clear the
+    column everywhere else.  Raises ValueError when `a` is singular."""
+    n = len(a)
+    rows = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb]
+            for ra, rb in zip(a, b)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
 
 
 def conormal_tangent(p: PairPoint):

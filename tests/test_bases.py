@@ -236,6 +236,8 @@ def test_transfer_matrix_integral_with_identity_section():
     dim = DimVector(5, 5)
     t = transfer_matrix(dim)
     assert t.mismatch is None
+    assert type(t.scale) is int and all(type(v) is int for row in t.u
+                                        for v in row)
     assert all(v.denominator == 1 for row in t.entries for v in row)
     classes = pi_classes(dim)
     for r in range(dim.rank_bound + 1):
@@ -314,8 +316,8 @@ def test_cc_multiplicities_checks_the_section_identity():
     dim = DimVector(2, 2)
     t = transfer_matrix(dim)
     j = pi_classes(dim).index(PiModClass(dim, 1, 0))
-    t = t._replace(entries=tuple(
-        row[:j] + (2 * row[j],) + row[j + 1:] for row in t.entries))
+    t = t._replace(u=tuple(
+        row[:j] + (2 * row[j],) + row[j + 1:] for row in t.u))
     assert t.mismatch is None
     assert lift_failures(t) == ["section_identity (r=1)"]
     with pytest.raises(ConjectureViolation,

@@ -386,6 +386,16 @@ def test_verify_refuses_dimensions_the_exponent_fields_cannot_hold(capsys):
                    "separation's exponent fields hold\n")
 
 
+def test_separate_refuses_dimensions_the_exponent_fields_cannot_hold(capsys):
+    # the same message as verify, before the kernel's own degree-bound error
+    comp = ",".join(["1"] * 11 + ["2"] * 11)
+    code, out, err = run(capsys, "separate", "--d1", "11", "--d2", "11",
+                         "--comp", comp, "--y0", "1:1")
+    assert code == 1 and out == ""
+    assert err == ("error: min(d1, d2) = 11 is above 10, the largest the "
+                   "separation's exponent fields hold\n")
+
+
 def test_verify_stage_exception_becomes_failed_check(capsys, monkeypatch):
     def singular(a, b):
         raise ratlin.InconsistentSystem(0)
@@ -590,6 +600,16 @@ def test_separate_content_mismatch(capsys):
                        "--comp", "1,2", "--y0", "")
     assert code == 1
     assert "content" in err
+
+
+@pytest.mark.parametrize("comp", ["1,3", "0,1,2"])
+@pytest.mark.parametrize("mode", [["--all"], ["--y0", ""]])
+def test_separate_composition_letters(capsys, comp, mode):
+    # a bad letter is named as such, not as a content mismatch
+    code, out, err = run(capsys, "separate", "--d1", "1", "--d2", "1",
+                         "--comp", comp, *mode)
+    assert code == 1 and out == ""
+    assert err == f"error: composition letters must be 1 or 2: {comp}\n"
 
 
 @pytest.mark.parametrize("argv", [

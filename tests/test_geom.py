@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from semican import ratlin
-from semican.core import (DimVector, Orbit, PiModClass, dual_orbit, orbit_dim,
-                          pi_classes, representative_pair)
+from semican.core import (ConormalComponent, DimVector, Orbit, PiModClass,
+                          dual_orbit, enumerate_orbits, orbit_dim, pi_classes,
+                          representative_pair)
 from semican.geom import (GenericityError, PairPoint, action_rank,
                           bilinear_form_B, conormal_dimension,
                           expected_hessian_rank, hessian_rank_check,
@@ -154,6 +155,18 @@ def test_bilinear_form_rank_identity_exhaustive():
     for c in _all_classes(5):
         p = PairPoint.from_class(c)
         assert ratlin.rank(bilinear_form_B(p)) == 2 * c.r * c.s
+
+
+def test_bilinear_form_rank_is_2rs_at_every_generic_class():
+    # the mixed block of B is a column permutation of x^T (x) y, so
+    # rank B = 2 rank(x) rank(y): a value ratlin.rank does not compute
+    classes = [ConormalComponent(o).generic_class
+               for d1 in range(7) for d2 in range(7) if d1 + d2
+               for o in enumerate_orbits(DimVector(d1, d2))]
+    assert len(classes) == 139
+    for c in classes:
+        p = PairPoint.from_class(c)
+        assert ratlin.rank(bilinear_form_B(p)) == 2 * c.r * c.s, c
 
 
 def test_hessian_rank_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from semican import ratlin
 
-from oracles import kernel_basis, pivot_columns, solve_pivoted
+from oracles import (gauss_jordan_solve, kernel_basis, pivot_columns,
+                     solve_pivoted)
 
 F = Fraction
 
@@ -74,12 +76,56 @@ def test_solve_square():
         if ratlin.rank(a) < n:
             continue
         b = _rand_matrix(rng, n, 3)
-        x = ratlin.solve_square(a, b)
-        assert ratlin.mat_mul(a, x) == b
+        u, s = ratlin.solve_square(a, b)
+        assert s > 0
+        assert ratlin.mat_mul(a, u) == [[s * x for x in row] for row in b]
     with pytest.raises(ratlin.InconsistentSystem):
         ratlin.solve_square([[1, 2], [2, 4]], [[1], [2]])
     with pytest.raises(ratlin.InconsistentSystem):
         ratlin.solve_square([[0, 0], [0, 0]], [[0], [0]])
+
+
+def _rand_system(rng, n, m, fractions):
+    if fractions:
+        def entry():
+            return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+    else:
+        def entry():
+            return rng.randint(-6, 6)
+    return ([[entry() for _ in range(n)] for _ in range(n)],
+            [[entry() for _ in range(m)] for _ in range(n)])
+
+
+def test_solve_square_matches_gauss_jordan():
+    # u / s is the Fraction solution, in ints, with s the least denominator
+    rng = random.Random(6)
+    solved = singular = negative_pivots = 0
+    for fractions in (False, True):
+        for _ in range(200):
+            n, m = rng.randint(1, 6), rng.randint(1, 4)
+            a, b = _rand_system(rng, n, m, fractions)
+            try:
+                x = gauss_jordan_solve(a, b)
+            except ValueError:
+                with pytest.raises(ratlin.InconsistentSystem):
+                    ratlin.solve_square(a, b)
+                singular += 1
+                continue
+            u, s = ratlin.solve_square(a, b)
+            flat = [v for row in u for v in row]
+            assert type(s) is int and all(type(v) is int for v in flat)
+            assert s > 0 and math.gcd(s, *flat) == 1
+            assert [[F(v, s) for v in row] for row in u] == x
+            solved += 1
+            basis = ratlin.echelon([ra + rb for ra, rb in zip(a, b)])[1]
+            negative_pivots += any(row[c] < 0 for c, row in basis)
+    assert solved > 300 and singular > 0 and negative_pivots > 0
+    # negative pivots by hand, and a zero right-hand side
+    assert ratlin.solve_square([[-3]], [[2]]) == ([[-2]], 3)
+    assert ratlin.solve_square([[-2, 0], [0, -4]], [[1], [2]]) == \
+        ([[-1], [-1]], 2)
+    assert ratlin.solve_square([[-5, 1], [0, 7]], [[0, 0], [0, 0]]) == \
+        ([[0, 0], [0, 0]], 1)
 
 
 def test_echelon_picks_earliest_independent_rows():
@@ -99,8 +145,9 @@ def test_rows_with_denominators():
     assert ratlin.rank(a) == 1
     assert kernel_basis(a) == [[F(-4, 3), F(1)]]
     assert solve_pivoted(a, [F(1, 6), F(1, 4)]) == [F(1, 3), F(0)]
+    # X = [[2], [-5/3]] = [[6], [-5]] / 3
     x = ratlin.solve_square([[F(1, 2), F(0)], [F(2, 3), F(1, 5)]],
                             [[F(1)], [F(1)]])
-    assert x == [[F(2)], [F(-5, 3)]]
+    assert x == ([[6], [-5]], 3)
     picked, basis = ratlin.echelon([[F(1, 2), F(2, 3)], [F(3, 2), F(2)]])
     assert picked == [0] and basis == [(0, [3, 4])]
