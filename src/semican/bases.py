@@ -22,8 +22,9 @@ every such D and every letter v^b peeled off it,
 
     T_child . S^Pi_{v,b}(D)^T == S^E_{v,b}(D)^T . T_D:
 
-the lift commutes with peeling a letter.  The lift of a function f is
-transfer_matrix(dim).apply(f.values).
+the lift commutes with peeling a letter.  The lift of a function with
+E-side values f is the row vector f . T_D; m_coefficients reads it at the
+generic columns only.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import ratlin
-from .core import ConormalComponent, DimVector, Orbit, orbit_dim, pi_classes
-from .qcount import Word, _pi_index, euler_counts, step_matrix
+from .core import ConormalComponent, DimVector, Orbit, orbit_dim
+from .qcount import Word, _count_row, _pi_index, step_matrix
 
 
 def sandwich_words(dim: DimVector) -> list[Word]:
@@ -51,14 +52,15 @@ def sandwich_words(dim: DimVector) -> list[Word]:
 
 def sandwich_rows(dim: DimVector) -> dict:
     """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
-    pair-side flag counts of the sandwich words of D, one row per word."""
+    pair-side flag counts of the sandwich words of D, one row (a tuple of
+    ints) per word, read from the count memo of qcount."""
     rows = {}
     for a in range(dim.d1 + 1):
         for c in range(dim.d2 + 1):
             sub = DimVector(a, c)
             words = sandwich_words(sub)
-            rows[sub] = ([euler_counts(w, sub, "E") for w in words],
-                         [euler_counts(w, sub, "Pi") for w in words])
+            rows[sub] = ([_count_row(w, a, c, "E") for w in words],
+                         [_count_row(w, a, c, "Pi") for w in words])
     return rows
 
 
@@ -157,18 +159,6 @@ class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
 
     __slots__ = ()
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """T itself, as a tuple of tuples of Fractions."""
-        return tuple(tuple(Fraction(v, self.scale) for v in row)
-                     for row in self.u)
-
-    def apply(self, values) -> tuple[Fraction, ...]:
-        """f . T: pair-side values of the lift of the E-side values f."""
-        values = [Fraction(v) for v in values]
-        return tuple(sum((v * x for v, x in zip(values, col)), Fraction(0))
-                     / self.scale for col in zip(*self.u))
-
     def section_failures(self) -> list[int]:
         """Ranks r whose (r, 0) column of T is not the unit vector at r."""
         index = _pi_index(*self.dim)
@@ -182,55 +172,81 @@ def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
     intertwining identity exactly.
 
     `rows` maps each D to its (E-side, pair-side) count rows, as
-    sandwich_rows builds them.  At each D the first rank_bound + 1
-    independent E-side rows give a square system solved once for all pair
-    classes, as (u, s) with T_D = u / s.  Raises SpanningError at the first
-    D whose E-side rows do not reach every orbit rank.
+    sandwich_rows builds them.  Raises SpanningError at the first D whose
+    E-side rows do not reach every orbit rank.
     """
     if rows is None:
         rows = sandwich_rows(dim)
-    scaled = {}  # D -> (integer rows u, scale s) with T_D = u / s
-    for sub, (mat_e, mat_pi) in rows.items():
-        n_orbits = sub.rank_bound + 1
-        picked, basis = ratlin.echelon(mat_e, n_orbits)
-        if len(picked) < n_orbits:
-            covered = {c for c, _ in basis}
-            raise SpanningError(
-                sub, [r for r in range(n_orbits) if r not in covered])
-        scaled[sub] = ratlin.solve_square([mat_e[i] for i in picked],
-                                          [mat_pi[i] for i in picked])
+    # D -> (integer rows u, scale s) with T_D = u / s
+    scaled = {sub: _solve_transfer(sub, mat_e, mat_pi)
+              for sub, (mat_e, mat_pi) in rows.items()}
     u, scale = scaled[dim]
     return TransferMatrix(dim, tuple(map(tuple, u)), scale,
                           _first_broken_identity(scaled))
 
 
+def _solve_transfer(sub: DimVector, mat_e, mat_pi):
+    """(u, s) with T_D = u / s solving mat_pi = mat_e . T_D on D = sub.
+
+    One elimination of the rows (E-side | pair-side), with pivots only in
+    the E columns, picks the first rank_bound + 1 rows independent on the
+    E side and solves the square system they form for all pair classes at
+    once.  Raises SpanningError when fewer rows are independent."""
+    n_orbits = sub.rank_bound + 1
+    basis = ratlin.echelon([[*e, *p] for e, p in zip(mat_e, mat_pi)],
+                           n_orbits, width=n_orbits)[1]
+    if len(basis) < n_orbits:
+        covered = {c for c, _ in basis}
+        raise SpanningError(
+            sub, [r for r in range(n_orbits) if r not in covered])
+    return ratlin.read_off(basis, n_orbits)
+
+
 def _first_broken_identity(scaled) -> str | None:
     """Witness of the first (D, letter), in the order of `scaled` and then
-    by letter, whose identity fails; None when all hold."""
+    by letter, whose identity fails; None when all hold.
+
+    Both sides are built scaled by the product of the two scales and
+    compared whole; only a failing identity is scanned entry by entry."""
     for sub, (u, scale) in scaled.items():
-        classes = pi_classes(sub)
+        width = len(u[0])
         for v, top in ((1, sub.d1), (2, sub.d2)):
             for b in range(1, top + 1):
                 u_child, child_scale = scaled[
                     DimVector(sub.d1 - b, sub.d2) if v == 1
                     else DimVector(sub.d1, sub.d2 - b)]
-                # child_scale * (T_child . S_pi^T) and scale * (S_e^T . T_D)
-                lhs = [[sum(row[j] * n for j, n in steps)
-                        for steps in step_matrix(sub, v, b, "Pi")]
-                       for row in u_child]
-                rhs = [[0] * len(classes) for _ in u_child]
+                # scale * (u_child . S_pi^T), one class of sub at a time,
+                # from the columns of u_child that the class peels to
+                child_cols = list(zip(*u_child))
+                lhs_cols = []
+                for steps in step_matrix(sub, v, b, "Pi"):
+                    col = (0,) * len(u_child)
+                    for j, n in steps:
+                        n *= scale
+                        col = [x + n * y for x, y in zip(col, child_cols[j])]
+                    lhs_cols.append(col)
+                # child_scale * (S_e^T . u), one orbit rank of sub at a time
+                rhs = [[0] * width for _ in u_child]
                 for u_row, steps in zip(u, step_matrix(sub, v, b, "E")):
                     for j, n in steps:
+                        n *= child_scale
                         rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]
-                for rp, (l_row, r_row) in enumerate(zip(lhs, rhs)):
-                    for cls, lv, rv in zip(classes, l_row, r_row):
-                        if lv * scale != rv * child_scale:
-                            return (f"dim ({sub.d1},{sub.d2}), "
-                                    f"letter {v}^{b}, orbit {rp}, "
-                                    f"class ({cls.r},{cls.s}): "
-                                    f"{Fraction(lv, child_scale)} != "
-                                    f"{Fraction(rv, scale)}")
+                lhs = list(map(list, zip(*lhs_cols)))
+                if lhs != rhs:
+                    return _first_entry_witness(sub, v, b, lhs, rhs,
+                                                scale * child_scale)
     return None
+
+
+def _first_entry_witness(sub, v, b, lhs, rhs, den) -> str:
+    """The witness text of the first unequal entry of lhs and rhs, two
+    sides of the identity at (sub, v^b) scaled by den."""
+    for rp, (l_row, r_row) in enumerate(zip(lhs, rhs)):
+        for (r, s), lv, rv in zip(_pi_index(*sub), l_row, r_row):
+            if lv != rv:
+                return (f"dim ({sub.d1},{sub.d2}), letter {v}^{b}, "
+                        f"orbit {rp}, class ({r},{s}): "
+                        f"{Fraction(lv, den)} != {Fraction(rv, den)}")
 
 
 def m_coefficients(dim: DimVector, *,

@@ -5,10 +5,13 @@ takes the rows in the given order and reduces each against the rows kept so
 far with the fraction-free step v <- p*v - f*b (Bareiss 1968, Math. Comp. 22),
 dividing by the gcd of the entries to keep them small.  The kept rows are the
 reduced row echelon form up to one nonzero integer per row.  That form is
-unique, so the rank and the solutions of `solve_square` do not depend on
-the order of the steps.  Rationals come in as input rows only; every result
-is in ints: `solve_square` returns its solution as integer rows over one
-common denominator.
+unique, so the rank and the solutions read off it do not depend on the
+order of the steps.  Pivots may be confined to the first columns of the
+rows, so that one reduction of the augmented rows (a | b) both picks
+independent rows of a and solves for b; `read_off` takes the solution
+from that basis and `solve_square` is the square case.  Rationals come in
+as input rows only; every result is in ints: a solution comes as integer
+rows over one common denominator.
 """
 
 from __future__ import annotations
@@ -47,14 +50,17 @@ def _primitive(v: list[int]) -> list[int]:
     return v if g == 1 else [x // g for x in v]
 
 
-def echelon(a, limit: int | None = None) -> tuple[list[int], Basis]:
+def echelon(a, limit: int | None = None,
+            width: int | None = None) -> tuple[list[int], Basis]:
     """Greedy fraction-free row reduction of `a`.
 
-    A row is picked when it is independent of the rows picked before it; the
-    routine stops after `limit` picks.  Returns the picked row indices and the
-    basis as (pivot column, integer row) pairs sorted by pivot column.  Each
-    basis row is zero at every other pivot column, so dividing it by its
-    pivot entry gives the reduced row echelon row.
+    A row is picked when it is independent of the rows picked before it in
+    its first `width` columns (all columns by default), which are the only
+    pivot columns; the routine stops after `limit` picks.  Returns the
+    picked row indices and the basis as (pivot column, integer row) pairs
+    sorted by pivot column.  Each basis row is zero at every other pivot
+    column, so dividing it by its pivot entry gives the reduced row echelon
+    row.
     """
     picked: list[int] = []
     basis: Basis = []
@@ -66,7 +72,7 @@ def echelon(a, limit: int | None = None) -> tuple[list[int], Basis]:
             if f:
                 p = b[c]
                 v = [p * x - f * y for x, y in zip(v, b)]
-        c = next((c for c, x in enumerate(v) if x), None)
+        c = next((c for c, x in enumerate(v[:width]) if x), None)
         if c is None:
             continue
         v = _primitive(v)
@@ -88,18 +94,16 @@ def rank(a) -> int:
     return len(echelon(a)[1])
 
 
-def solve_square(a, b) -> tuple[list[list[int]], int]:
-    """(u, s) with X = u / s solving a X = b, for square invertible `a` and
-    `b` given by rows: u integer rows, s the least positive integer that
-    makes s X integral.
+def read_off(basis: Basis, n: int) -> tuple[list[list[int]], int]:
+    """(u, s) with X = u / s solving a X = b, from the echelon basis of the
+    augmented rows (a | b) with pivots in the n columns of a: u integer
+    rows, s the least positive integer that makes s X integral.
 
-    Read off the echelon basis: row k is (pivot * e_k | rhs), so row k of X
-    is rhs / pivot, and after dividing both by their gcd, signed like the
-    pivot, den_k = pivot / g is the least denominator of that row.  Raises
-    InconsistentSystem when `a` is singular.
+    Row k of the basis is (pivot * e_k | rhs), so row k of X is rhs / pivot,
+    and after dividing both by their gcd, signed like the pivot,
+    den_k = pivot / g is the least denominator of that row.  Raises
+    InconsistentSystem at the first column of a without a pivot.
     """
-    n = len(a)
-    basis = echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])[1]
     for k, (c, _) in enumerate(basis):
         if c != k:
             raise InconsistentSystem(k)
@@ -115,3 +119,12 @@ def solve_square(a, b) -> tuple[list[list[int]], int]:
         nums.append([x // g for x in rhs])
     s = math.lcm(*dens)
     return [[x * (s // den) for x in num] for num, den in zip(nums, dens)], s
+
+
+def solve_square(a, b) -> tuple[list[list[int]], int]:
+    """(u, s) with X = u / s solving a X = b, for square invertible `a` and
+    `b` given by rows, as read_off gives it.  Raises InconsistentSystem
+    when `a` is singular."""
+    n = len(a)
+    return read_off(echelon([list(ra) + list(rb) for ra, rb in zip(a, b)],
+                            width=n)[1], n)

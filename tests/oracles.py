@@ -8,8 +8,12 @@ kernels and pivoted solutions read off `ratlin.echelon`, a Gauss-Jordan
 solve in Fractions that shares no code with it, and the tangent
 space of the conormal variety; the expansion of a constructible function
 in flag monomials and the smallness test of the resolutions behind
-canonical_fn; the word sweep that checks the lift row by row,
-mat_pi = mat_e . T on every composition and sandwich word; the listed
+canonical_fn; the transfer matrix as Fractions and the lift of a function
+through it; the lift solved by two eliminations per dimension vector and
+its intertwining identities checked entry by entry, the references of the
+one elimination and the whole-matrix comparison of semican.bases; the word
+sweep that checks the lift row by row, mat_pi = mat_e . T on every
+composition and sandwich word; the listed
 separation instances, whose order `instances_at` and `matchings` must
 reproduce, and the sample drawn from them; the packed encoding of a tuple
 monomial; the Borel normal form of
@@ -43,7 +47,7 @@ from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
 from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
 from semican.geom import PairPoint, _conormal_rows
 from semican.packed import Slots
-from semican.qcount import Word, euler_counts, word_content
+from semican.qcount import Word, euler_counts, step_matrix, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _coupled_pairs, _fiber, _separation_error,
                                 _trace_factors, flag_shape, validate_matching)
@@ -446,13 +450,73 @@ def monomial_matrix(dim: DimVector, words, side: str) -> list[list[int]]:
     return [euler_counts(w, dim, side) for w in words]
 
 
+def transfer_entries(t: TransferMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """T itself, u / scale, as a tuple of tuples of Fractions."""
+    return tuple(tuple(Fraction(v, t.scale) for v in row) for row in t.u)
+
+
+def lift_values(t: TransferMatrix, values) -> tuple[Fraction, ...]:
+    """f . T: pair-side values of the lift of the E-side values f, one per
+    pair class in pi_classes order."""
+    values = [Fraction(v) for v in values]
+    return tuple(sum((v * x for v, x in zip(values, col)), Fraction(0))
+                 / t.scale for col in zip(*t.u))
+
+
+def two_pass_transfer(sub: DimVector, mat_e, mat_pi):
+    """(u, s) with T_D = u / s on D = sub, by two eliminations: `echelon`
+    picks the first rank_bound + 1 independent E-side rows, then
+    `solve_square` solves the square system they form.  Raises
+    SpanningError when fewer rows are independent."""
+    n_orbits = sub.rank_bound + 1
+    picked, basis = ratlin.echelon(mat_e, n_orbits)
+    if len(picked) < n_orbits:
+        covered = {c for c, _ in basis}
+        raise SpanningError(
+            sub, [r for r in range(n_orbits) if r not in covered])
+    return ratlin.solve_square([mat_e[i] for i in picked],
+                               [mat_pi[i] for i in picked])
+
+
+def first_broken_identity(scaled, steps=step_matrix) -> str | None:
+    """The witness of the first intertwining identity
+    T_child . S^Pi^T == S^E^T . T_D that fails, over the (u, s) of each D
+    in `scaled`, in the order of `scaled` and then by letter, compared
+    entry by entry; None when all hold.  `steps` gives the step matrices."""
+    for sub, (u, scale) in scaled.items():
+        classes = pi_classes(sub)
+        for v, top in ((1, sub.d1), (2, sub.d2)):
+            for b in range(1, top + 1):
+                u_child, child_scale = scaled[
+                    DimVector(sub.d1 - b, sub.d2) if v == 1
+                    else DimVector(sub.d1, sub.d2 - b)]
+                # child_scale * (T_child . S_pi^T) and scale * (S_e^T . T_D)
+                lhs = [[sum(row[j] * n for j, n in cls_steps)
+                        for cls_steps in steps(sub, v, b, "Pi")]
+                       for row in u_child]
+                rhs = [[0] * len(classes) for _ in u_child]
+                for u_row, rank_steps in zip(u, steps(sub, v, b, "E")):
+                    for j, n in rank_steps:
+                        rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]
+                for rp, (l_row, r_row) in enumerate(zip(lhs, rhs)):
+                    for cls, lv, rv in zip(classes, l_row, r_row):
+                        if lv * scale != rv * child_scale:
+                            return (f"dim ({sub.d1},{sub.d2}), "
+                                    f"letter {v}^{b}, orbit {rp}, "
+                                    f"class ({cls.r},{cls.s}): "
+                                    f"{Fraction(lv, child_scale)} != "
+                                    f"{Fraction(rv, scale)}")
+    return None
+
+
 def first_sweep_mismatch(t: TransferMatrix, words):
     """The first (word, class, lhs, rhs), in word then class order, where a
     word's pair-side count lhs differs from its E-side row times T, rhs;
     None when every row agrees.  Compared in ints after scaling T."""
     dim = t.dim
-    scale = math.lcm(*(v.denominator for row in t.entries for v in row))
-    cols = [[int(v * scale) for v in col] for col in zip(*t.entries)]
+    entries = transfer_entries(t)
+    scale = math.lcm(*(v.denominator for row in entries for v in row))
+    cols = [[int(v * scale) for v in col] for col in zip(*entries)]
     for w in words:
         row_e = euler_counts(w, dim, "E")
         for cls, col, lhs in zip(pi_classes(dim), cols,

@@ -16,15 +16,16 @@ from functools import lru_cache
 import semican.cli as cli
 from semican import ratlin
 from semican.bases import (canonical_fn, cc_multiplicities, m_coefficients,
-                           pi_classes, transfer_matrix)
+                           transfer_matrix)
 from semican.core import (DimVector, Orbit, PiModClass, dual_orbit,
-                          enumerate_orbits, orbit_dim, sign_parity)
+                          enumerate_orbits, orbit_dim, pi_classes,
+                          sign_parity)
 from semican.geom import (PairPoint, bilinear_form_B, hessian_rank_check,
                           w_regularity)
 from semican.separation import report_dicts, separate_packed
 
 from oracles import (back_substitute, decode_separation, enumerate_instances,
-                     gauss_binom, kernel_basis, monomial_matrix,
+                     gauss_binom, kernel_basis, lift_values, monomial_matrix,
                      spanning_words, transpose, w_regularity_sample)
 
 
@@ -88,7 +89,7 @@ def test_criterion_3_section_identity(capsys):
         section = [pi_classes(dim).index(PiModClass(dim, r, 0))
                    for r in range(dim.rank_bound + 1)]
         for row in mat_e:
-            lifted = transfer.apply(row)
+            lifted = lift_values(transfer, row)
             ok = ok and [lifted[j] for j in section] == row
     with capsys.disabled():
         _report(3, ok, "restriction of every lifted monomial to the "

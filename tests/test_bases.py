@@ -10,14 +10,15 @@ from semican import ratlin
 from semican.bases import (ConjectureViolation, ConstructibleFnE,
                            ExpansionMatrix, SpanningError, canonical_fn,
                            cc_multiplicities, lift_failures, m_coefficients,
-                           pi_classes, sandwich_rows, sandwich_words,
-                           transfer_matrix)
-from semican.core import DimVector, PiModClass
-from semican.qcount import euler_counts, word_content
+                           sandwich_rows, sandwich_words, transfer_matrix)
+from semican.core import DimVector, PiModClass, pi_classes
+from semican.qcount import euler_counts, step_matrix, word_content
 
-from oracles import (express_in_monomials, first_sweep_mismatch, gauss_binom,
-                     kernel_basis, monomial_matrix, smallness_check,
-                     spanning_words, transpose)
+from oracles import (express_in_monomials, first_broken_identity,
+                     first_sweep_mismatch, gauss_binom, kernel_basis,
+                     lift_values, monomial_matrix, smallness_check,
+                     spanning_words, transfer_entries, transpose,
+                     two_pass_transfer)
 
 
 def _row(dim, word):
@@ -26,7 +27,7 @@ def _row(dim, word):
 
 def _lift(f, rows=None):
     """Pair-side values of the lift of f, keyed by class (r, s)."""
-    values = transfer_matrix(f.dim, rows).apply(f.values)
+    values = lift_values(transfer_matrix(f.dim, rows), f.values)
     return {(c.r, c.s): v for c, v in zip(pi_classes(f.dim), values)}
 
 
@@ -238,11 +239,12 @@ def test_transfer_matrix_integral_with_identity_section():
     assert t.mismatch is None
     assert type(t.scale) is int and all(type(v) is int for row in t.u
                                         for v in row)
-    assert all(v.denominator == 1 for row in t.entries for v in row)
+    entries = transfer_entries(t)
+    assert all(v.denominator == 1 for row in entries for v in row)
     classes = pi_classes(dim)
     for r in range(dim.rank_bound + 1):
         j = classes.index(PiModClass(dim, r, 0))
-        assert [row[j] for row in t.entries] == \
+        assert [row[j] for row in entries] == \
             [1 if rp == r else 0 for rp in range(dim.rank_bound + 1)]
     assert t.section_failures() == []
 
@@ -308,6 +310,102 @@ def test_transfer_matrix_witnesses(monkeypatch):
     with pytest.raises(SpanningError) as exc:
         transfer_matrix(DimVector(1, 1), truncated)
     assert exc.value.dim == DimVector(1, 1) and exc.value.missing == [1]
+
+
+def test_sandwich_rows_match_euler_counts():
+    # the rows come straight from the count memo; euler_counts, which
+    # checks each word against its dimension vector first, is the oracle
+    rows = sandwich_rows(DimVector(6, 6))
+    assert len(rows) == 49
+    for sub, (mat_e, mat_pi) in rows.items():
+        words = sandwich_words(sub)
+        for side, mat in (("E", mat_e), ("Pi", mat_pi)):
+            assert [list(row) for row in mat] == \
+                [euler_counts(w, sub, side) for w in words], (sub, side)
+
+
+def test_one_elimination_matches_two_passes():
+    # one elimination of (E | Pi) with pivots in the E columns gives the
+    # (u, scale) of picking rows by echelon and then solve_square
+    for sub, (mat_e, mat_pi) in sandwich_rows(DimVector(8, 8)).items():
+        assert bases._solve_transfer(sub, mat_e, mat_pi) == \
+            two_pass_transfer(sub, mat_e, mat_pi), sub
+    # rank-deficient rows: the same SpanningError, with the same ranks
+    rows = sandwich_rows(DimVector(4, 3))
+    cases = 0
+    for sub, (mat_e, mat_pi) in rows.items():
+        n_orbits = sub.rank_bound + 1
+        keeps = [list(range(k)) for k in range(n_orbits)]
+        keeps.append(list(range(1, len(mat_e), 2)))
+        keeps.append([0] * len(mat_e))
+        for keep in keeps:
+            e, p = [mat_e[i] for i in keep], [mat_pi[i] for i in keep]
+            try:
+                want = two_pass_transfer(sub, e, p)
+            except SpanningError as exc:
+                with pytest.raises(SpanningError) as got:
+                    bases._solve_transfer(sub, e, p)
+                assert got.value.dim == exc.dim == sub
+                assert got.value.missing == exc.missing, (sub, keep)
+                cases += 1
+            else:
+                assert bases._solve_transfer(sub, e, p) == want
+    assert cases > 20
+
+
+def _scaled(dim):
+    return {sub: two_pass_transfer(sub, mat_e, mat_pi)
+            for sub, (mat_e, mat_pi) in sandwich_rows(dim).items()}
+
+
+def test_identity_witness_matches_entry_scan(monkeypatch):
+    # the whole-matrix comparison names the same first failing entry, in
+    # the same text, as the entry-by-entry scan of the oracle
+    scaled = _scaled(DimVector(4, 3))
+    assert bases._first_broken_identity(scaled) is None
+    # the same T_D over the scale 2 still passes
+    doubled = {**scaled, DimVector(2, 2): (
+        [[2 * x for x in row] for row in scaled[DimVector(2, 2)][0]], 2)}
+    assert bases._first_broken_identity(doubled) is None
+    assert first_broken_identity(doubled) is None
+
+    witnesses = set()
+    for base in (scaled, doubled):
+        for sub in [DimVector(0, 0), DimVector(1, 0), DimVector(1, 1),
+                    DimVector(2, 2), DimVector(3, 1), DimVector(4, 3)]:
+            u, scale = base[sub]
+            rows, cols = len(u) - 1, len(u[0]) - 1
+            # one entry, or two in different rows and columns, so that the
+            # failing entries span rows and columns and the scan order shows
+            for where in ([(0, 0)], [(rows, cols)], [(rows // 2, cols // 2)],
+                          [(0, cols), (rows, 0)]):
+                bad = [list(row) for row in u]
+                for rp, c in where:
+                    bad[rp][c] += 1
+                corrupted = {**base, sub: (bad, scale)}
+                want = first_broken_identity(corrupted)
+                assert want is not None, (sub, where)
+                assert bases._first_broken_identity(corrupted) == want
+                witnesses.add(want)
+    assert any("/" in w for w in witnesses)
+
+    # one corrupted step count of a grouped letter, on each side
+    for letter, side in [((1, 2), "Pi"), ((2, 3), "Pi"), ((2, 2), "E")]:
+
+        def corrupted(sub, vertex, b, side_, letter=letter, side=side):
+            steps = step_matrix(sub, vertex, b, side_)
+            if (sub, (vertex, b), side_) != (DimVector(4, 3), letter, side):
+                return steps
+            k = next(i for i, row in enumerate(steps) if row)
+            (child, n), *rest = steps[k]
+            return steps[:k] + (((child, n + 1), *rest),) + steps[k + 1:]
+
+        monkeypatch.setattr(bases, "step_matrix", corrupted)
+        want = first_broken_identity(scaled, corrupted)
+        assert want is not None and want.startswith(
+            f"dim (4,3), letter {letter[0]}^{letter[1]}, ")
+        assert bases._first_broken_identity(scaled) == want
+        monkeypatch.undo()
 
 
 def test_cc_multiplicities_checks_the_section_identity():

@@ -397,10 +397,10 @@ def test_separate_refuses_dimensions_the_exponent_fields_cannot_hold(capsys):
 
 
 def test_verify_stage_exception_becomes_failed_check(capsys, monkeypatch):
-    def singular(a, b):
+    def singular(basis, n):
         raise ratlin.InconsistentSystem(0)
 
-    monkeypatch.setattr(ratlin, "solve_square", singular)
+    monkeypatch.setattr(ratlin, "read_off", singular)
     code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--skip-wreg")
     assert code == 2

@@ -140,6 +140,28 @@ def test_echelon_picks_earliest_independent_rows():
         assert row[c] != 0
 
 
+def test_echelon_width_confines_pivots():
+    # pivots only in the first `width` columns: the rows picked are those
+    # that echelon picks on those columns alone, and read_off solves the
+    # square system they form
+    rng = random.Random(8)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        a = _rand_matrix(rng, rng.randint(1, 7), n)
+        a += [[2 * x for x in row] for row in a[:2]]
+        b = _rand_matrix(rng, len(a), m)
+        aug = [ra + rb for ra, rb in zip(a, b)]
+        picked, basis = ratlin.echelon(aug, n, width=n)
+        assert picked == ratlin.echelon(a, n)[0]
+        assert all(c < n for c, _ in basis)
+        if len(picked) < n:
+            with pytest.raises(ratlin.InconsistentSystem):
+                ratlin.read_off(basis, n)
+            continue
+        assert ratlin.read_off(basis, n) == ratlin.solve_square(
+            [a[i] for i in picked], [b[i] for i in picked])
+
+
 def test_rows_with_denominators():
     a = [[F(1, 2), F(2, 3)], [F(3, 4), F(1)]]
     assert ratlin.rank(a) == 1
