@@ -4,8 +4,10 @@ The trace pairing of a point (x, y) with x y = 0 = y x has a Hessian on the
 product of two copies of the symmetry Lie algebra whose rank is forced by the
 orbit dimensions: rank = dim S + dim S-hat - d1*d2 at points where the pair
 is generic in its conormal component.  Because both products vanish, the
-Hessian is determined by its mixed block, the pairing form B, whose entries
-are single products x[.][.] y[.][.] in closed form; the check ranks B alone.
+Hessian is determined by the pairing form B.  Its only nonzero blocks are
+one mixed block M and its transpose, whose entries are single products
+x[.][.] y[.][.] in closed form; the check ranks M alone, since
+rank B = 2 rank M.
 The rank stratification of Hom(V1, V2) is checked to be regular by ranks
 too: `w_regularity` checks the premises of the orbit argument for Verdier's
 condition (w).  Everything here is exact: the class and orbit
@@ -67,18 +69,25 @@ class PairPoint(namedtuple("PairPoint", "x y")):
         return ratlin.rank(self.y)
 
 
+def _mixed_block(p: PairPoint):
+    """The d1^2 x d2^2 block of B at (E_ab, E_cd): x[d][a] y[b][c]."""
+    d1, d2 = p.dim.d1, p.dim.d2
+    x, y = p.x, p.y
+    return [[x[d][a] * y[b][c] for c in range(d2) for d in range(d2)]
+            for a in range(d1) for b in range(d1)]
+
+
 def bilinear_form_B(p: PairPoint):
     """Matrix of (h, k) -> <h . x, k . y> on the symmetry Lie algebra.
 
     Rows and columns run over E_ab in gl(d1) row-major, then E_cd in gl(d2).
     The actions are h . x = h2 x - x h1 and h . y = h1 y - y h2, so the two
     mixed entries of (E_ab, E_cd) are both x[d][a] y[b][c].  A same-side
-    entry is an entry of x y or y x, so both diagonal blocks vanish.
+    entry is an entry of x y or y x, so both diagonal blocks vanish:
+    B = [[0, M], [M^T, 0]] with M = `_mixed_block(p)`.
     """
     d1, d2 = p.dim.d1, p.dim.d2
-    x, y = p.x, p.y
-    mixed = [[x[d][a] * y[b][c] for c in range(d2) for d in range(d2)]
-             for a in range(d1) for b in range(d1)]
+    mixed = _mixed_block(p)
     zeros1, zeros2 = [0] * (d1 * d1), [0] * (d2 * d2)
     return [zeros1 + row for row in mixed] + [
         [row[j] for row in mixed] + zeros2 for j in range(d2 * d2)
@@ -101,7 +110,8 @@ def hessian_rank_check(p: PairPoint) -> bool:
     + x k1 h1 the first and last terms pair to zero against y because
     y x = 0 = x y, which leaves <h . (k . x), y> = -B[h][k], and likewise on
     the y side.  The second block row is minus the first, so the rank is
-    rank(B), which must equal dim S + dim S-hat - d1*d2.
+    rank(B) = 2 rank(M), M the mixed block of B, which must equal
+    dim S + dim S-hat - d1*d2.
     """
     dim = p.dim
     if p.rank_y != dim.rank_bound - p.rank_x:
@@ -111,7 +121,7 @@ def hessian_rank_check(p: PairPoint) -> bool:
         )
     if conormal_dimension(p) != dim.d1 * dim.d2:
         raise GenericityError("pair is not a smooth point of one component")
-    return ratlin.rank(bilinear_form_B(p)) == expected_hessian_rank(p)
+    return 2 * ratlin.rank(_mixed_block(p)) == expected_hessian_rank(p)
 
 
 # the points x(t) = rep_ri + t (rep_rj - rep_ri) at which each pair of

@@ -99,6 +99,8 @@ def coefficient_of(p: dict, unit: int) -> dict:
 
 def substitute(p: dict, mapping: dict) -> dict:
     """Simultaneously replace each variable `unit` by `mapping[unit]`."""
+    if not mapping:
+        return nonzero(p)
     hits = mask(mapping)
     out: dict = {}
     for mono, c in p.items():
@@ -106,12 +108,16 @@ def substitute(p: dict, mapping: dict) -> dict:
         if not hit:
             out[mono] = out.get(mono, 0) + c
             continue
-        term = {mono - hit: c}
+        rest = mono - hit
+        term = None
         while hit:
             shift = ((hit & -hit).bit_length() - 1) // FIELD_BITS * FIELD_BITS
             e = (hit >> shift) & FIELD_MASK
             hit -= e << shift
             value = mapping[1 << shift]
+            if term is None:  # the first factor: rest * c * value
+                term = {rest + m: c * v for m, v in value.items()}
+                e -= 1
             for _ in range(e):
                 term = mul(term, value)
         for m, tc in term.items():

@@ -9,9 +9,8 @@ unique, so the rank and the solutions read off it do not depend on the
 order of the steps.  Pivots may be confined to the first columns of the
 rows, so that one reduction of the augmented rows (a | b) both picks
 independent rows of a and solves for b; `read_off` takes the solution
-from that basis and `solve_square` is the square case.  Rationals come in
-as input rows only; every result is in ints: a solution comes as integer
-rows over one common denominator.
+from that basis.  Rationals come in as input rows only; every result is in
+ints: a solution comes as integer rows over one common denominator.
 """
 
 from __future__ import annotations
@@ -119,12 +118,3 @@ def read_off(basis: Basis, n: int) -> tuple[list[list[int]], int]:
         nums.append([x // g for x in rhs])
     s = math.lcm(*dens)
     return [[x * (s // den) for x in num] for num, den in zip(nums, dens)], s
-
-
-def solve_square(a, b) -> tuple[list[list[int]], int]:
-    """(u, s) with X = u / s solving a X = b, for square invertible `a` and
-    `b` given by rows, as read_off gives it.  Raises InconsistentSystem
-    when `a` is singular."""
-    n = len(a)
-    return read_off(echelon([list(ra) + list(rb) for ra, rb in zip(a, b)],
-                            width=n)[1], n)

@@ -62,40 +62,19 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
         return _PackedChart(self)
 
 
-def _trace_factors(shape: FlagShape, entry: tuple[int, int]) -> list:
-    """The factors (kind, row, col) of each trace term of one y0 entry.
+class _Layout:
+    """The exponent slots and trace templates of one dimension vector.
 
-    These are the X*N, X*M and X*M*N families tied to the entry; no term
-    belongs to two entries.
-    """
-    ia, ja = entry
-    d1, adm_x = shape.d1, shape.adm_x
-    factors = []
-    for i in range(1, ja):
-        if adm_x(i, ia):
-            factors.append((("X", i, ia), ("N", ja, i)))
-    for j in range(ia + 1, d1 + 1):
-        if adm_x(ja, j):
-            factors.append((("X", ja, j), ("M", j, ia)))
-    for i in range(1, ja):
-        for j in range(ia + 1, d1 + 1):
-            if adm_x(i, j):
-                factors.append((("X", i, j), ("M", j, ia), ("N", ja, i)))
-    return factors
-
-
-class _PackedChart:
-    """One shape's exponent slots and packed trace pieces.
-
-    There is a slot for every M, N and X chart variable and for the primed
-    copy M'/X' of every M and X.  Its `VarId`, built here once, names the
-    slot and orders the fields; the separation itself knows a variable only
-    by its unit monomial `unit[kind, row, col]`.  `m_vars`, `n_vars` and
-    `x_vars` list the unprimed variables as (unit, row, col).
-    `piece(entry)` holds the trace terms of one y0 entry, each with
-    coefficient 1; it is built on first use, because a sampled run touches
-    few entries of each shape, and shared after that, so callers must not
-    mutate it.
+    There is a slot for every M, N and X variable of (d1, d2), X over all
+    d2 x d1 entries, and for the primed copy M'/X' of every M and X, so
+    every composition of (d1, d2) fits the one `Slots` table.  Its `VarId`,
+    built here once, names the slot and orders the fields; the separation
+    itself knows a variable only by its unit monomial
+    `unit[kind, row, col]`.  `m_vars`, `n_vars` and `x_vars` list the
+    unprimed variables as (unit, row, col).  `templates[entry]` lists the
+    trace terms of one y0 entry (ia, ja) as (x_row, x_col, monomial): the
+    X*N, X*M and X*M*N families tied to the entry, of which a composition
+    keeps the terms whose X is admissible.  No term belongs to two entries.
 
     Degree bound, with k = min(d1, d2) >= the number of y0 entries: each
     M expression of the inversion has degree <= max(1, k), each X
@@ -107,13 +86,10 @@ class _PackedChart:
     is the largest k it allows.
     """
 
-    def __init__(self, shape: FlagShape):
-        self.shape = shape
-        d1, d2 = shape.d1, shape.d2
+    def __init__(self, d1: int, d2: int):
         m, n = ([(j, i) for j in range(2, d + 1) for i in range(1, j)]
                 for d in (d1, d2))  # strictly lower entries of the unipotents
-        x = [(i, j) for i in range(1, d2 + 1) for j in range(1, d1 + 1)
-             if shape.adm_x(i, j)]
+        x = [(i, j) for i in range(1, d2 + 1) for j in range(1, d1 + 1)]
         keys = [(kind, r, c) for kind, group in (("M", m), ("Mp", m), ("N", n),
                                                  ("X", x), ("Xp", x))
                 for r, c in group]
@@ -124,20 +100,53 @@ class _PackedChart:
         self.m_vars, self.n_vars, self.x_vars = (
             [(unit[kind, r, c], r, c) for r, c in group]
             for kind, group in (("M", m), ("N", n), ("X", x)))
+        self.templates = {
+            (ia, ja): [(i, ia, unit["X", i, ia] + unit["N", ja, i])
+                       for i in range(1, ja)]
+            + [(ja, j, unit["X", ja, j] + unit["M", j, ia])
+               for j in range(ia + 1, d1 + 1)]
+            + [(i, j, unit["X", i, j] + unit["M", j, ia] + unit["N", ja, i])
+               for i in range(1, ja) for j in range(ia + 1, d1 + 1)]
+            for ia in range(1, d1 + 1) for ja in range(1, d2 + 1)}
+
+
+@lru_cache(maxsize=16)
+def _layout(d1: int, d2: int) -> _Layout:
+    return _Layout(d1, d2)
+
+
+class _PackedChart:
+    """One shape's view of its dimension vector's `_Layout`.
+
+    It shares the layout's `slots`, `unit`, `m_vars` and `n_vars` and keeps
+    the admissible X only in `x_vars`.  `piece(entry)` holds the trace
+    terms of one y0 entry, each with coefficient 1: the entry's template
+    less the terms whose X is not admissible.  It is built on first use,
+    because a sampled run touches few entries of each shape, and shared
+    after that, so callers must not mutate it.
+    """
+
+    def __init__(self, shape: FlagShape):
+        layout = _layout(shape.d1, shape.d2)
+        self.shape = shape
+        self.slots, self.unit = layout.slots, layout.unit
+        self.m_vars, self.n_vars = layout.m_vars, layout.n_vars
+        self.x_vars = [v for v in layout.x_vars if shape.adm_x(v[1], v[2])]
+        self._templates = layout.templates
         self._pieces: dict = {}
 
     def piece(self, entry: tuple[int, int]) -> dict[int, int]:
         p = self._pieces.get(entry)
         if p is None:
-            unit = self.unit
+            s, t = self.shape.s_slots, self.shape.t_slots
             p = self._pieces[entry] = {
-                sum([unit[f] for f in fs]): 1
-                for fs in _trace_factors(self.shape, entry)}
+                m: 1 for i, j, m in self._templates[entry]
+                if s[i - 1] < t[j - 1]}
         return p
 
 
 def _degree_bound(k: int) -> int:
-    """The degree bound of `_PackedChart` when min(d1, d2) = k."""
+    """The degree bound of `_Layout` when min(d1, d2) = k."""
     return 2 * (k + 1) ** 2
 
 
@@ -402,7 +411,7 @@ def _separation_error(composition, entries, exc) -> SeparationError:
 
 
 # ---------------------------------------------------------------------------
-# the construction, on `packed` polynomials over the shape's slots
+# the construction, on `packed` polynomials over the layout's slots
 
 
 class PackedSeparation(NamedTuple):
@@ -476,11 +485,12 @@ def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
             else:
                 u = packed.coefficient_of(m_expr[ia, app[0]],
                                           unit["Mp", ia, ip])
+            # X(i, ia) is admissible for each i < app[1]: the s_slots
+            # increase, and X(app[1], ia) is, as (app, al) is in T
             for i in range(1, app[1]):
-                x = unit.get(("X", i, ia))
-                if x is not None and i not in j_set:
-                    packed.add_into(correction, u,
-                                    shift=x + unit["N", app[1], i])
+                if i not in j_set:
+                    packed.add_into(correction, u, shift=unit["X", i, ia]
+                                    + unit["N", app[1], i])
         correction = packed.nonzero(correction)
         # correction has degree >= 2, so neither X nor X' cancels into it
         x, xp = unit["X", jp, ia], unit["Xp", jp, ia]
@@ -551,13 +561,13 @@ def report_dicts(composition, matchings) -> list[dict]:
 
     The one producer of separation reports, which `separate` prints.  Every
     field is rendered straight from `separate_packed`'s polynomials through
-    the composition's slot table, terms in sorted tuple-monomial order.  A
-    memo that lives for this call only maps each packed monomial to its
-    decoded monomial, the sort key, and its text, so a monomial is decoded
-    and rendered once per call however many reports hold it.  `b_matrix`
-    is the bilinear form, the certificate: a cell is the part of the
-    separated trace with one W1 and one W2 factor, split off by the two bit
-    masks, as a polynomial in Vc.  Raises SeparationError like
+    the slot table of its dimension vector, terms in sorted tuple-monomial
+    order.  A memo that lives for this call only maps each packed monomial
+    to its decoded monomial, the sort key, and its text, so a monomial is
+    decoded and rendered once per call however many reports hold it.
+    `b_matrix` is the bilinear form, the certificate: a cell is the part of
+    the separated trace with one W1 and one W2 factor, split off by the two
+    bit masks, as a polynomial in Vc.  Raises SeparationError like
     `separate_packed`.
     """
     shape = flag_shape(composition)

@@ -5,11 +5,12 @@ on the flag-stabilizing chart: X (the representation), M (inverse of the
 first unipotent group element), N (the second), and their replacements M', X'
 introduced by the change of variables.  `semican.packed` computes with
 polynomials in these variables; a `Mono` is one of its monomials decoded
-into a sorted tuple.  The separation builds a `VarId` once per slot of a
-chart, to name the slot and order its fields, and otherwise knows each
-variable by its unit monomial.  `separation.report_dicts` renders the
-reports from the packed kernel with `_mono_str` and `join_terms`, in the
-canonical term order, so that every report is reproducible byte for byte.
+into a sorted tuple.  The separation builds a `VarId` once per slot of the
+layout of a dimension vector, to name the slot and order its fields, and
+otherwise knows each variable by its unit monomial.
+`separation.report_dicts` renders the reports from the packed kernel with
+`_mono_str` and `join_terms`, in the canonical term order, so that every
+report is reproducible byte for byte.
 The tuple-monomial polynomial arithmetic that the tests check the packed
 kernel against is `RefPoly` in `tests/oracles.py`.
 """

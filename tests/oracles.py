@@ -4,8 +4,8 @@ They recompute, by a different route, what the library relies on: the
 counting polynomials in q of flags of subrepresentations (Gaussian
 binomials, one-step and grouped steps, the word evaluator), whose values at
 q = 1 the integer counts of semican.qcount must equal; pivot columns,
-kernels and pivoted solutions read off `ratlin.echelon`, a Gauss-Jordan
-solve in Fractions that shares no code with it, and the tangent
+kernels, pivoted and square solutions read off `ratlin.echelon`, a
+Gauss-Jordan solve in Fractions that shares no code with it, and the tangent
 space of the conormal variety; the expansion of a constructible function
 in flag monomials and the smallness test of the resolutions behind
 canonical_fn; the transfer matrix as Fractions and the lift of a function
@@ -50,7 +50,7 @@ from semican.packed import Slots
 from semican.qcount import Word, euler_counts, step_matrix, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _coupled_pairs, _fiber, _separation_error,
-                                _trace_factors, flag_shape, validate_matching)
+                                flag_shape, validate_matching)
 from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
                              join_terms)
 
@@ -463,6 +463,15 @@ def lift_values(t: TransferMatrix, values) -> tuple[Fraction, ...]:
                  / t.scale for col in zip(*t.u))
 
 
+def solve_square(a, b) -> tuple[list[list[int]], int]:
+    """(u, s) with X = u / s solving a X = b, for square invertible `a` and
+    `b` given by rows, as `ratlin.read_off` gives it.  Raises
+    InconsistentSystem when `a` is singular."""
+    n = len(a)
+    return ratlin.read_off(ratlin.echelon(
+        [list(ra) + list(rb) for ra, rb in zip(a, b)], width=n)[1], n)
+
+
 def two_pass_transfer(sub: DimVector, mat_e, mat_pi):
     """(u, s) with T_D = u / s on D = sub, by two eliminations: `echelon`
     picks the first rank_bound + 1 independent E-side rows, then
@@ -474,8 +483,8 @@ def two_pass_transfer(sub: DimVector, mat_e, mat_pi):
         covered = {c for c, _ in basis}
         raise SpanningError(
             sub, [r for r in range(n_orbits) if r not in covered])
-    return ratlin.solve_square([mat_e[i] for i in picked],
-                               [mat_pi[i] for i in picked])
+    return solve_square([mat_e[i] for i in picked],
+                        [mat_pi[i] for i in picked])
 
 
 def first_broken_identity(scaled, steps=step_matrix) -> str | None:
@@ -916,6 +925,29 @@ class RefPoly:
             for m, tc in term.items():
                 out[m] = out.get(m, 0) + tc
         return RefPoly(out)
+
+
+def _trace_factors(shape: FlagShape, entry: tuple[int, int]) -> list:
+    """The factors (kind, row, col) of each trace term of one y0 entry.
+
+    These are the X*N, X*M and X*M*N families tied to the entry, with X
+    admissible; no term belongs to two entries.  The reference for the
+    pieces `separation` filters from its per-dimension templates.
+    """
+    ia, ja = entry
+    d1, adm_x = shape.d1, shape.adm_x
+    factors = []
+    for i in range(1, ja):
+        if adm_x(i, ia):
+            factors.append((("X", i, ia), ("N", ja, i)))
+    for j in range(ia + 1, d1 + 1):
+        if adm_x(ja, j):
+            factors.append((("X", ja, j), ("M", j, ia)))
+    for i in range(1, ja):
+        for j in range(ia + 1, d1 + 1):
+            if adm_x(i, j):
+                factors.append((("X", i, j), ("M", j, ia), ("N", ja, i)))
+    return factors
 
 
 class _TracePieces(dict):

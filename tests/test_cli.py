@@ -126,6 +126,15 @@ def test_separate_all_matches_golden_file(capsys, comp):
     assert out == golden.read_text()
 
 
+def test_separate_all_matches_non_square_golden_file(capsys):
+    comp = "1,2,2,1,2,2,1,2"
+    golden = Path(__file__).parent / "golden" / f"separate_3x5_{comp}.json"
+    code, out, _ = run(capsys, "separate", "--d1", "3", "--d2", "5",
+                       "--comp", comp, "--all")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_separate_all_golden_with_warm_caches(capsys):
     # shapes and variables memoised by earlier runs in the process change
     # no byte of a later report
@@ -628,3 +637,43 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "orbits", "--d1", "2")[0] == 1  # missing --d2
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+
+
+def test_successive_main_calls_match_fresh_runs(capsys):
+    # main builds its parser once and reuses it: a sequence of calls in one
+    # process, across subcommands and after usage errors, gives each call
+    # the output of a fresh interpreter
+    calls = [
+        ["orbits", "--d1", "2", "--d2", "2", "--format", "csv"],
+        ["separate", "--d1", "2", "--d2", "2", "--comp", "1,2,2,1", "--all"],
+        ["orbits", "--d1", "2"],
+        ["orbits", "--d1", "2", "--d2", "1"],
+        ["separate", "--d1", "2", "--d2", "2", "--comp", "1,2,2,1",
+         "--y0", "1:1", "--all"],
+        ["separate", "--d1", "2", "--d2", "2", "--comp", "1,2,2,1",
+         "--y0", "1:1"],
+        ["verify", "--d1", "1", "--d2", "2", "--skip-wreg"],
+        ["nonsense"],
+        ["verify", "--d1", "2", "--d2", "1", "--skip-wreg", "--seed", "3"],
+    ]
+
+    def untimed(out):
+        # a verify report's timings differ from run to run
+        if '"timings"' not in out:
+            return out
+        report = json.loads(out)
+        del report["timings"]
+        return report
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    codes = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "semican.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert (code, untimed(out), err) == \
+            (fresh.returncode, untimed(fresh.stdout), fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 1, 0, 1, 0, 0, 1, 0]
+    assert cli._parser() is cli._parser()

@@ -7,8 +7,8 @@ from semican import ratlin
 from semican.core import (ConormalComponent, DimVector, Orbit, PiModClass,
                           dual_orbit, enumerate_orbits, orbit_dim, pi_classes,
                           representative_pair)
-from semican.geom import (GenericityError, PairPoint, action_rank,
-                          bilinear_form_B, conormal_dimension,
+from semican.geom import (GenericityError, PairPoint, _mixed_block,
+                          action_rank, bilinear_form_B, conormal_dimension,
                           expected_hessian_rank, hessian_rank_check,
                           w_regularity)
 
@@ -133,6 +133,12 @@ def test_bilinear_form_matches_action_oracle():
                         for row in b] + [[2 * v for v in row] +
                                          [-2 * v for v in row] for row in b]
         assert ratlin.rank(b) == 2 * p.rank_x * p.rank_y
+        # B = [[0, M], [M^T, 0]]: hessian_rank_check ranks M alone
+        n1 = p.dim.d1 ** 2
+        mixed = _mixed_block(p)
+        assert [row[n1:] for row in b[:n1]] == mixed
+        assert all(v == 0 for row in b[:n1] for v in row[:n1])
+        assert 2 * ratlin.rank(mixed) == ratlin.rank(b)
 
 
 def test_bilinear_form_examples():

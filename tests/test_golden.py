@@ -6,12 +6,14 @@ d1, d2 <= 4, keyed by "d1,d2"; `golden/verify_5_5.json` holds the one of
 (5, 5), which samples 500 of its 45297 separation instances.
 SEPARATE_4X4_SHA256 is the sha256 of the `separate --d1 4 --d2 4 --comp <c>
 --all` outputs of all 70 compositions, concatenated in `compositions(4, 4)`
-order.  `tests/test_cli.py` compares two more pins with the command line:
+order, and SEPARATE_3X5_SHA256 the same of the 56 compositions of (3, 5).
+`tests/test_cli.py` compares more pins with the command line:
 `golden/verify_1_1.json`, the `verify --d1 1 --d2 1 --skip-wreg` report
-with empty timings, and the `separate --all` output of two compositions of
-(4, 4) in `golden/separate_4x4_<c>.json`.  A change that alters a report on
-purpose regenerates all of them with `python tests/test_golden.py`, which
-prints the new SEPARATE_4X4_SHA256, and says why.
+with empty timings, the `separate --all` output of two compositions of
+(4, 4) in `golden/separate_4x4_<c>.json` and of one of (3, 5) in
+`golden/separate_3x5_<c>.json`.  A change that alters a report on purpose
+regenerates all of them with `python tests/test_golden.py`, which prints
+the new SEPARATE_4X4_SHA256 and SEPARATE_3X5_SHA256, and says why.
 """
 
 import contextlib
@@ -32,6 +34,9 @@ VERIFY_1_1 = GOLDEN / "verify_1_1.json"
 SEPARATE_4X4_PINNED = ("1,2,2,1,1,2,2,1", "2,1,2,1,2,1,2,1")
 SEPARATE_4X4_SHA256 = (
     "1d1e754d2d4380a87904b347a86bab677dab2c6883bbf47ef8de553cc49f5a2e")
+SEPARATE_3X5_PINNED = "1,2,2,1,2,2,1,2"
+SEPARATE_3X5_SHA256 = (
+    "444d46c6abc3f858af66234c30e6cf2d34cefaa26990546e049efd4e21e6161c")
 
 
 def verify_reports() -> dict:
@@ -60,15 +65,15 @@ def cli_output(*argv: str) -> str:
     return out.getvalue()
 
 
-def separate_4x4(comp: str) -> str:
-    return cli_output("separate", "--d1", "4", "--d2", "4", "--comp", comp,
-                      "--all")
+def separate_all(d1: int, d2: int, comp: str) -> str:
+    return cli_output("separate", "--d1", str(d1), "--d2", str(d2),
+                      "--comp", comp, "--all")
 
 
-def separate_4x4_sha256() -> str:
+def separate_sha256(d1: int, d2: int) -> str:
     digest = hashlib.sha256()
-    for comp in compositions(4, 4):
-        digest.update(separate_4x4(",".join(map(str, comp))).encode())
+    for comp in compositions(d1, d2):
+        digest.update(separate_all(d1, d2, ",".join(map(str, comp))).encode())
     return digest.hexdigest()
 
 
@@ -97,7 +102,11 @@ def test_verify_5_5_report_matches_golden():
 
 
 def test_separate_4x4_outputs_match_pinned_sha256():
-    assert separate_4x4_sha256() == SEPARATE_4X4_SHA256
+    assert separate_sha256(4, 4) == SEPARATE_4X4_SHA256
+
+
+def test_separate_3x5_outputs_match_pinned_sha256():
+    assert separate_sha256(3, 5) == SEPARATE_3X5_SHA256
 
 
 def test_separation_reports_hold_no_value_types():
@@ -113,5 +122,9 @@ if __name__ == "__main__":
     report["timings"] = {}
     VERIFY_1_1.write_text(json.dumps(report, indent=2) + "\n")
     for comp in SEPARATE_4X4_PINNED:
-        (GOLDEN / f"separate_4x4_{comp}.json").write_text(separate_4x4(comp))
-    print(separate_4x4_sha256())
+        (GOLDEN / f"separate_4x4_{comp}.json").write_text(
+            separate_all(4, 4, comp))
+    (GOLDEN / f"separate_3x5_{SEPARATE_3X5_PINNED}.json").write_text(
+        separate_all(3, 5, SEPARATE_3X5_PINNED))
+    print(separate_sha256(4, 4))
+    print(separate_sha256(3, 5))

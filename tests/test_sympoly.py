@@ -269,6 +269,12 @@ def test_packed_arithmetic_matches_multipoly(a, b, c):
     assert dec(packed.substitute(
         enc(a), {slots.unit[v]: enc(p) for v, p in mapping.items()})) \
         == a.substitute(mapping)
+    # a single mapped variable, and the empty mapping: a copy of a
+    assert dec(packed.substitute(enc(a), {slots.unit[_vars[1]]: enc(c)})) \
+        == a.substitute({_vars[1]: c})
+    encoded = enc(a)
+    same = packed.substitute(encoded, {})
+    assert same == encoded and same is not encoded
     try:
         expected = a.coefficient_of(_vars[3])
     except ValueError:
