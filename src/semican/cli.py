@@ -16,7 +16,7 @@ from pathlib import Path
 from .core import (DimVector, dual_orbit, enumerate_orbits, orbit_dim,
                    sign_parity)
 from .separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
-                         matchings, report_dicts)
+                         matchings, report_texts)
 from .verify import SCHEMA_VERSION, run_verify
 
 _quote = json.encoder.encode_basestring_ascii
@@ -202,15 +202,21 @@ def cmd_separate(args) -> int:
     # in the construction, and main reports it
     try:
         if args.all:
-            out = {"schema_version": SCHEMA_VERSION,
-                   "reports": report_dicts(comp, matchings(comp))}
+            # every composition has the empty matching: never an empty list
+            parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},'
+                     '\n  "reports": [\n    ']
+            parts += report_texts(comp, matchings(comp), depth=2)
+            parts.append("\n  ]\n}")
+            out = "".join(parts)
         else:
-            out = {**report_dicts(comp, [_parse_y0(args.y0)])[0],
-                   "schema_version": SCHEMA_VERSION}
+            report = "".join(report_texts(comp, [_parse_y0(args.y0)]))
+            # schema_version is the last key, before the closing "\n}"
+            out = (report[:-2] + ',\n  "schema_version": '
+                   f'{SCHEMA_VERSION}\n}}')
     except SeparationError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 2
-    print(_dumps(out))
+    print(out)
     return 0
 
 

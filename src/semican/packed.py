@@ -9,11 +9,11 @@ carries from one field into the next only when an exponent reaches
 polynomial its caller forms and rejects a bound that does not fit a field.
 
 This module does all the arithmetic of the separation, for `certify` and
-for the reports of `separation.report_dicts` alike.  Its callers name a
+for the reports of `separation.report_texts` alike.  Its callers name a
 variable by its unit monomial: `check_bilinear` takes the variable groups
 as sets of units.  Nothing here builds a string except the witness of a
 failed bilinearity check, decoded through `Slots.decode`, the one place a
-unit is turned back into its `VarId`; `report_dicts` renders the reports
+unit is turned back into its `VarId`; `report_texts` writes the reports
 from these polynomials the same way.  The tests check this kernel against
 the `RefPoly` arithmetic on tuple monomials of `tests/oracles.py`, which
 shares no code with it.

@@ -13,14 +13,18 @@ origin equals 1.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from . import packed
 from .core import DimVector, compositions
 from .sympoly import BilinearityError, Mono, VarId, _mono_str, join_terms
+
+_quote = json.encoder.encode_basestring_ascii  # as json.dumps quotes a str
 
 
 class SeparationError(RuntimeError):
@@ -75,6 +79,7 @@ class _Layout:
     trace terms of one y0 entry (ia, ja) as (x_row, x_col, monomial): the
     X*N, X*M and X*M*N families tied to the entry, of which a composition
     keeps the terms whose X is admissible.  No term belongs to two entries.
+    `names` is the reports' memo of monomial texts (`_MonomialNames`).
 
     Degree bound, with k = min(d1, d2) >= the number of y0 entries: each
     M expression of the inversion has degree <= max(1, k), each X
@@ -108,18 +113,28 @@ class _Layout:
             + [(i, j, unit["X", i, j] + unit["M", j, ia] + unit["N", ja, i])
                for i in range(1, ja) for j in range(ia + 1, d1 + 1)]
             for ia in range(1, d1 + 1) for ja in range(1, d2 + 1)}
+        self.names = _MonomialNames(self.slots)
 
 
-@lru_cache(maxsize=16)
+# the layout of each dimension vector that a live chart holds
+_LAYOUTS: WeakValueDictionary = WeakValueDictionary()
+
+
 def _layout(d1: int, d2: int) -> _Layout:
-    return _Layout(d1, d2)
+    """The one layout of (d1, d2): every chart keeps its layout, so all
+    live charts of a dimension vector share one, and it goes with them."""
+    layout = _LAYOUTS.get((d1, d2))
+    if layout is None:
+        layout = _LAYOUTS[d1, d2] = _Layout(d1, d2)
+    return layout
 
 
 class _PackedChart:
-    """One shape's view of its dimension vector's `_Layout`.
+    """One shape's view of its dimension vector's `_Layout`, kept in `layout`.
 
     It shares the layout's `slots`, `unit`, `m_vars` and `n_vars` and keeps
-    the admissible X only in `x_vars`.  `piece(entry)` holds the trace
+    the admissible X only in `x_vars`.  `y_entries` holds the admissible y0
+    entries (i, j), those with t_i < s_j.  `piece(entry)` holds the trace
     terms of one y0 entry, each with coefficient 1: the entry's template
     less the terms whose X is not admissible.  It is built on first use,
     because a sampled run touches few entries of each shape, and shared
@@ -132,7 +147,11 @@ class _PackedChart:
         self.slots, self.unit = layout.slots, layout.unit
         self.m_vars, self.n_vars = layout.m_vars, layout.n_vars
         self.x_vars = [v for v in layout.x_vars if shape.adm_x(v[1], v[2])]
-        self._templates = layout.templates
+        t, s = shape.t_slots, shape.s_slots
+        # the layout's entry tuples, shared by every chart of its vector
+        self.y_entries = frozenset(
+            e for e in layout.templates if t[e[0] - 1] < s[e[1] - 1])
+        self.layout = layout
         self._pieces: dict = {}
 
     def piece(self, entry: tuple[int, int]) -> dict[int, int]:
@@ -140,7 +159,7 @@ class _PackedChart:
         if p is None:
             s, t = self.shape.s_slots, self.shape.t_slots
             p = self._pieces[entry] = {
-                m: 1 for i, j, m in self._templates[entry]
+                m: 1 for i, j, m in self.layout.templates[entry]
                 if s[i - 1] < t[j - 1]}
         return p
 
@@ -502,13 +521,16 @@ def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
 def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     """Separate one instance on the packed kernel.
 
-    Raises SeparationError if the substituted trace fails to be bilinear in
-    the quadratic variables; for the two-vertex quiver this cannot happen.
+    Raises ValueError, worded by `validate_matching`, unless every entry of
+    y0 is admissible, and SeparationError if the substituted trace fails to
+    be bilinear in the quadratic variables; for the two-vertex quiver this
+    cannot happen.
     """
     shape = flag_shape(composition)
-    validate_matching(shape, y0)
-    entries = y0.sorted_entries()
     chart = shape.packed_chart
+    if not y0.entries <= chart.y_entries:
+        validate_matching(shape, y0)  # raises, naming the first bad entry
+    entries = y0.sorted_entries()
     trace: dict[int, int] = {}
     for entry in entries:
         trace.update(chart.piece(entry))
@@ -544,44 +566,83 @@ def certify(composition, y0: NormalFormY) -> bool:
 
 
 class _MonomialNames(dict):
-    """Packed monomial -> (decoded monomial, its text), filled on first use."""
+    """Packed monomial -> (decoded monomial, its text, the text quoted as
+    a JSON string), filled on first use.
+
+    One per dimension vector, kept by its `_Layout`: every composition of
+    the vector shares its slot table, so a monomial is decoded and rendered
+    once however many reports, and calls, hold it.
+    """
 
     def __init__(self, slots: packed.Slots):
         super().__init__()
         self.slots = slots
 
-    def __missing__(self, m: int) -> tuple[Mono, str]:
+    def __missing__(self, m: int) -> tuple[Mono, str, str]:
         mono = self.slots.decode(m)
-        entry = self[m] = (mono, _mono_str(mono))
+        text = _mono_str(mono)
+        entry = self[m] = (mono, text, _quote(text))
         return entry
 
 
-def report_dicts(composition, matchings) -> list[dict]:
-    """The JSON report of the separation of each matching, in order.
+# the keys of a separation report, in order
+_REPORT_KEYS = ("composition", "y0", "set_t", "w1", "w2", "vc", "trace_poly",
+                "separated_poly", "change_of_variables", "b_shape", "b_matrix")
 
-    The one producer of separation reports, which `separate` prints.  Every
-    field is rendered straight from `separate_packed`'s polynomials through
-    the slot table of its dimension vector, terms in sorted tuple-monomial
-    order.  A memo that lives for this call only maps each packed monomial
-    to its decoded monomial, the sort key, and its text, so a monomial is
-    decoded and rendered once per call however many reports hold it.
+
+def _array(items, newline: str) -> str:
+    """A JSON list of the item texts as `json.dumps(..., indent=2)` writes
+    it, its closing bracket on the line that `newline` starts."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def report_texts(composition, matchings, depth: int = 0) -> list[str]:
+    """The JSON text of the separation report of each matching, as parts.
+
+    The one producer of separation reports: `separate` prints these parts
+    and `report_dicts` parses them.  Joined, they are the reports' texts,
+    separated by "," and a line break, each exactly the bytes
+    `json.dumps(report, indent=2)` writes for a report at nesting `depth`:
+    every line break is followed by two spaces per level.  Every field is
+    rendered straight from `separate_packed`'s polynomials through the slot
+    table of its dimension vector, terms in sorted tuple-monomial order.
     `b_matrix` is the bilinear form, the certificate: a cell is the part of
     the separated trace with one W1 and one W2 factor, split off by the two
     bit masks, as a polynomial in Vc.  Raises SeparationError like
-    `separate_packed`.
+    `separate_packed`, before any report is returned.
     """
     shape = flag_shape(composition)
-    named = _MonomialNames(shape.packed_chart.slots)
+    named = shape.packed_chart.layout.names
 
     def render(p: dict[int, int]) -> str:
         if len(p) == 1:  # most cells of a form: nothing to sort
             for m, c in p.items():
-                return join_terms([(named[m][1], c)])
+                if c == 1:
+                    return named[m][2]
+                return _quote(join_terms([(named[m][1], c)]))
         terms = sorted([(*named[m], c) for m, c in p.items()])
-        return join_terms([(text, c) for _, text, c in terms])
+        return _quote(join_terms([(text, c) for _, text, _, c in terms]))
 
-    zero = join_terms([])
-    out = []
+    def names(units) -> str:
+        return _array([named[u][2] for u in units], n1)
+
+    def ints(values, newline: str) -> str:
+        return _array([str(v) for v in values], newline)
+
+    n0 = "\n" + "  " * depth  # the line of a report's braces
+    n1, n2, n3 = n0 + "  ", n0 + "    ", n0 + "      "
+    keys = [("," if k else "{") + n1 + _quote(key) + ": "
+            for k, key in enumerate(_REPORT_KEYS)]
+    composition_text = ints(shape.composition, n1)
+    # the text of each y0 entry, in a y0 list and in a set_t pair
+    entry_texts = [
+        {(i, j): ints((i, j), newline) for i in range(1, shape.d1 + 1)
+         for j in range(1, shape.d2 + 1)} for newline in (n2, n3)]
+    zero = _quote(join_terms([]))
+    parts: list[str] = []
     for y0 in matchings:
         sep = separate_packed(shape.composition, y0)
         # a unit's field order is its VarId order, the order of the report
@@ -599,19 +660,32 @@ def report_dicts(composition, matchings) -> list[dict]:
         for (i, j), cell in cells.items():
             matrix[i][j] = render(cell)
         trace = render(sep.trace)
-        out.append({
-            "composition": list(shape.composition),
-            "y0": [list(e) for e in y0.sorted_entries()],
-            "set_t": [[list(a), list(b)] for a, b in sorted(sep.t_pairs)],
-            "w1": [named[u][1] for u in rows],
-            "w2": [named[u][1] for u in cols],
-            "vc": [named[u][1] for u in sorted(sep.vc)],
-            "trace_poly": trace,
-            "separated_poly": (trace if sep.separated is sep.trace
-                               else render(sep.separated)),
-            "change_of_variables": sorted(
-                [named[u][1], render(p)] for u, p in sep.changes.items()),
-            "b_shape": [len(rows), len(cols)],
-            "b_matrix": matrix,
-        })
-    return out
+        changes = sorted([named[u][1], render(p)]
+                         for u, p in sep.changes.items())
+        values = (
+            composition_text,
+            _array([entry_texts[0][e] for e in y0.sorted_entries()], n1),
+            _array([_array([entry_texts[1][a], entry_texts[1][b]], n2)
+                    for a, b in sorted(sep.t_pairs)], n1),
+            names(rows),
+            names(cols),
+            names(sorted(sep.vc)),
+            trace,
+            trace if sep.separated is sep.trace else render(sep.separated),
+            _array([_array([_quote(u), p], n2) for u, p in changes], n1),
+            ints((len(rows), len(cols)), n1),
+            _array([_array(row, n2) for row in matrix], n1),
+        )
+        if parts:
+            parts.append("," + n0)
+        for key, value in zip(keys, values):
+            parts += key, value
+        parts.append(n0 + "}")
+    return parts
+
+
+def report_dicts(composition, matchings) -> list[dict]:
+    """The JSON report of the separation of each matching, in order: the
+    texts of `report_texts`, parsed, so exactly what `separate` prints."""
+    return json.loads("[" + "".join(report_texts(composition, matchings))
+                      + "]")

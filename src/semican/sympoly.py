@@ -8,7 +8,7 @@ polynomials in these variables; a `Mono` is one of its monomials decoded
 into a sorted tuple.  The separation builds a `VarId` once per slot of the
 layout of a dimension vector, to name the slot and order its fields, and
 otherwise knows each variable by its unit monomial.
-`separation.report_dicts` renders the reports from the packed kernel with
+`separation.report_texts` writes the reports from the packed kernel with
 `_mono_str` and `join_terms`, in the canonical term order, so that every
 report is reproducible byte for byte.
 The tuple-monomial polynomial arithmetic that the tests check the packed
@@ -91,7 +91,7 @@ def join_terms(terms) -> str:
 
     The terms come in print order with nonzero coefficients; the constant
     monomial's text is "1", as `_mono_str` writes it.  The reports of
-    `separation.report_dicts` and the reference `RefPoly.to_str` of the
+    `separation.report_texts` and the reference `RefPoly.to_str` of the
     tests both render through here.
     """
     if not terms:

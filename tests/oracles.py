@@ -1262,8 +1262,9 @@ def decode_separation(sep: PackedSeparation) -> DecodedSeparation:
 def reference_dict(report: SeparationReport) -> dict:
     """The JSON report of an instance, rendered from its RefPoly fields.
 
-    The reference that `separation.report_dicts`, which renders from the
-    packed kernel, must equal field for field.
+    The reference that `separation.report_dicts`, which parses the texts
+    `report_texts` writes from the packed kernel, must equal field for
+    field.
     """
     return {
         "composition": list(report.composition),

@@ -16,7 +16,7 @@ import semican.ratlin as ratlin
 import semican.separation as separation
 import semican.verify as verify
 from semican.bases import ExpansionMatrix
-from semican.core import DimVector, PiModClass, pi_classes
+from semican.core import DimVector, PiModClass, compositions, pi_classes
 from semican.sympoly import BilinearityError, VarId
 
 
@@ -162,6 +162,41 @@ def test_separate_y0_matches_all_report(capsys, comp):
         assert code == 0
         expected = {**report, "schema_version": cli.SCHEMA_VERSION}
         assert out == json.dumps(expected, indent=2) + "\n", spec
+
+
+def test_separate_y0_matches_golden_file(capsys):
+    comp, spec = "1,2,2,1,1,2,2,1", "1:2,3:3,2:4"
+    golden = Path(__file__).parent / "golden" / f"separate_4x4_{comp}_y0.json"
+    code, out, _ = run(capsys, "separate", "--d1", "4", "--d2", "4",
+                       "--comp", comp, "--y0", spec)
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_separate_text_is_json_dumps_of_its_reports(capsys):
+    # the report texts are written without a dict in between: they must be
+    # the bytes json.dumps writes of what they parse to, at every depth
+    for d1 in range(8):
+        for d2 in range(8 - d1):
+            for a in compositions(d1, d2) if d1 + d2 else ():
+                comp = ",".join(map(str, a))
+                code, out, _ = run(capsys, "separate", "--d1", str(d1),
+                                   "--d2", str(d2), "--comp", comp, "--all")
+                assert code == 0
+                data = json.loads(out)
+                assert out == json.dumps(data, indent=2) + "\n", comp
+                assert separation.report_dicts(
+                    a, separation.matchings(a)) == data["reports"], comp
+                if (d1, d2) != (3, 3):
+                    continue
+                for report in data["reports"]:
+                    spec = ",".join(f"{i}:{j}" for i, j in report["y0"])
+                    code, out, _ = run(capsys, "separate", "--d1", "3",
+                                       "--d2", "3", "--comp", comp,
+                                       "--y0", spec)
+                    assert code == 0
+                    expected = {**report, "schema_version": cli.SCHEMA_VERSION}
+                    assert out == json.dumps(expected, indent=2) + "\n", spec
 
 
 class _Key(str):
@@ -548,6 +583,26 @@ def test_separate_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("FAILED: ") and "X(1,2)^2" in err
+
+
+def test_separate_all_failure_prints_no_report(capsys, monkeypatch):
+    # the third instance of the composition fails: the two reports before
+    # it are not printed either
+    real, calls = packed.check_bilinear, []
+
+    def third_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            _broken()
+        real(*args)
+
+    monkeypatch.setattr(packed, "check_bilinear", third_fails)
+    code, out, err = run(capsys, "separate", "--d1", "4", "--d2", "4",
+                         "--comp", "1,2,2,1,1,2,2,1", "--all")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("FAILED: ") and "X(1,2)^2" in err
+    assert len(calls) == 3
 
 
 def test_verify_separation_failure_names_instance(capsys, monkeypatch):

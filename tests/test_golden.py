@@ -11,9 +11,11 @@ order, and SEPARATE_3X5_SHA256 the same of the 56 compositions of (3, 5).
 `golden/verify_1_1.json`, the `verify --d1 1 --d2 1 --skip-wreg` report
 with empty timings, the `separate --all` output of two compositions of
 (4, 4) in `golden/separate_4x4_<c>.json` and of one of (3, 5) in
-`golden/separate_3x5_<c>.json`.  A change that alters a report on purpose
-regenerates all of them with `python tests/test_golden.py`, which prints
-the new SEPARATE_4X4_SHA256 and SEPARATE_3X5_SHA256, and says why.
+`golden/separate_3x5_<c>.json`, and the `separate --y0` output of one
+instance of (4, 4) in `golden/separate_4x4_<c>_y0.json`.  A change that
+alters a report on purpose regenerates all of them with `python
+tests/test_golden.py`, which prints the new SEPARATE_4X4_SHA256 and
+SEPARATE_3X5_SHA256, and says why.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ SEPARATE_4X4_SHA256 = (
 SEPARATE_3X5_PINNED = "1,2,2,1,2,2,1,2"
 SEPARATE_3X5_SHA256 = (
     "444d46c6abc3f858af66234c30e6cf2d34cefaa26990546e049efd4e21e6161c")
+SEPARATE_4X4_Y0_PINNED = ("1,2,2,1,1,2,2,1", "1:2,3:3,2:4")
 
 
 def verify_reports() -> dict:
@@ -126,5 +129,9 @@ if __name__ == "__main__":
             separate_all(4, 4, comp))
     (GOLDEN / f"separate_3x5_{SEPARATE_3X5_PINNED}.json").write_text(
         separate_all(3, 5, SEPARATE_3X5_PINNED))
+    comp, spec = SEPARATE_4X4_Y0_PINNED
+    (GOLDEN / f"separate_4x4_{comp}_y0.json").write_text(
+        cli_output("separate", "--d1", "4", "--d2", "4", "--comp", comp,
+                   "--y0", spec))
     print(separate_sha256(4, 4))
     print(separate_sha256(3, 5))
