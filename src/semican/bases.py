@@ -11,20 +11,26 @@ which must be nonnegative integers with unit diagonal.
 
 The monomial values are q = 1 flag counts (integers, from qcount).  The lift
 is linear, so on each dimension vector D it is one transfer matrix T_D with
-mat_pi = mat_e . T_D on the count rows of the words of content D.  T_D is
-solved from the rows of the sandwich words 1^a 2^d2 1^c and 2^a 1^d1 2^c of
-D, and held in ints as (u, s) with T_D = u / s; Fractions are built only
-for the entries of m.  The count row of a word (v, b) + rest is the row of
-rest times the transpose of the step matrix S_{v,b}(D) of
-qcount.step_matrix, so by induction on word length from T_(0,0) = [[1]] the
-identity holds for every word of every content D <= dim exactly when, for
-every such D and every letter v^b peeled off it,
+mat_pi = mat_e . T_D on the count rows of the words of content D, held in
+ints as (u, s) with T_D = u / s; Fractions are built only for the entries
+of m.  The count row of a word (v, b) + rest is the row of rest times the
+transpose of the step matrix S_{v,b}(D) of qcount.step_matrix, so by
+induction on word length from T_(0,0) = [[1]] the identity holds for every
+word of every content D <= dim exactly when, for every such D and every
+letter v^b peeled off it,
 
     T_child . S^Pi_{v,b}(D)^T == S^E_{v,b}(D)^T . T_D:
 
-the lift commutes with peeling a letter.  The lift of a function with
-E-side values f is the row vector f . T_D; m_coefficients reads it at the
-generic columns only.
+the lift commutes with peeling a letter.  The induction holds whatever
+T_D the identities are checked with, so T_D need not be solved at every D.
+The solves of the sandwich words 1^a 2^d2 1^c and 2^a 1^d1 2^c of D give
+a T_D that depends on D only through its rank bound k = min(D), so T is
+solved once per k, at the diagonal (k, k), and every D of rank bound k is
+checked with it: a T that did not fit some D would break an identity
+there.  The E-side sandwich rows of dim itself are checked to reach every
+orbit rank, since m expands the stalk functions of dim in them.  The lift
+of a function with E-side values f is the row vector f . T_D;
+m_coefficients reads it at the generic columns only.
 """
 
 from __future__ import annotations
@@ -51,16 +57,20 @@ def sandwich_words(dim: DimVector) -> list[Word]:
 
 
 def sandwich_rows(dim: DimVector) -> dict:
-    """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
-    pair-side flag counts of the sandwich words of D, one row (a tuple of
-    ints) per word, read from the count memo of qcount."""
+    """The count rows the lift is solved and checked from, read from the
+    count memo of qcount, one row (a tuple of ints) per sandwich word: for
+    each diagonal sub-dimension (k, k) with k <= min(d1, d2), the E-side and
+    the pair-side rows of its words; for `dim` off the diagonal, its E-side
+    rows, with None for the pair side.  Keyed in (d1, d2) order, `dim`
+    last."""
     rows = {}
-    for a in range(dim.d1 + 1):
-        for c in range(dim.d2 + 1):
-            sub = DimVector(a, c)
-            words = sandwich_words(sub)
-            rows[sub] = ([_count_row(w, a, c, "E") for w in words],
-                         [_count_row(w, a, c, "Pi") for w in words])
+    for k in range(dim.rank_bound + 1):
+        words = sandwich_words(DimVector(k, k))
+        rows[DimVector(k, k)] = ([_count_row(w, k, k, "E") for w in words],
+                                 [_count_row(w, k, k, "Pi") for w in words])
+    if dim not in rows:
+        rows[dim] = ([_count_row(w, *dim, "E") for w in sandwich_words(dim)],
+                     None)
     return rows
 
 
@@ -168,21 +178,40 @@ class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
 
 
 def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
-    """Solve T_D at every sub-dimension D <= dim, then check every
+    """Solve T once per rank bound k <= min(d1, d2), at (k, k), give every
+    sub-dimension D <= dim the T of rank bound min(D), then check every
     intertwining identity exactly.
 
-    `rows` maps each D to its (E-side, pair-side) count rows, as
-    sandwich_rows builds them.  Raises SpanningError at the first D whose
-    E-side rows do not reach every orbit rank.
+    `rows` maps each (k, k), and `dim`, to its (E-side, pair-side) count
+    rows, as sandwich_rows builds them; other keys are ignored.  Raises
+    SpanningError at the first of these, in (d1, d2) order, whose E-side
+    rows do not reach every orbit rank.
     """
     if rows is None:
         rows = sandwich_rows(dim)
-    # D -> (integer rows u, scale s) with T_D = u / s
-    scaled = {sub: _solve_transfer(sub, mat_e, mat_pi)
-              for sub, (mat_e, mat_pi) in rows.items()}
-    u, scale = scaled[dim]
+    # rank bound k -> (integer rows u, scale s) with T_D = u / s
+    solved = [_solve_transfer(DimVector(k, k), *rows[DimVector(k, k)])
+              for k in range(dim.rank_bound + 1)]
+    if dim.d1 != dim.d2:
+        _spanning_basis(dim, rows[dim][0])
+    scaled = {DimVector(a, c): solved[min(a, c)]
+              for a in range(dim.d1 + 1) for c in range(dim.d2 + 1)}
+    u, scale = solved[-1]
     return TransferMatrix(dim, tuple(map(tuple, u)), scale,
                           _first_broken_identity(scaled))
+
+
+def _spanning_basis(sub: DimVector, rows) -> ratlin.Basis:
+    """The echelon basis of `rows` with pivots only in the first
+    rank_bound + 1 columns, the E columns; raises SpanningError when it has
+    fewer rows than that."""
+    n_orbits = sub.rank_bound + 1
+    basis = ratlin.echelon(rows, n_orbits, width=n_orbits)[1]
+    if len(basis) < n_orbits:
+        covered = {c for c, _ in basis}
+        raise SpanningError(
+            sub, [r for r in range(n_orbits) if r not in covered])
+    return basis
 
 
 def _solve_transfer(sub: DimVector, mat_e, mat_pi):
@@ -192,14 +221,8 @@ def _solve_transfer(sub: DimVector, mat_e, mat_pi):
     the E columns, picks the first rank_bound + 1 rows independent on the
     E side and solves the square system they form for all pair classes at
     once.  Raises SpanningError when fewer rows are independent."""
-    n_orbits = sub.rank_bound + 1
-    basis = ratlin.echelon([[*e, *p] for e, p in zip(mat_e, mat_pi)],
-                           n_orbits, width=n_orbits)[1]
-    if len(basis) < n_orbits:
-        covered = {c for c, _ in basis}
-        raise SpanningError(
-            sub, [r for r in range(n_orbits) if r not in covered])
-    return ratlin.read_off(basis, n_orbits)
+    basis = _spanning_basis(sub, [[*e, *p] for e, p in zip(mat_e, mat_pi)])
+    return ratlin.read_off(basis, sub.rank_bound + 1)
 
 
 def _first_broken_identity(scaled) -> str | None:

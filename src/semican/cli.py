@@ -1,14 +1,15 @@
 """Command-line entry points: orbit tables, separation reports, and the
 report of `semican.verify`.  This module parses arguments, writes the JSON
 and maps outcomes to exit codes: 0 all checks pass, 2 a check failed, 1 usage
-or input error.  Exact values are emitted as rational strings; reports are
-JSON with a schema_version field.
+or input error, 141 when the reader closed stdout early.  Exact values are
+emitted as rational strings; reports are JSON with a schema_version field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -278,6 +279,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout's reader is gone (`| head`): send what is still buffered
+        # to devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ Gauss-Jordan solve in Fractions that shares no code with it, and the tangent
 space of the conormal variety; the expansion of a constructible function
 in flag monomials and the smallness test of the resolutions behind
 canonical_fn; the transfer matrix as Fractions and the lift of a function
-through it; the lift solved by two eliminations per dimension vector and
+through it; the sandwich count rows of every sub-dimension, by
+euler_counts, where semican.bases builds pair-side rows only on the
+diagonal; the lift solved by two eliminations per dimension vector and
 its intertwining identities checked entry by entry, the references of the
 one elimination and the whole-matrix comparison of semican.bases; the word
 sweep that checks the lift row by row, mat_pi = mat_e . T on every
@@ -470,6 +472,15 @@ def solve_square(a, b) -> tuple[list[list[int]], int]:
     n = len(a)
     return ratlin.read_off(ratlin.echelon(
         [list(ra) + list(rb) for ra, rb in zip(a, b)], width=n)[1], n)
+
+
+def every_sandwich_rows(dim: DimVector) -> dict:
+    """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
+    pair-side euler_counts rows of the sandwich words of D."""
+    return {sub: tuple(monomial_matrix(sub, sandwich_words(sub), side)
+                       for side in ("E", "Pi"))
+            for sub in (DimVector(a, c) for a in range(dim.d1 + 1)
+                        for c in range(dim.d2 + 1))}
 
 
 def two_pass_transfer(sub: DimVector, mat_e, mat_pi):

@@ -14,11 +14,11 @@ from semican.bases import (ConjectureViolation, ConstructibleFnE,
 from semican.core import DimVector, PiModClass, pi_classes
 from semican.qcount import euler_counts, step_matrix, word_content
 
-from oracles import (express_in_monomials, first_broken_identity,
-                     first_sweep_mismatch, gauss_binom, kernel_basis,
-                     lift_values, monomial_matrix, smallness_check,
-                     spanning_words, transfer_entries, transpose,
-                     two_pass_transfer)
+from oracles import (every_sandwich_rows, express_in_monomials,
+                     first_broken_identity, first_sweep_mismatch,
+                     gauss_binom, kernel_basis, lift_values, monomial_matrix,
+                     smallness_check, spanning_words, transfer_entries,
+                     transpose, two_pass_transfer)
 
 
 def _row(dim, word):
@@ -223,14 +223,19 @@ def test_kernel_invariance():
 
 
 def test_lift_independent_of_solution():
-    # different word orders change the pivoted rows, not the lift
+    # different word orders change the pivoted rows, not the lift, nor the
+    # T that any sub-dimension's own rows give
     for d1, d2 in [(2, 1), (2, 2), (3, 2)]:
         dim = DimVector(d1, d2)
-        reversed_rows = {
-            sub: (mat_e[::-1], mat_pi[::-1])
-            for sub, (mat_e, mat_pi) in sandwich_rows(dim).items()}
+        rows = every_sandwich_rows(dim)
+        reversed_rows = {sub: (mat_e[::-1], mat_pi[::-1])
+                         for sub, (mat_e, mat_pi) in rows.items()}
+        for sub, (mat_e, mat_pi) in rows.items():
+            assert bases._solve_transfer(sub, *reversed_rows[sub]) == \
+                bases._solve_transfer(sub, mat_e, mat_pi), sub
         f = canonical_fn(dim, dim.rank_bound - 1)
         assert _lift(f) == _lift(f, reversed_rows)
+        assert transfer_matrix(dim, reversed_rows).mismatch is None
 
 
 def test_transfer_matrix_integral_with_identity_section():
@@ -314,24 +319,31 @@ def test_transfer_matrix_witnesses(monkeypatch):
 
 def test_sandwich_rows_match_euler_counts():
     # the rows come straight from the count memo; euler_counts, which
-    # checks each word against its dimension vector first, is the oracle
-    rows = sandwich_rows(DimVector(6, 6))
-    assert len(rows) == 49
-    for sub, (mat_e, mat_pi) in rows.items():
-        words = sandwich_words(sub)
-        for side, mat in (("E", mat_e), ("Pi", mat_pi)):
-            assert [list(row) for row in mat] == \
-                [euler_counts(w, sub, side) for w in words], (sub, side)
+    # checks each word against its dimension vector first, is the oracle.
+    # Both sides at each diagonal (k, k), the E side alone at dim off it
+    for dim in [DimVector(6, 6), DimVector(6, 3), DimVector(2, 5)]:
+        oracle = every_sandwich_rows(dim)
+        rows = sandwich_rows(dim)
+        diagonal = [DimVector(k, k) for k in range(dim.rank_bound + 1)]
+        assert list(rows) == diagonal + ([dim] if dim not in diagonal
+                                         else [])
+        for sub, (mat_e, mat_pi) in rows.items():
+            want_e, want_pi = oracle[sub]
+            assert [list(row) for row in mat_e] == want_e, sub
+            if sub in diagonal:
+                assert [list(row) for row in mat_pi] == want_pi, sub
+            else:
+                assert mat_pi is None
 
 
 def test_one_elimination_matches_two_passes():
     # one elimination of (E | Pi) with pivots in the E columns gives the
     # (u, scale) of picking rows by echelon and then solve_square
-    for sub, (mat_e, mat_pi) in sandwich_rows(DimVector(8, 8)).items():
+    for sub, (mat_e, mat_pi) in every_sandwich_rows(DimVector(8, 8)).items():
         assert bases._solve_transfer(sub, mat_e, mat_pi) == \
             two_pass_transfer(sub, mat_e, mat_pi), sub
     # rank-deficient rows: the same SpanningError, with the same ranks
-    rows = sandwich_rows(DimVector(4, 3))
+    rows = every_sandwich_rows(DimVector(4, 3))
     cases = 0
     for sub, (mat_e, mat_pi) in rows.items():
         n_orbits = sub.rank_bound + 1
@@ -353,9 +365,63 @@ def test_one_elimination_matches_two_passes():
     assert cases > 20
 
 
+def test_one_solve_per_rank_bound_matches_every_own_solve(monkeypatch):
+    # T is solved once per rank bound k, at (k, k), and every D <= dim is
+    # checked with the T of min(D); at every D <= (8, 8) that is the T that
+    # D's own sandwich rows give.  Off the diagonal, dim's E rows take one
+    # more elimination, for spanning
+    calls = {}
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.setdefault(name, []).append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+
+    recording(bases, "_solve_transfer")
+    recording(bases, "_first_broken_identity")
+    recording(ratlin, "echelon")
+    for dim in [DimVector(8, 8), DimVector(3, 6)]:
+        calls.clear()
+        assert transfer_matrix(dim).mismatch is None
+        k = dim.rank_bound
+        assert calls["_solve_transfer"] == [DimVector(j, j)
+                                            for j in range(k + 1)]
+        assert len(calls["echelon"]) == k + 1 + (dim.d1 != dim.d2)
+        (scaled,) = calls["_first_broken_identity"]
+        oracle = every_sandwich_rows(dim)
+        assert list(scaled) == list(oracle)
+        for sub, (mat_e, mat_pi) in oracle.items():
+            assert scaled[sub] == two_pass_transfer(sub, mat_e, mat_pi), sub
+
+
+def test_spanning_checked_at_an_off_diagonal_dim():
+    # dim = (3, 2) solves nothing at (3, 2), but m expands its stalk
+    # functions in its sandwich E rows, so a truncated set of them fails
+    dim = DimVector(3, 2)
+    rows = sandwich_rows(dim)
+    mat_e, mat_pi = rows[dim]
+    assert mat_pi is None
+    oracle_e, oracle_pi = every_sandwich_rows(dim)[dim]
+    with pytest.raises(SpanningError) as want:
+        two_pass_transfer(dim, oracle_e[:1], oracle_pi[:1])
+    with pytest.raises(SpanningError) as exc:
+        transfer_matrix(dim, {**rows, dim: (mat_e[:1], None)})
+    assert exc.value.dim == dim
+    assert exc.value.missing == want.value.missing == [1, 2]
+    # a diagonal sub-dimension fails first, in (d1, d2) order
+    e, p = rows[DimVector(1, 1)]
+    with pytest.raises(SpanningError) as exc:
+        transfer_matrix(dim, {**rows, DimVector(1, 1): (e[:1], p[:1]),
+                              dim: (mat_e[:1], None)})
+    assert exc.value.dim == DimVector(1, 1)
+
+
 def _scaled(dim):
     return {sub: two_pass_transfer(sub, mat_e, mat_pi)
-            for sub, (mat_e, mat_pi) in sandwich_rows(dim).items()}
+            for sub, (mat_e, mat_pi) in every_sandwich_rows(dim).items()}
 
 
 def test_identity_witness_matches_entry_scan(monkeypatch):
@@ -405,6 +471,8 @@ def test_identity_witness_matches_entry_scan(monkeypatch):
         assert want is not None and want.startswith(
             f"dim (4,3), letter {letter[0]}^{letter[1]}, ")
         assert bases._first_broken_identity(scaled) == want
+        # the library, which solves only at the diagonal, names it too
+        assert transfer_matrix(DimVector(4, 3)).mismatch == want
         monkeypatch.undo()
 
 

@@ -585,6 +585,24 @@ def test_separate_failure_exits_2(capsys, monkeypatch):
     assert err.startswith("FAILED: ") and "X(1,2)^2" in err
 
 
+def test_separate_into_a_closed_pipe_exits_141():
+    # `separate ... --all | head -1`: the reader takes 10 bytes of the
+    # 100 KB of reports and closes the pipe; no traceback, and not the
+    # usage-error code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semican.cli", "separate", "--d1", "4",
+         "--d2", "4", "--comp", "1,2,1,2,1,2,1,2", "--all"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_separate_all_failure_prints_no_report(capsys, monkeypatch):
     # the third instance of the composition fails: the two reports before
     # it are not printed either
