@@ -20,60 +20,6 @@ from .separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
                          matchings, report_texts)
 from .verify import SCHEMA_VERSION, run_verify
 
-_quote = json.encoder.encode_basestring_ascii
-# exact types written directly; subclasses (bool, VarId) go through json
-_LEAF = {str: _quote, int: int.__repr__}
-
-
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte.
-
-    With an indent set, json uses its pure-Python encoder.  This writer
-    handles dicts with str keys, lists, tuples, str and int itself and hands
-    every other value to json.dumps, re-indented to its depth.
-    """
-    parts: list[str] = []
-    _write(obj, "\n", parts.append)
-    return "".join(parts)
-
-
-def _write(obj, newline: str, emit) -> None:
-    kind = type(obj)
-    leaf = _LEAF.get(kind)
-    if leaf is not None:
-        emit(leaf(obj))
-        return
-    if kind is list or kind is tuple:
-        if not obj:
-            emit("[]")
-            return
-        inner = newline + "  "
-        kinds = set(map(type, obj))
-        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
-        if leaf is not None:
-            emit("[" + inner + ("," + inner).join(map(leaf, obj))
-                 + newline + "]")
-            return
-        sep = "[" + inner
-        for v in obj:
-            emit(sep)
-            _write(v, inner, emit)
-            sep = "," + inner
-        emit(newline + "]")
-    elif kind is dict and all(type(k) is str for k in obj):
-        if not obj:
-            emit("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in obj.items():
-            emit(sep + _quote(k) + ": ")
-            _write(v, inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
-    else:
-        emit(json.dumps(obj, indent=2).replace("\n", newline))
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage errors."""
@@ -123,8 +69,9 @@ def cmd_orbits(args) -> int:
     _require_nonempty(dim)
     rows = _orbit_rows(dim)
     if args.format == "json":
-        print(_dumps({"schema_version": SCHEMA_VERSION,
-                      "dim": [dim.d1, dim.d2], "orbits": rows}))
+        print(json.dumps({"schema_version": SCHEMA_VERSION,
+                          "dim": [dim.d1, dim.d2], "orbits": rows},
+                         indent=2))
     elif args.format == "csv":
         cols = ["r", "orbit_dim", "dual_rank", "parity_defect"]
         print(",".join(cols))
@@ -150,7 +97,7 @@ def cmd_verify(args) -> int:
     _require_rank_bound(dim)
     report = run_verify(args.d1, args.d2, seed=args.seed,
                         skip_wreg=args.skip_wreg)
-    text = _dumps(report)
+    text = json.dumps(report, indent=2)
     if args.out:
         try:
             Path(args.out).write_text(text + "\n")
@@ -282,7 +229,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout's reader is gone (`| head`): send what is still buffered
         # to devnull, so that the flush at exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
 
 

@@ -17,7 +17,7 @@ import semican.separation as separation
 import semican.verify as verify
 from semican.bases import ExpansionMatrix
 from semican.core import DimVector, PiModClass, compositions, pi_classes
-from semican.sympoly import BilinearityError, VarId
+from semican.sympoly import BilinearityError
 
 
 def run(capsys, *argv):
@@ -47,6 +47,7 @@ def test_orbits_json(capsys):
                        "--format", "json")
     assert code == 0
     data = json.loads(out)
+    assert out == json.dumps(data, indent=2) + "\n"
     assert len(data["orbits"]) == 3
     assert data["schema_version"] == 3
 
@@ -65,6 +66,9 @@ def test_verify_small_dims(capsys):
         code, out, _ = run(capsys, "verify", "--d1", str(d1), "--d2", str(d2))
         assert code == 0
         report = json.loads(out)
+        # float timings, bools and wreg_reports, as json.dumps writes them
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert report["geometry"]["wreg_reports"]
         assert report["verdict"] == "PASS"
         n = len(report["m_matrix"])
         assert report["m_matrix"] == [
@@ -114,6 +118,7 @@ def test_verify_matches_golden_file(capsys):
     code, out, _ = run(capsys, "verify", "--d1", "1", "--d2", "1",
                        "--seed", "1", "--skip-wreg")
     assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert _normalized(out) + "\n" == golden.read_text()
 
 
@@ -197,38 +202,6 @@ def test_separate_text_is_json_dumps_of_its_reports(capsys):
                     assert code == 0
                     expected = {**report, "schema_version": cli.SCHEMA_VERSION}
                     assert out == json.dumps(expected, indent=2) + "\n", spec
-
-
-class _Key(str):
-    pass
-
-
-@pytest.mark.parametrize("obj", [
-    [], {}, (), "", 0, -12, 1.5, None, True,
-    {"a": [], "b": {}, "c": [[], {}], "d": [[[]]]},
-    "caf\u00e9 \u2603 \U0001f600 \"quoted\" \\ \n\t\x00",
-    {"\u00e9": ["\u2603", 1, True, None, 2.5, float("inf"), float("nan")]},
-    [1, True, 0, False], [(1, 2), ("a", "b"), ()],
-    {"n": {1: "int key", None: [1, {"x": 2}]}, "v": [VarId("X", 1, 2)]},
-    {_Key("sub"): _Key("str"), "deep": [{"k": [1e-300, -0.0, 10 ** 30]}]},
-])
-def test_dumps_matches_json(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2)
-
-
-def test_dumps_matches_json_on_reports():
-    comp = (1, 2, 1, 2, 2, 1)
-    reports = [
-        cli.run_verify(2, 2, seed=3),  # float timings, wreg ranks, bools
-        {"schema_version": cli.SCHEMA_VERSION, "dim": [3, 4],
-         "orbits": cli._orbit_rows(DimVector(3, 4))},
-        {"schema_version": cli.SCHEMA_VERSION,
-         "reports": separation.report_dicts(
-             comp, separation.matchings(comp))},
-    ]
-    assert reports[0]["geometry"]["wreg_reports"]
-    for report in reports:
-        assert cli._dumps(report) == json.dumps(report, indent=2)
 
 
 def test_verify_reports_byte_stable(capsys):
@@ -601,6 +574,23 @@ def test_separate_into_a_closed_pipe_exits_141():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count descriptors")
+def test_separate_into_a_closed_pipe_closes_what_it_opens(monkeypatch):
+    # in one process, each exit 141 leaves the number of open descriptors
+    # as it was; the handler points the pipe's descriptor at devnull, so
+    # each call gets a new pipe
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            assert cli.main(["separate", "--d1", "3", "--d2", "3", "--comp",
+                             "1,2,1,2,1,2", "--all"]) == 141
+            assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_separate_all_failure_prints_no_report(capsys, monkeypatch):
