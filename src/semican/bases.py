@@ -13,24 +13,35 @@ The monomial values are q = 1 flag counts (integers, from qcount).  The lift
 is linear, so on each dimension vector D it is one transfer matrix T_D with
 mat_pi = mat_e . T_D on the count rows of the words of content D, held in
 ints as (u, s) with T_D = u / s; Fractions are built only for the entries
-of m.  The count row of a word (v, b) + rest is the row of rest times the
-transpose of the step matrix S_{v,b}(D) of qcount.step_matrix, so by
+of m.  The count row of a word (v, 1) + rest is the row of rest times the
+transpose of the step matrix S_{v,1}(D) of qcount.step_matrix, so by
 induction on word length from T_(0,0) = [[1]] the identity holds for every
-word of every content D <= dim exactly when, for every such D and every
-letter v^b peeled off it,
+single-letter word of every content D <= dim exactly when, for every such
+D and each vertex v with d_v > 0,
 
-    T_child . S^Pi_{v,b}(D)^T == S^E_{v,b}(D)^T . T_D:
+    T_child . S^Pi_{v,1}(D)^T == S^E_{v,1}(D)^T . T_D:
 
-the lift commutes with peeling a letter.  The induction holds whatever
-T_D the identities are checked with, so T_D need not be solved at every D.
-The solves of the sandwich words 1^a 2^d2 1^c and 2^a 1^d1 2^c of D give
-a T_D that depends on D only through its rank bound k = min(D), so T is
-solved once per k, at the diagonal (k, k), and every D of rank bound k is
-checked with it: a T that did not fit some D would break an identity
-there.  The E-side sandwich rows of dim itself are checked to reach every
-orbit rank, since m expands the stalk functions of dim in them.  The lift
-of a function with E-side values f is the row vector f . T_D;
-m_coefficients reads it at the generic columns only.
+the lift commutes with peeling a single letter.  A grouped letter v^b is
+the divided power e_v^b / b!: peeling it and then a complete flag of the
+b-dimensional sub is peeling b single letters, and chi(Fl(b)) = b!, so on
+both sides S_{v,1}(D) . S_{v,1}(D - e_v) ... S_{v,1}(D - (b-1) e_v) ==
+b! S_{v,b}(D) (Lusztig, Semicanonical bases arising from enveloping
+algebras, Adv. Math. 151, 2000).  The row of a grouped word is therefore
+1 / prod b! times the row of its single-letter refinement, on both sides,
+and the identity holds for it too.  That grouping relation is a property
+of the step rules, tested exhaustively in tier 1; the lift itself reads
+and checks single letters only, two identities per D.
+
+The induction holds whatever T_D the identities are checked with, so T_D
+need not be solved at every D.  The solves of the refined sandwich words
+1^a 2^d2 1^c and 2^a 1^d1 2^c of D give a T_D that depends on D only
+through its rank bound k = min(D), so T is solved once per k, at the
+diagonal (k, k), and every D of rank bound k is checked with it: a T that
+did not fit some D would break an identity there.  The E-side sandwich
+rows of dim itself are checked to reach every orbit rank, since m expands
+the stalk functions of dim in them.  The lift of a function with E-side
+values f is the row vector f . T_D; m_coefficients reads it at the generic
+columns only.
 """
 
 from __future__ import annotations
@@ -56,21 +67,31 @@ def sandwich_words(dim: DimVector) -> list[Word]:
     return sorted(words)
 
 
+def _refined(word: Word) -> Word:
+    """The single-letter refinement of `word`: each v^b becomes b letters
+    v^1."""
+    return tuple((v, 1) for v, b in word for _ in range(b))
+
+
 def sandwich_rows(dim: DimVector) -> dict:
     """The count rows the lift is solved and checked from, read from the
-    count memo of qcount, one row (a tuple of ints) per sandwich word: for
-    each diagonal sub-dimension (k, k) with k <= min(d1, d2), the E-side and
-    the pair-side rows of its words; for `dim` off the diagonal, its E-side
-    rows, with None for the pair side.  Keyed in (d1, d2) order, `dim`
-    last."""
+    count memo of qcount, one row (a tuple of ints) per sandwich word, each
+    that of the word's single-letter refinement, so prod b! times the
+    word's own: for each diagonal sub-dimension (k, k) with
+    k <= min(d1, d2), the E-side and the pair-side rows of its words; for
+    `dim` off the diagonal, its E-side rows, with None for the pair side.
+    Keyed in (d1, d2) order, `dim` last.  A row and its pair-side row are
+    scaled alike, so the solved T is that of the grouped rows."""
+    def side_rows(sub, side):
+        return [_count_row(_refined(w), *sub, side)
+                for w in sandwich_words(sub)]
+
     rows = {}
     for k in range(dim.rank_bound + 1):
-        words = sandwich_words(DimVector(k, k))
-        rows[DimVector(k, k)] = ([_count_row(w, k, k, "E") for w in words],
-                                 [_count_row(w, k, k, "Pi") for w in words])
+        sub = DimVector(k, k)
+        rows[sub] = (side_rows(sub, "E"), side_rows(sub, "Pi"))
     if dim not in rows:
-        rows[dim] = ([_count_row(w, *dim, "E") for w in sandwich_words(dim)],
-                     None)
+        rows[dim] = (side_rows(dim, "E"), None)
     return rows
 
 
@@ -161,10 +182,11 @@ class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
     Row per orbit rank, column per pair class in pi_classes order.  `u` is
     a tuple of tuples of ints and `scale` the least positive int that makes
     scale * T integral.  `mismatch` names the first intertwining identity
-    that fails, as `dim (a,c), letter v^b, orbit r', class (r,s): <lhs> !=
+    that fails, as `dim (a,c), letter v^1, orbit r', class (r,s): <lhs> !=
     <rhs>` with r' an orbit rank of the child dimension and (r,s) a pair
-    class of (a,c); None means that every identity holds, so every word of
-    every content up to `dim` satisfies mat_pi = mat_e . T at its content.
+    class of (a,c); None means that every single-letter identity holds, so
+    every word of every content up to `dim`, single-letter or, through the
+    grouping relation, grouped, satisfies mat_pi = mat_e . T there.
     """
 
     __slots__ = ()
@@ -179,8 +201,8 @@ class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
 
 def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
     """Solve T once per rank bound k <= min(d1, d2), at (k, k), give every
-    sub-dimension D <= dim the T of rank bound min(D), then check every
-    intertwining identity exactly.
+    sub-dimension D <= dim the T of rank bound min(D), then check the
+    intertwining identity of each single letter at each D exactly.
 
     `rows` maps each (k, k), and `dim`, to its (E-side, pair-side) count
     rows, as sandwich_rows builds them; other keys are ignored.  Raises
@@ -226,48 +248,49 @@ def _solve_transfer(sub: DimVector, mat_e, mat_pi):
 
 
 def _first_broken_identity(scaled) -> str | None:
-    """Witness of the first (D, letter), in the order of `scaled` and then
-    by letter, whose identity fails; None when all hold.
+    """Witness of the first (D, letter v^1), in the order of `scaled` and
+    then by vertex, whose identity fails; None when all hold.
 
     Both sides are built scaled by the product of the two scales and
     compared whole; only a failing identity is scanned entry by entry."""
     for sub, (u, scale) in scaled.items():
         width = len(u[0])
         for v, top in ((1, sub.d1), (2, sub.d2)):
-            for b in range(1, top + 1):
-                u_child, child_scale = scaled[
-                    DimVector(sub.d1 - b, sub.d2) if v == 1
-                    else DimVector(sub.d1, sub.d2 - b)]
-                # scale * (u_child . S_pi^T), one class of sub at a time,
-                # from the columns of u_child that the class peels to
-                child_cols = list(zip(*u_child))
-                lhs_cols = []
-                for steps in step_matrix(sub, v, b, "Pi"):
-                    col = (0,) * len(u_child)
-                    for j, n in steps:
-                        n *= scale
-                        col = [x + n * y for x, y in zip(col, child_cols[j])]
-                    lhs_cols.append(col)
-                # child_scale * (S_e^T . u), one orbit rank of sub at a time
-                rhs = [[0] * width for _ in u_child]
-                for u_row, steps in zip(u, step_matrix(sub, v, b, "E")):
-                    for j, n in steps:
-                        n *= child_scale
-                        rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]
-                lhs = list(map(list, zip(*lhs_cols)))
-                if lhs != rhs:
-                    return _first_entry_witness(sub, v, b, lhs, rhs,
-                                                scale * child_scale)
+            if not top:
+                continue
+            u_child, child_scale = scaled[
+                DimVector(sub.d1 - 1, sub.d2) if v == 1
+                else DimVector(sub.d1, sub.d2 - 1)]
+            # scale * (u_child . S_pi^T), one class of sub at a time, from
+            # the columns of u_child that the class peels to
+            child_cols = list(zip(*u_child))
+            lhs_cols = []
+            for steps in step_matrix(sub, v, 1, "Pi"):
+                col = (0,) * len(u_child)
+                for j, n in steps:
+                    n *= scale
+                    col = [x + n * y for x, y in zip(col, child_cols[j])]
+                lhs_cols.append(col)
+            # child_scale * (S_e^T . u), one orbit rank of sub at a time
+            rhs = [[0] * width for _ in u_child]
+            for u_row, steps in zip(u, step_matrix(sub, v, 1, "E")):
+                for j, n in steps:
+                    n *= child_scale
+                    rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]
+            lhs = list(map(list, zip(*lhs_cols)))
+            if lhs != rhs:
+                return _first_entry_witness(sub, v, lhs, rhs,
+                                            scale * child_scale)
     return None
 
 
-def _first_entry_witness(sub, v, b, lhs, rhs, den) -> str:
+def _first_entry_witness(sub, v, lhs, rhs, den) -> str:
     """The witness text of the first unequal entry of lhs and rhs, two
-    sides of the identity at (sub, v^b) scaled by den."""
+    sides of the identity at (sub, v^1) scaled by den."""
     for rp, (l_row, r_row) in enumerate(zip(lhs, rhs)):
         for (r, s), lv, rv in zip(_pi_index(*sub), l_row, r_row):
             if lv != rv:
-                return (f"dim ({sub.d1},{sub.d2}), letter {v}^{b}, "
+                return (f"dim ({sub.d1},{sub.d2}), letter {v}^1, "
                         f"orbit {rp}, class ({r},{s}): "
                         f"{Fraction(lv, den)} != {Fraction(rv, den)}")
 
@@ -333,7 +356,7 @@ def cc_multiplicities(dim: DimVector, *,
                       transfer: TransferMatrix | None = None
                       ) -> ExpansionMatrix:
     """n = the sign twist of m, validated as verify validates it: the section
-    identity and every intertwining identity of the lift, m integral and
+    identity and every single-letter identity of the lift, m integral and
     unitriangular, n also nonnegative.  The first witness of a failure
     (lift_failures, then structure_failures) raises ConjectureViolation.
     """

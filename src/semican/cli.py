@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for the two-vertex quiver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("orbits", parents=[], help="list orbits with invariants")
+    p = sub.add_parser("orbits", help="list orbits with invariants")
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--format", choices=("table", "json", "csv"),

@@ -9,11 +9,13 @@ of the peeling is a product of two binomials; step_matrix holds those
 products for one peeled letter, built in one pass per side and vertex.  The
 peeling runs as a word recursion, memoised per suffix as one row over all
 classes of the suffix's content, the only memo of rows; step matrices are
-built where they are used, not cached.  bases.sandwich_rows reads the rows of
-its own well-formed words straight from that memo; euler_counts is the
-entry that checks a word against its dimension vector first.  A word is a
-tuple of (vertex, multiplicity) letters, innermost first.  The
-q-polynomials themselves are the test suite's reference.
+cached too, since the lift reads only single letters v^1, four matrices per
+dimension vector, each met by several suffix rows and by one identity.
+bases.sandwich_rows reads the rows of the single-letter refinements of its
+words straight from that memo; euler_counts is the entry that checks a
+word against its dimension vector first.  A word is a tuple of (vertex,
+multiplicity) letters, innermost first.  The q-polynomials themselves are
+the test suite's reference.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def _pi_index(d1: int, d2: int) -> dict:
         (r, s) for r in range(k + 1) for s in range(k - r + 1))}
 
 
+@lru_cache(maxsize=None)
 def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
     """The q = 1 step matrix S_{vertex,b}(dim), one sparse row per class of
     `dim` in class order: (child index, count) for peeling a b-dimensional
@@ -54,8 +57,8 @@ def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
     within the child's rank bound.
 
     The count row of a word (vertex, b) + rest is S times the count row of
-    rest on the child dimension.  Each call builds S afresh: its callers
-    rarely ask twice, and a cache of every S cost 129 MB at (20, 20)."""
+    rest on the child dimension.  Cached: the lift asks only for b = 1, so
+    at most 4 (d1 + 1)(d2 + 1) matrices up to (d1, d2)."""
     d1, d2 = dim
     # the rank bound of the child dimension
     k = min(d1 - b, d2) if vertex == 1 else min(d1, d2 - b)

@@ -474,10 +474,19 @@ def solve_square(a, b) -> tuple[list[list[int]], int]:
         [list(ra) + list(rb) for ra, rb in zip(a, b)], width=n)[1], n)
 
 
-def every_sandwich_rows(dim: DimVector) -> dict:
+def refined_word(word: Word) -> Word:
+    """`word` with each letter v^b written as b letters v^1."""
+    return tuple((v, 1) for v, b in word for _ in range(b))
+
+
+def every_sandwich_rows(dim: DimVector, refine: bool = False) -> dict:
     """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
-    pair-side euler_counts rows of the sandwich words of D."""
-    return {sub: tuple(monomial_matrix(sub, sandwich_words(sub), side)
+    pair-side euler_counts rows of the sandwich words of D, or with
+    `refine` of their single-letter refinements."""
+    def words(sub):
+        return [refined_word(w) if refine else w for w in sandwich_words(sub)]
+
+    return {sub: tuple(monomial_matrix(sub, words(sub), side)
                        for side in ("E", "Pi"))
             for sub in (DimVector(a, c) for a in range(dim.d1 + 1)
                         for c in range(dim.d2 + 1))}
@@ -498,15 +507,18 @@ def two_pass_transfer(sub: DimVector, mat_e, mat_pi):
                         [mat_pi[i] for i in picked])
 
 
-def first_broken_identity(scaled, steps=step_matrix) -> str | None:
+def first_broken_identity(scaled, steps=step_matrix,
+                          single=False) -> str | None:
     """The witness of the first intertwining identity
     T_child . S^Pi^T == S^E^T . T_D that fails, over the (u, s) of each D
     in `scaled`, in the order of `scaled` and then by letter, compared
-    entry by entry; None when all hold.  `steps` gives the step matrices."""
+    entry by entry; None when all hold.  `steps` gives the step matrices.
+    With `single`, only the single letters v^1 are checked, as the library
+    does; otherwise every letter v^b with b <= d_v."""
     for sub, (u, scale) in scaled.items():
         classes = pi_classes(sub)
         for v, top in ((1, sub.d1), (2, sub.d2)):
-            for b in range(1, top + 1):
+            for b in range(1, (min(top, 1) if single else top) + 1):
                 u_child, child_scale = scaled[
                     DimVector(sub.d1 - b, sub.d2) if v == 1
                     else DimVector(sub.d1, sub.d2 - b)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import semican.bases as bases
-from semican import ratlin
+from semican import qcount, ratlin
 from semican.bases import (ConjectureViolation, ConstructibleFnE,
                            ExpansionMatrix, SpanningError, canonical_fn,
                            cc_multiplicities, lift_failures, m_coefficients,
@@ -292,23 +292,37 @@ def test_transfer_matrix_witnesses(monkeypatch):
         cc_multiplicities(dim, transfer=t)
 
     # one corrupted pair-side step count at the sub-dimension (3, 3) of
-    # (4, 3), of a single or a grouped letter: the rows, and so T, stay
-    # right, and that letter's identity catches it
+    # (4, 3), of either single letter: the rows, and so T, stay right, and
+    # that letter's identity catches it
     real = bases.step_matrix
-    for letter, witness in [
-            ((2, 1), "dim (3,3), letter 2^1, orbit 0, class (0,0): 4 != 3"),
-            ((1, 2), "dim (3,3), letter 1^2, orbit 0, class (0,0): ")]:
 
-        def corrupted(sub, vertex, b, side, letter=letter):
+    def corrupting(letter):
+        def corrupted(sub, vertex, b, side):
             steps = real(sub, vertex, b, side)
             if (sub, (vertex, b), side) != (DimVector(3, 3), letter, "Pi"):
                 return steps
             (child, n), *rest = steps[0]
             return (((child, n + 1), *rest),) + steps[1:]
+        return corrupted
 
-        monkeypatch.setattr(bases, "step_matrix", corrupted)
-        assert transfer_matrix(DimVector(4, 3)).mismatch.startswith(witness)
+    for letter, witness in [
+            ((2, 1), "dim (3,3), letter 2^1, orbit 0, class (0,0): 4 != 3"),
+            ((1, 1), "dim (3,3), letter 1^1, orbit 0, class (0,0): 4 != 3")]:
+        monkeypatch.setattr(bases, "step_matrix", corrupting(letter))
+        assert transfer_matrix(DimVector(4, 3)).mismatch == witness
     monkeypatch.undo()
+
+    # a grouped step is read neither by the rows nor by the identities:
+    # corrupting 1^2 at (3, 3) everywhere leaves the lift as it is
+    want = transfer_matrix(DimVector(4, 3))
+    monkeypatch.setattr(bases, "step_matrix", corrupting((1, 2)))
+    monkeypatch.setattr(qcount, "step_matrix", corrupting((1, 2)))
+    qcount._count_row.cache_clear()
+    try:
+        assert transfer_matrix(DimVector(4, 3)) == want
+    finally:
+        monkeypatch.undo()
+        qcount._count_row.cache_clear()
 
     truncated = {sub: (mat_e[:1], mat_pi[:1]) for sub, (mat_e, mat_pi)
                  in sandwich_rows(DimVector(1, 1)).items()}
@@ -318,11 +332,12 @@ def test_transfer_matrix_witnesses(monkeypatch):
 
 
 def test_sandwich_rows_match_euler_counts():
-    # the rows come straight from the count memo; euler_counts, which
+    # the rows come straight from the count memo, as the rows of the words'
+    # single-letter refinements; euler_counts of those refined words, which
     # checks each word against its dimension vector first, is the oracle.
     # Both sides at each diagonal (k, k), the E side alone at dim off it
     for dim in [DimVector(6, 6), DimVector(6, 3), DimVector(2, 5)]:
-        oracle = every_sandwich_rows(dim)
+        oracle = every_sandwich_rows(dim, refine=True)
         rows = sandwich_rows(dim)
         diagonal = [DimVector(k, k) for k in range(dim.rank_bound + 1)]
         assert list(rows) == diagonal + ([dim] if dim not in diagonal
@@ -426,9 +441,12 @@ def _scaled(dim):
 
 def test_identity_witness_matches_entry_scan(monkeypatch):
     # the whole-matrix comparison names the same first failing entry, in
-    # the same text, as the entry-by-entry scan of the oracle
+    # the same text, as the entry-by-entry scan of the oracle over single
+    # letters
     scaled = _scaled(DimVector(4, 3))
     assert bases._first_broken_identity(scaled) is None
+    # every grouped letter's identity holds too
+    assert first_broken_identity(scaled) is None
     # the same T_D over the scale 2 still passes
     doubled = {**scaled, DimVector(2, 2): (
         [[2 * x for x in row] for row in scaled[DimVector(2, 2)][0]], 2)}
@@ -449,14 +467,14 @@ def test_identity_witness_matches_entry_scan(monkeypatch):
                 for rp, c in where:
                     bad[rp][c] += 1
                 corrupted = {**base, sub: (bad, scale)}
-                want = first_broken_identity(corrupted)
+                want = first_broken_identity(corrupted, single=True)
                 assert want is not None, (sub, where)
                 assert bases._first_broken_identity(corrupted) == want
                 witnesses.add(want)
     assert any("/" in w for w in witnesses)
 
-    # one corrupted step count of a grouped letter, on each side
-    for letter, side in [((1, 2), "Pi"), ((2, 3), "Pi"), ((2, 2), "E")]:
+    # one corrupted step count of a single letter, on each side
+    for letter, side in [((1, 1), "Pi"), ((2, 1), "Pi"), ((2, 1), "E")]:
 
         def corrupted(sub, vertex, b, side_, letter=letter, side=side):
             steps = step_matrix(sub, vertex, b, side_)
@@ -467,13 +485,33 @@ def test_identity_witness_matches_entry_scan(monkeypatch):
             return steps[:k] + (((child, n + 1), *rest),) + steps[k + 1:]
 
         monkeypatch.setattr(bases, "step_matrix", corrupted)
-        want = first_broken_identity(scaled, corrupted)
+        want = first_broken_identity(scaled, corrupted, single=True)
         assert want is not None and want.startswith(
-            f"dim (4,3), letter {letter[0]}^{letter[1]}, ")
+            f"dim (4,3), letter {letter[0]}^1, ")
         assert bases._first_broken_identity(scaled) == want
         # the library, which solves only at the diagonal, names it too
         assert transfer_matrix(DimVector(4, 3)).mismatch == want
         monkeypatch.undo()
+
+
+def test_lift_reads_single_letters_only(monkeypatch):
+    # every step matrix the lift asks for, for its count rows and for its
+    # identities, peels a single letter; the grouping relation (tested in
+    # test_qcount) carries the identities to grouped words
+    calls = []
+    for module in (bases, qcount):
+        def record(dim, vertex, b, side, real=module.step_matrix):
+            calls.append((dim, vertex, b, side))
+            return real(dim, vertex, b, side)
+        monkeypatch.setattr(module, "step_matrix", record)
+    for dim in [DimVector(8, 8), DimVector(3, 6)]:
+        for run in (transfer_matrix, cc_multiplicities):
+            calls.clear()
+            qcount._count_row.cache_clear()
+            run(dim)
+            assert {(v, side) for _, v, _, side in calls} == \
+                {(v, side) for v in (1, 2) for side in ("E", "Pi")}, dim
+            assert all(b == 1 for _, _, b, _ in calls), dim
 
 
 def test_cc_multiplicities_checks_the_section_identity():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -285,6 +286,42 @@ def test_step_matrix_matches_grouped_polynomials_at_one():
                         got = step_matrix(dim, vertex, b, side)
                         assert tuple(tuple(sorted(row)) for row in got) == \
                             expected, (dim, vertex, b, side)
+
+
+def test_grouping_relation():
+    # peeling v^b and then a complete flag of the b-dimensional sub is
+    # peeling b single letters, and chi(Fl(b)) = b!, so on both sides
+    #   S_{v,1}(D) . S_{v,1}(D - e_v) ... S_{v,1}(D - (b-1) e_v)
+    #       == b! S_{v,b}(D),
+    # composed here as sparse rows.  This carries the lift's single-letter
+    # identities to grouped words
+    cases = 0
+    for d1 in range(11):
+        for d2 in range(11):
+            dim = DimVector(d1, d2)
+            for side, classes in (("E", enumerate_orbits),
+                                  ("Pi", pi_classes)):
+                for vertex, top in ((1, d1), (2, d2)):
+                    # row per class of dim: {class of D - b e_v: count}
+                    product = [{i: 1} for i in range(len(classes(dim)))]
+                    for b in range(1, top + 1):
+                        child = DimVector(d1 - b + 1, d2) if vertex == 1 \
+                            else DimVector(d1, d2 - b + 1)
+                        steps = step_matrix(child, vertex, 1, side)
+                        composed = []
+                        for row in product:
+                            out = {}
+                            for j, n in row.items():
+                                for k, m in steps[j]:
+                                    out[k] = out.get(k, 0) + n * m
+                            composed.append(out)
+                        product = composed
+                        grouped = step_matrix(dim, vertex, b, side)
+                        grouped = [{k: math.factorial(b) * m for k, m in row}
+                                   for row in grouped]
+                        assert product == grouped, (dim, vertex, b, side)
+                        cases += 1
+    assert cases == 2420
 
 
 def _words_for(d1, d2, max_group=2):
