@@ -96,10 +96,12 @@ def bilinear_form_B(p: PairPoint):
 
 def expected_hessian_rank(p: PairPoint) -> int:
     """dim S + dim S-hat - d1*d2 from the two orbit ranks."""
-    dim = p.dim
-    s_orbit = Orbit(dim, p.rank_x)
-    shat = Orbit(dim, p.rank_y)
-    return orbit_dim(s_orbit) + orbit_dim(shat) - dim.d1 * dim.d2
+    return _expected_rank(p.dim, p.rank_x, p.rank_y)
+
+
+def _expected_rank(dim: DimVector, rank_x: int, rank_y: int) -> int:
+    return (orbit_dim(Orbit(dim, rank_x)) + orbit_dim(Orbit(dim, rank_y))
+            - dim.d1 * dim.d2)
 
 
 def hessian_rank_check(p: PairPoint) -> bool:
@@ -114,14 +116,16 @@ def hessian_rank_check(p: PairPoint) -> bool:
     dim S + dim S-hat - d1*d2.
     """
     dim = p.dim
-    if p.rank_y != dim.rank_bound - p.rank_x:
+    rank_x, rank_y = p.rank_x, p.rank_y  # each ranked once
+    if rank_y != dim.rank_bound - rank_x:
         raise GenericityError(
-            f"rank(y) = {p.rank_y} but the component needs "
-            f"{dim.rank_bound - p.rank_x}"
+            f"rank(y) = {rank_y} but the component needs "
+            f"{dim.rank_bound - rank_x}"
         )
     if conormal_dimension(p) != dim.d1 * dim.d2:
         raise GenericityError("pair is not a smooth point of one component")
-    return 2 * ratlin.rank(_mixed_block(p)) == expected_hessian_rank(p)
+    return (2 * ratlin.rank(_mixed_block(p))
+            == _expected_rank(dim, rank_x, rank_y))
 
 
 # the points x(t) = rep_ri + t (rep_rj - rep_ri) at which each pair of

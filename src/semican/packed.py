@@ -10,13 +10,14 @@ polynomial its caller forms and rejects a bound that does not fit a field.
 
 This module does all the arithmetic of the separation, for `certify` and
 for the reports of `separation.report_texts` alike.  Its callers name a
-variable by its unit monomial: `check_bilinear` takes the variable groups
-as sets of units.  Nothing here builds a string except the witness of a
-failed bilinearity check, decoded through `Slots.decode`, the one place a
-unit is turned back into its `VarId`; `report_texts` writes the reports
-from these polynomials the same way.  The tests check this kernel against
-the `RefPoly` arithmetic on tuple monomials of `tests/oracles.py`, which
-shares no code with it.
+variable by its unit monomial and a group of variables by the sum of their
+units, its unit mask, whose set bits ascend in `VarId` order:
+`check_bilinear` takes the groups W1, W2 and Vc as unit masks.  Nothing
+here builds a string except the witness of a failed bilinearity check,
+decoded through `Slots.decode`, the one place a unit is turned back into
+its `VarId`; `report_texts` writes the reports from these polynomials the
+same way.  The tests check this kernel against the `RefPoly` arithmetic on
+tuple monomials of `tests/oracles.py`, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -125,18 +126,24 @@ def substitute(p: dict, mapping: dict) -> dict:
     return nonzero(out)
 
 
-def check_bilinear(p: dict, slots: Slots, rows, cols, vc) -> None:
+def check_bilinear(p: dict, slots: Slots, w1: int, w2: int, vc: int) -> None:
     """Check that p is bilinear in (W1, W2) with coefficients in Vc.
 
-    `rows`, `cols` and `vc` are the sets of unit monomials of W1, W2 and
-    Vc.  Passes iff every monomial has degree exactly 1 in W1, exactly 1 in
-    W2 and all other factors in Vc, with any exponent.  Otherwise raises
-    BilinearityError naming the first offending monomial, decoded through
-    `slots`, in the term order of the reports.
+    `w1`, `w2` and `vc` are the unit masks of W1, W2 and Vc.  Passes iff
+    every monomial has degree exactly 1 in W1, exactly 1 in W2 and all
+    other factors in Vc, with any exponent: its part in the fields of W1
+    is a single set bit, and that bit is a unit of W1 (an exponent 2 sets
+    the next bit of the field instead), and likewise for W2.  Otherwise
+    raises BilinearityError naming the first offending monomial, decoded
+    through `slots`, in the term order of the reports.
     """
-    row_mask, col_mask = mask(rows), mask(cols)
-    other = ~(row_mask | col_mask | mask(vc))
-    bad = [m for m in p if m & other or (m & row_mask) not in rows
-           or (m & col_mask) not in cols]
+    row_mask, col_mask = FIELD_MASK * w1, FIELD_MASK * w2
+    other = ~(row_mask | col_mask | FIELD_MASK * vc)
+    bad = []
+    for m in p:
+        r, s = m & row_mask, m & col_mask
+        if (m & other or not r & w1 or r & (r - 1)
+                or not s & w2 or s & (s - 1)):
+            bad.append(m)
     if bad:
         raise BilinearityError(_mono_str(min(map(slots.decode, bad))))

@@ -67,19 +67,24 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
 
 
 class _Layout:
-    """The exponent slots and trace templates of one dimension vector.
+    """The exponent slots, trace templates and variable splits of one
+    dimension vector.
 
     There is a slot for every M, N and X variable of (d1, d2), X over all
     d2 x d1 entries, and for the primed copy M'/X' of every M and X, so
     every composition of (d1, d2) fits the one `Slots` table.  Its `VarId`,
     built here once, names the slot and orders the fields; the separation
     itself knows a variable only by its unit monomial
-    `unit[kind, row, col]`.  `m_vars`, `n_vars` and `x_vars` list the
-    unprimed variables as (unit, row, col).  `templates[entry]` lists the
-    trace terms of one y0 entry (ia, ja) as (x_row, x_col, monomial): the
-    X*N, X*M and X*M*N families tied to the entry, of which a composition
-    keeps the terms whose X is admissible.  No term belongs to two entries.
-    `names` is the reports' memo of monomial texts (`_MonomialNames`).
+    `table[kind][row][col]`, and a group of variables by its unit mask.
+    `m_vars`, `n_vars` and `x_vars` list the unprimed variables as (unit,
+    row, col).  `templates[entry]` lists the trace terms of one y0 entry
+    (ia, ja) as (x_row, x_col, monomial): the X*N, X*M and X*M*N families
+    tied to the entry, of which a composition keeps the terms whose X is
+    admissible.  No term belongs to two entries.  `split(i_set, j_set)` is
+    the W1/W2/Vc split of every M, N and X by the rows I and columns J of
+    a matching, built once per (I, J) and kept: C(d1 + d2, d1) pairs at
+    most.  `names` is the reports' memo of monomial texts
+    (`_MonomialNames`), and `reports[depth]` their tables (`_ReportTable`).
 
     Degree bound, with k = min(d1, d2) >= the number of y0 entries: each
     M expression of the inversion has degree <= max(1, k), each X
@@ -95,25 +100,68 @@ class _Layout:
         m, n = ([(j, i) for j in range(2, d + 1) for i in range(1, j)]
                 for d in (d1, d2))  # strictly lower entries of the unipotents
         x = [(i, j) for i in range(1, d2 + 1) for j in range(1, d1 + 1)]
-        keys = [(kind, r, c) for kind, group in (("M", m), ("Mp", m), ("N", n),
-                                                 ("X", x), ("Xp", x))
-                for r, c in group]
-        variables = [VarId(*key) for key in keys]
+        kinds = (("M", m, d1, d1), ("Mp", m, d1, d1), ("N", n, d2, d2),
+                 ("X", x, d2, d1), ("Xp", x, d2, d1))
         self.slots = packed.Slots(
-            variables, max_degree=_degree_bound(min(d1, d2)))
-        self.unit = unit = dict(zip(keys, map(self.slots.unit.get, variables)))
+            [VarId(kind, r, c) for kind, group, _, _ in kinds
+             for r, c in group],
+            max_degree=_degree_bound(min(d1, d2)))
+        unit = self.slots.unit
+        # indexed from 1; 0 where a kind has no variable
+        self.table = table = {}
+        for kind, group, rows, cols in kinds:
+            table[kind] = [[0] * (cols + 1) for _ in range(rows + 1)]
+            for r, c in group:
+                table[kind][r][c] = unit[VarId(kind, r, c)]
+        self.units = sum(unit.values())  # the mask of every slot
         self.m_vars, self.n_vars, self.x_vars = (
-            [(unit[kind, r, c], r, c) for r, c in group]
+            [(table[kind][r][c], r, c) for r, c in group]
             for kind, group in (("M", m), ("N", n), ("X", x)))
+        self._splits: dict = {}
+        mt, nt, xt = table["M"], table["N"], table["X"]
         self.templates = {
-            (ia, ja): [(i, ia, unit["X", i, ia] + unit["N", ja, i])
-                       for i in range(1, ja)]
-            + [(ja, j, unit["X", ja, j] + unit["M", j, ia])
-               for j in range(ia + 1, d1 + 1)]
-            + [(i, j, unit["X", i, j] + unit["M", j, ia] + unit["N", ja, i])
+            (ia, ja): [(i, ia, xt[i][ia] + nt[ja][i]) for i in range(1, ja)]
+            + [(ja, j, xt[ja][j] + mt[j][ia]) for j in range(ia + 1, d1 + 1)]
+            + [(i, j, xt[i][j] + mt[j][ia] + nt[ja][i])
                for i in range(1, ja) for j in range(ia + 1, d1 + 1)]
             for ia in range(1, d1 + 1) for ja in range(1, d2 + 1)}
         self.names = _MonomialNames(self.slots)
+        self.reports: dict[int, _ReportTable] = {}
+
+    def split(self, i_set, j_set) -> tuple[int, int, int]:
+        """The unit masks (W1, W2, Vc) of every M, N and X of (d1, d2), for
+        a matching with rows `i_set` and columns `j_set`, before the
+        change of variables.
+
+        M(j, i) is in W1 when i is a row of I and j is not; N(j, i) is in
+        W2 when j is a column of J and i is not; X(i, j) is in W1 when j is
+        in I and i not in J, and in W2 when i is in J and j not in I.  The
+        rest is Vc.  Nothing here depends on the composition: a chart
+        removes the X it does not admit (`_PackedChart.keep`).
+        """
+        key = i_set, j_set
+        masks = self._splits.get(key)
+        if masks is None:
+            w1 = w2 = vc = 0
+            for u, j, i in self.m_vars:
+                if j not in i_set and i in i_set:
+                    w1 += u
+                else:
+                    vc += u
+            for u, j, i in self.n_vars:
+                if j in j_set and i not in j_set:
+                    w2 += u
+                else:
+                    vc += u
+            for u, i, j in self.x_vars:
+                if i not in j_set and j in i_set:
+                    w1 += u
+                elif i in j_set and j not in i_set:
+                    w2 += u
+                else:
+                    vc += u
+            masks = self._splits[key] = w1, w2, vc
+        return masks
 
 
 # the layout of each dimension vector that a live chart holds
@@ -132,21 +180,22 @@ def _layout(d1: int, d2: int) -> _Layout:
 class _PackedChart:
     """One shape's view of its dimension vector's `_Layout`, kept in `layout`.
 
-    It shares the layout's `slots`, `unit`, `m_vars` and `n_vars` and keeps
-    the admissible X only in `x_vars`.  `y_entries` holds the admissible y0
-    entries (i, j), those with t_i < s_j.  `piece(entry)` holds the trace
-    terms of one y0 entry, each with coefficient 1: the entry's template
-    less the terms whose X is not admissible.  It is built on first use,
-    because a sampled run touches few entries of each shape, and shared
-    after that, so callers must not mutate it.
+    It shares the layout's `slots` and `table`.  `keep` is the unit mask
+    of every slot of the layout except the X the shape does not admit.
+    `y_entries` holds the admissible y0 entries (i, j), those with
+    t_i < s_j.  `piece(entry)` holds the trace terms of one y0 entry, each
+    with coefficient 1: the entry's template less the terms whose X is not
+    admissible.  It is built on first use, because a sampled run touches
+    few entries of each shape, and shared after that, so callers must not
+    mutate it.
     """
 
     def __init__(self, shape: FlagShape):
         layout = _layout(shape.d1, shape.d2)
         self.shape = shape
-        self.slots, self.unit = layout.slots, layout.unit
-        self.m_vars, self.n_vars = layout.m_vars, layout.n_vars
-        self.x_vars = [v for v in layout.x_vars if shape.adm_x(v[1], v[2])]
+        self.slots, self.table = layout.slots, layout.table
+        self.keep = layout.units - sum(
+            u for u, i, j in layout.x_vars if not shape.adm_x(i, j))
         t, s = shape.t_slots, shape.s_slots
         # the layout's entry tuples, shared by every chart of its vector
         self.y_entries = frozenset(
@@ -388,42 +437,6 @@ def _fiber(t_pairs, al):
     return sorted((ap for ap, a2 in t_pairs if a2 == al), key=lambda e: -e[1])
 
 
-def _classify(chart: _PackedChart, entries, t_pairs):
-    """The quadratic/coefficient split of all chart variables, as sets of
-    unit monomials."""
-    unit = chart.unit
-    i_set = {i for i, _ in entries}
-    j_set = {j for _, j in entries}
-    t_m = {unit["M", al[0], ap[0]] for ap, al in t_pairs}
-    t_x = {unit["X", ap[1], al[0]] for ap, al in t_pairs}
-
-    w1 = {unit["Mp", al[0], ap[0]] for ap, al in t_pairs}
-    w2 = {unit["Xp", ap[1], al[0]] for ap, al in t_pairs}
-    vc = set()
-    for u, j, i in chart.m_vars:
-        if u in t_m:
-            continue  # replaced by M'
-        if j not in i_set and i in i_set:
-            w1.add(u)
-        else:
-            vc.add(u)
-    for u, j, i in chart.n_vars:
-        if j in j_set and i not in j_set:
-            w2.add(u)
-        else:
-            vc.add(u)
-    for u, i, j in chart.x_vars:
-        if u in t_x:
-            continue  # replaced by X'
-        if i not in j_set and j in i_set:
-            w1.add(u)
-        elif i in j_set and j not in i_set:
-            w2.add(u)
-        else:
-            vc.add(u)
-    return w1, w2, vc
-
-
 def _separation_error(composition, entries, exc) -> SeparationError:
     return SeparationError(
         f"separation failed on {composition} with y0 {entries}: {exc}")
@@ -438,8 +451,10 @@ class PackedSeparation(NamedTuple):
 
     `changes` maps each coupled M and X unit monomial to its expression in
     the new variables, `definitions` each primed unit monomial to its
-    definition in the original ones; `w1`, `w2` and `vc` are the unit
-    monomial groups of `_classify`.
+    definition in the original ones; both are empty when T is.  `w1`, `w2`
+    and `vc` are the unit masks of the variable groups: the chart's split
+    (`_Layout.split`) with each coupled M and X replaced by its primed
+    copy, M' into W1 and X' into W2.
     """
 
     chart: _PackedChart
@@ -448,12 +463,12 @@ class PackedSeparation(NamedTuple):
     separated: dict[int, int]
     changes: dict[int, dict[int, int]]
     definitions: dict[int, dict[int, int]]
-    w1: set
-    w2: set
-    vc: set
+    w1: int
+    w2: int
+    vc: int
 
 
-def _packed_inversion(chart: _PackedChart, entries, t_pairs):
+def _packed_inversion(table, entries, t_pairs):
     """Triangular elimination of the coupled lower-unipotent variables.
 
     Returns (m_expr, mp_def): the expression of each coupled M variable in
@@ -462,20 +477,20 @@ def _packed_inversion(chart: _PackedChart, entries, t_pairs):
     fiber by decreasing second matching column makes the system triangular,
     so the inversion is formal and exact.
     """
-    unit = chart.unit
+    mt, mpt, nt = table["M"], table["Mp"], table["N"]
     m_expr: dict[tuple[int, int], dict] = {}
     mp_def: dict[int, dict] = {}
     for al in entries:
         ia, ja = al
         for ip, jp in _fiber(t_pairs, al):
-            n = unit["N", ja, jp]
-            mp = unit["Mp", ia, ip]
-            defn = {unit["M", ia, ip]: 1, n: 1}
+            n = nt[ja][jp]
+            mp = mpt[ia][ip]
+            defn = {mt[ia][ip]: 1, n: 1}
             expr = {mp: 1, n: -1}
             for ib, jb in entries:
                 if ib < ia and jb > jp:
-                    n = unit["N", jb, jp]
-                    cross = unit["M", ia, ib]
+                    n = nt[jb][jp]
+                    cross = mt[ia][ib]
                     packed.add_into(defn, {cross: 1}, shift=n)
                     packed.add_into(expr, m_expr.get((ia, ib), {cross: 1}),
                                     scale=-1, shift=n)
@@ -484,12 +499,12 @@ def _packed_inversion(chart: _PackedChart, entries, t_pairs):
     return m_expr, mp_def
 
 
-def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
+def _packed_x_change(table, j_set, t_pairs, m_expr):
     """Change of the coupled X variables absorbing the mixed X U N terms.
 
     Returns (x_expr, xp_def), both keyed by unit monomial.
     """
-    unit = chart.unit
+    mpt, nt, xt, xpt = table["Mp"], table["N"], table["X"], table["Xp"]
     x_expr: dict[int, dict] = {}
     xp_def: dict[int, dict] = {}
     for ap, al in t_pairs:
@@ -502,17 +517,16 @@ def _packed_x_change(chart: _PackedChart, j_set, t_pairs, m_expr):
             if app == ap:
                 u = {0: 1}
             else:
-                u = packed.coefficient_of(m_expr[ia, app[0]],
-                                          unit["Mp", ia, ip])
+                u = packed.coefficient_of(m_expr[ia, app[0]], mpt[ia][ip])
             # X(i, ia) is admissible for each i < app[1]: the s_slots
             # increase, and X(app[1], ia) is, as (app, al) is in T
             for i in range(1, app[1]):
                 if i not in j_set:
-                    packed.add_into(correction, u, shift=unit["X", i, ia]
-                                    + unit["N", app[1], i])
+                    packed.add_into(correction, u,
+                                    shift=xt[i][ia] + nt[app[1]][i])
         correction = packed.nonzero(correction)
         # correction has degree >= 2, so neither X nor X' cancels into it
-        x, xp = unit["X", jp, ia], unit["Xp", jp, ia]
+        x, xp = xt[jp][ia], xpt[jp][ia]
         x_expr[x] = {xp: 1, **{m: -c for m, c in correction.items()}}
         xp_def[xp] = {x: 1, **correction}
     return x_expr, xp_def
@@ -535,23 +549,37 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     for entry in entries:
         trace.update(chart.piece(entry))
     t_pairs = _coupled_pairs(shape, entries)
-    m_expr, mp_def = _packed_inversion(chart, entries, t_pairs)
-    x_expr, xp_def = _packed_x_change(chart, {j for _, j in entries},
-                                      t_pairs, m_expr)
-    changes = {chart.unit["M", ia, ip]: p for (ia, ip), p in m_expr.items()}
-    changes.update(x_expr)
-    # one substitution for both maps equals one map after the other: no key
-    # of either occurs in the other's values (the M expressions hold M, M'
-    # and N; the X expressions X', N and the X of rows outside J).  With T
-    # empty nothing changes, and the separated polynomial is the trace.
-    separated = packed.substitute(trace, changes) if changes else trace
-    w1, w2, vc = _classify(chart, entries, t_pairs)
+    j_set = frozenset(j for _, j in entries)
+    w1, w2, vc = chart.layout.split(frozenset(i for i, _ in entries), j_set)
+    keep = chart.keep
+    w1, w2, vc = w1 & keep, w2 & keep, vc & keep
+    if t_pairs:
+        table = chart.table
+        m_expr, mp_def = _packed_inversion(table, entries, t_pairs)
+        x_expr, xp_def = _packed_x_change(table, j_set, t_pairs, m_expr)
+        mt = table["M"]
+        changes = {mt[ia][ip]: p for (ia, ip), p in m_expr.items()}
+        changes.update(x_expr)
+        # one substitution for both maps equals one map after the other: no
+        # key of either occurs in the other's values (the M expressions hold
+        # M, M' and N; the X expressions X', N and the X of rows outside J)
+        separated = packed.substitute(trace, changes)
+        definitions = {**mp_def, **xp_def}
+        # the coupled M and X, in Vc by the split (both indices of each are
+        # in I or J), give way to M' in W1 and X' in W2
+        mpt, xt, xpt = table["Mp"], table["X"], table["Xp"]
+        for (ip, jp), (ia, _) in t_pairs:
+            vc -= mt[ia][ip] + xt[jp][ia]
+            w1 += mpt[ia][ip]
+            w2 += xpt[jp][ia]
+    else:  # nothing changes: the separated polynomial is the trace
+        separated, changes, definitions = trace, {}, {}
     try:
         packed.check_bilinear(separated, chart.slots, w1, w2, vc)
     except BilinearityError as exc:
         raise _separation_error(composition, entries, exc) from exc
     return PackedSeparation(chart, t_pairs, trace, separated, changes,
-                            {**mp_def, **xp_def}, w1, w2, vc)
+                            definitions, w1, w2, vc)
 
 
 def certify(composition, y0: NormalFormY) -> bool:
@@ -599,6 +627,44 @@ def _array(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
+class _ReportTable:
+    """The texts that the reports of one dimension vector share at one
+    nesting depth, kept by its `_Layout` in `reports[depth]`.
+
+    `n0` ... `n3` start the lines of a report's braces and of its three
+    nested levels; `keys` are the texts that open each field;
+    `entries[0]` and `entries[1]` are the texts of each y0 entry (i, j)
+    in the y0 list and in a set_t pair.  `group(mask)` is memoised: the
+    index of each unit of a unit mask in its group, and the group's name
+    array.  Few groups occur however many reports hold them.
+    """
+
+    def __init__(self, names: _MonomialNames, d1: int, d2: int, depth: int):
+        self.names = names
+        self.n0 = n0 = "\n" + "  " * depth
+        self.n1, self.n2, self.n3 = n1, n2, n3 = (
+            n0 + "  ", n0 + "    ", n0 + "      ")
+        self.keys = [("," if k else "{") + n1 + _quote(key) + ": "
+                     for k, key in enumerate(_REPORT_KEYS)]
+        self.entries = [
+            {(i, j): _array((str(i), str(j)), newline)
+             for i in range(1, d1 + 1) for j in range(1, d2 + 1)}
+            for newline in (n2, n3)]
+        self._groups: dict[int, tuple[dict[int, int], str]] = {}
+
+    def group(self, mask: int) -> tuple[dict[int, int], str]:
+        found = self._groups.get(mask)
+        if found is None:
+            units, rest = [], mask
+            while rest:  # ascending bits: VarId order, the report's order
+                units.append(rest & -rest)
+                rest -= units[-1]
+            found = self._groups[mask] = (
+                {u: k for k, u in enumerate(units)},
+                _array([self.names[u][2] for u in units], self.n1))
+        return found
+
+
 def report_texts(composition, matchings, depth: int = 0) -> list[str]:
     """The JSON text of the separation report of each matching, as parts.
 
@@ -607,78 +673,84 @@ def report_texts(composition, matchings, depth: int = 0) -> list[str]:
     separated by "," and a line break, each exactly the bytes
     `json.dumps(report, indent=2)` writes for a report at nesting `depth`:
     every line break is followed by two spaces per level.  Every field is
-    rendered straight from `separate_packed`'s polynomials through the slot
-    table of its dimension vector, terms in sorted tuple-monomial order.
-    `b_matrix` is the bilinear form, the certificate: a cell is the part of
-    the separated trace with one W1 and one W2 factor, split off by the two
-    bit masks, as a polynomial in Vc.  Raises SeparationError like
-    `separate_packed`, before any report is returned.
+    rendered straight from `separate_packed`'s polynomials and unit masks
+    through the tables of its dimension vector: the slot table's monomial
+    texts (`_MonomialNames`) and, at this depth, the `_ReportTable`, which
+    renders each variable group once.  Terms come in sorted tuple-monomial
+    order.  `b_matrix` is the bilinear form, the certificate: a cell is the
+    part of the separated trace with one W1 and one W2 factor, split off
+    by the fields of the two masks, as a polynomial in Vc.  Raises
+    SeparationError like `separate_packed`, before any report is returned.
     """
     shape = flag_shape(composition)
-    named = shape.packed_chart.layout.names
+    layout = shape.packed_chart.layout
+    table = layout.reports.get(depth)
+    if table is None:
+        table = layout.reports[depth] = _ReportTable(
+            layout.names, shape.d1, shape.d2, depth)
+    named = layout.names
+    n0, n1, n2 = table.n0, table.n1, table.n2
+    y0_texts, pair_texts = table.entries
+    zero = _quote(join_terms([]))
 
     def render(p: dict[int, int]) -> str:
-        if len(p) == 1:  # most cells of a form: nothing to sort
-            for m, c in p.items():
-                if c == 1:
-                    return named[m][2]
-                return _quote(join_terms([(named[m][1], c)]))
+        if len(p) == 1:  # nothing to sort
+            for term in p.items():
+                return cell(term)
         terms = sorted([(*named[m], c) for m, c in p.items()])
         return _quote(join_terms([(text, c) for _, text, _, c in terms]))
 
-    def names(units) -> str:
-        return _array([named[u][2] for u in units], n1)
+    def cell(term) -> str:
+        """The text of a nonzero b_matrix cell: one (monomial,
+        coefficient) or a polynomial of several terms."""
+        if type(term) is dict:
+            return render(term)
+        m, c = term
+        if c == 1:
+            return named[m][2]
+        return _quote(join_terms([(named[m][1], c)]))
 
-    def ints(values, newline: str) -> str:
-        return _array([str(v) for v in values], newline)
-
-    n0 = "\n" + "  " * depth  # the line of a report's braces
-    n1, n2, n3 = n0 + "  ", n0 + "    ", n0 + "      "
-    keys = [("," if k else "{") + n1 + _quote(key) + ": "
-            for k, key in enumerate(_REPORT_KEYS)]
-    composition_text = ints(shape.composition, n1)
-    # the text of each y0 entry, in a y0 list and in a set_t pair
-    entry_texts = [
-        {(i, j): ints((i, j), newline) for i in range(1, shape.d1 + 1)
-         for j in range(1, shape.d2 + 1)} for newline in (n2, n3)]
-    zero = _quote(join_terms([]))
+    composition_text = _array([str(v) for v in shape.composition], n1)
     parts: list[str] = []
     for y0 in matchings:
         sep = separate_packed(shape.composition, y0)
-        # a unit's field order is its VarId order, the order of the report
-        rows, cols = sorted(sep.w1), sorted(sep.w2)
-        row_of = {u: i for i, u in enumerate(rows)}
-        col_of = {u: j for j, u in enumerate(cols)}
-        row_mask, col_mask = packed.mask(row_of), packed.mask(col_of)
-        cells: dict = {}
+        row_of, rows_text = table.group(sep.w1)
+        col_of, cols_text = table.group(sep.w2)
+        row_mask, col_mask = (packed.FIELD_MASK * sep.w1,
+                              packed.FIELD_MASK * sep.w2)
+        matrix = [[None] * len(col_of) for _ in row_of]
         for m, c in sep.separated.items():
             # W1 and W2 are disjoint, and each monomial is one unit of each
             # times a monomial in Vc
             r, s = m & row_mask, m & col_mask
-            cells.setdefault((row_of[r], col_of[s]), {})[m - r - s] = c
-        matrix = [[zero] * len(cols) for _ in rows]
-        for (i, j), cell in cells.items():
-            matrix[i][j] = render(cell)
+            row, j = matrix[row_of[r]], col_of[s]
+            if row[j] is None:
+                row[j] = m - r - s, c
+            elif type(row[j]) is dict:
+                row[j][m - r - s] = c
+            else:  # a cell of several terms gets its polynomial
+                row[j] = dict([row[j], (m - r - s, c)])
         trace = render(sep.trace)
         changes = sorted([named[u][1], render(p)]
                          for u, p in sep.changes.items())
         values = (
             composition_text,
-            _array([entry_texts[0][e] for e in y0.sorted_entries()], n1),
-            _array([_array([entry_texts[1][a], entry_texts[1][b]], n2)
+            _array([y0_texts[e] for e in y0.sorted_entries()], n1),
+            _array([_array([pair_texts[a], pair_texts[b]], n2)
                     for a, b in sorted(sep.t_pairs)], n1),
-            names(rows),
-            names(cols),
-            names(sorted(sep.vc)),
+            rows_text,
+            cols_text,
+            table.group(sep.vc)[1],
             trace,
             trace if sep.separated is sep.trace else render(sep.separated),
             _array([_array([_quote(u), p], n2) for u, p in changes], n1),
-            ints((len(rows), len(cols)), n1),
-            _array([_array(row, n2) for row in matrix], n1),
+            _array((str(len(row_of)), str(len(col_of))), n1),
+            _array([_array([zero if t is None else cell(t) for t in row], n2)
+                    for row in matrix], n1),
         )
         if parts:
             parts.append("," + n0)
-        for key, value in zip(keys, values):
+        for key, value in zip(table.keys, values):
             parts += key, value
         parts.append(n0 + "}")
     return parts

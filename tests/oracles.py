@@ -1158,8 +1158,10 @@ def _x_change(shape: FlagShape, entries, j_set, t_pairs, m_expr):
 def _classify(shape: FlagShape, entries, t_pairs):
     """The quadratic/coefficient split of all chart variables, as VarIds.
 
-    The reference for `separation._classify`, which splits the same
-    variables by their unit monomials.
+    The reference for the unit masks `w1`, `w2` and `vc` of
+    `separation.separate_packed`, which come from the split of its
+    dimension vector per (I, J), less the X the composition does not
+    admit, with the coupled M and X replaced by their primed copies.
     """
     i_set = {i for i, _ in entries}
     j_set = {j for _, j in entries}
@@ -1265,13 +1267,19 @@ class DecodedSeparation(NamedTuple):
 
 def decode_separation(sep: PackedSeparation) -> DecodedSeparation:
     """Decode the trace, the separated polynomial, the definitions of the
-    primed variables and the variable groups through the separation's slot
-    table."""
+    primed variables and the unit masks of the variable groups through the
+    separation's slot table."""
     slots = sep.chart.slots
 
     def var(unit: int) -> VarId:
         [(v, _)] = slots.decode(unit)
         return v
+
+    def group(mask: int) -> set:
+        # a sum of distinct units: exponent 1 in each of its variables
+        factors = slots.decode(mask)
+        assert all(e == 1 for _, e in factors), factors
+        return {v for v, _ in factors}
 
     def poly(p: dict[int, int]) -> RefPoly:
         return RefPoly({slots.decode(m): c for m, c in p.items()})
@@ -1279,7 +1287,7 @@ def decode_separation(sep: PackedSeparation) -> DecodedSeparation:
     return DecodedSeparation(
         poly(sep.trace), poly(sep.separated),
         {var(u): poly(p) for u, p in sep.definitions.items()},
-        *({var(u) for u in group} for group in (sep.w1, sep.w2, sep.vc)))
+        *map(group, (sep.w1, sep.w2, sep.vc)))
 
 
 def reference_dict(report: SeparationReport) -> dict:

@@ -192,6 +192,24 @@ def test_hessian_rank_exhaustive():
                 assert hessian_rank_check(P(d1, d2, r, dim.rank_bound - r))
 
 
+def test_hessian_rank_check_ranks_x_and_y_once(monkeypatch):
+    # x, y, the conormal rows and the mixed block: four exact ranks per
+    # generic class, and still the verdict of the uncounted check
+    real, calls = ratlin.rank, []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(ratlin, "rank", counted)
+    for d1, d2 in ((1, 1), (2, 3), (4, 4)):
+        dim = DimVector(d1, d2)
+        for r in range(dim.rank_bound + 1):
+            calls.clear()
+            assert hessian_rank_check(P(d1, d2, r, dim.rank_bound - r))
+            assert len(calls) == 4, (d1, d2, r)
+
+
 def test_hessian_genericity_guard():
     with pytest.raises(GenericityError):
         hessian_rank_check(P(2, 2, 1, 0))

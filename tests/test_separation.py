@@ -16,10 +16,10 @@ from semican.separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
                                 separate_packed, validate_matching)
 from semican.sympoly import VarId
 
-from oracles import (RefPoly, _inversion, _x_change, back_substitute,
-                     critical_locus_check, decode_separation, encode,
-                     enumerate_instances, enumerate_matchings, expand_trace,
-                     normal_form, reference_dict, sample_by_list,
+from oracles import (RefPoly, _classify, _inversion, _x_change,
+                     back_substitute, critical_locus_check, decode_separation,
+                     encode, enumerate_instances, enumerate_matchings,
+                     expand_trace, normal_form, reference_dict, sample_by_list,
                      separate_reference, trace_pieces, x_positions,
                      y_positions)
 
@@ -34,7 +34,9 @@ def test_flag_shape_examples():
     sh = flag_shape((1, 2))
     assert not sh.adm_x(1, 1) and sh.adm_y(1, 1)
     sh = flag_shape((1, 2, 2, 1))
-    assert {(r, c) for _, r, c in sh.packed_chart.x_vars} == {(1, 2), (2, 2)}
+    chart = sh.packed_chart
+    assert {(r, c) for u, r, c in chart.layout.x_vars
+            if u & chart.keep} == {(1, 2), (2, 2)}
     assert set(y_positions(sh)) == {(1, 1), (1, 2)}
 
 
@@ -94,8 +96,10 @@ def test_flag_shape_shared_per_composition():
     def named(group):
         return [(chart.slots.decode(u)[0][0], r, c) for u, r, c in group]
 
-    m_vars, n_vars, x_vars = map(named, (chart.m_vars, chart.n_vars,
-                                         chart.x_vars))
+    layout = chart.layout
+    m_vars, n_vars, x_vars = map(named, (
+        layout.m_vars, layout.n_vars,
+        [v for v in layout.x_vars if v[0] & chart.keep]))
     assert [v for v, _, _ in m_vars] == [VarId("M", 2, 1)]
     assert [v for v, _, _ in n_vars] == [VarId("N", 2, 1)]
     assert [v for v, _, _ in x_vars] == [VarId("X", 1, 2), VarId("X", 2, 2)]
@@ -511,6 +515,30 @@ def test_separate_packed_matches_reference_off_the_square():
             _assert_matches_reference(a)
 
 
+def test_group_masks_match_the_reference_split():
+    # the unit masks of every instance, decoded, equal the oracle's VarId
+    # split, and no variable is in two groups.  The split of a dimension
+    # vector is kept per (I, J) and shared by its compositions: running the
+    # compositions forward and then in reverse, from empty memos, has each
+    # (I, J) split first for a different composition in each pass, so a
+    # memo that carried one composition's admissibility fails here
+    dims = [(d1, d2) for d1 in range(5) for d2 in range(5) if d1 + d2]
+    comps = [a for d1, d2 in dims + [(3, 5), (5, 3)]
+             for a in compositions(d1, d2)]
+    for d1, d2 in dims + [(3, 5), (5, 3)]:
+        flag_shape((1,) * d1 + (2,) * d2).packed_chart.layout._splits.clear()
+    for order in (comps, comps[::-1]):
+        for a in order:
+            shape = flag_shape(a)
+            for y0 in matchings(a):
+                sep = separate_packed(a, y0)
+                assert not (sep.w1 & sep.w2 or sep.w1 & sep.vc
+                            or sep.w2 & sep.vc), (a, y0)
+                dec = decode_separation(sep)
+                assert (dec.w1, dec.w2, dec.vc) == _classify(
+                    shape, y0.sorted_entries(), sep.t_pairs), (a, y0)
+
+
 def test_pieces_filter_the_layout_templates():
     # each composition's trace pieces, filtered from the templates of its
     # dimension vector, equal the oracle's pieces built from the
@@ -519,12 +547,12 @@ def test_pieces_filter_the_layout_templates():
         for d2 in range(0, 5):
             comps = [flag_shape(a) for a in compositions(d1, d2)]
             charts = [sh.packed_chart for sh in comps]
-            # one slot table and one unit map per dimension vector
+            # one slot table and one unit table per dimension vector
             assert len({id(c.slots) for c in charts}) <= 1, (d1, d2)
-            assert len({id(c.unit) for c in charts}) <= 1, (d1, d2)
+            assert len({id(c.table) for c in charts}) <= 1, (d1, d2)
             for sh, chart in zip(comps, charts):
-                assert [(r, c) for _, r, c in chart.x_vars] == \
-                    x_positions(sh)
+                assert [(r, c) for u, r, c in chart.layout.x_vars
+                        if u & chart.keep] == x_positions(sh)
                 for entry in y_positions(sh):
                     expected = {encode(chart.slots, mono): c for mono, c
                                 in trace_pieces(sh)[entry].items()}
@@ -565,7 +593,7 @@ def test_report_serializes():
     blob = json.dumps(report_dicts((1, 2, 2, 1), [y0])[0])
     data = json.loads(blob)
     assert data["trace_poly"] == decode_separation(sep).trace.to_str()
-    assert data["b_shape"] == [len(sep.w1), len(sep.w2)]
+    assert data["b_shape"] == [sep.w1.bit_count(), sep.w2.bit_count()]
 
 
 def test_readme_library_example(capsys):

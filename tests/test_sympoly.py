@@ -214,7 +214,7 @@ def test_bilinear_matches_two_pass_reference():
             groups = [{v for v, r in zip(vs, role) if g in r}
                       for g in ("w1", "w2", "vc")]
             packed_p = {encode(slots, m): c for m, c in p.terms.items()}
-            units = [{slots.unit[v] for v in g} for g in groups]
+            units = [sum(slots.unit[v] for v in g) for g in groups]
             try:
                 expected = bilinear_decompose_two_pass(p, *groups)
             except BilinearityError as exc:
@@ -243,7 +243,7 @@ def test_bilinear_witness_is_first_in_term_order():
         witnesses.add(exc.value.witness)
         with pytest.raises(BilinearityError) as exc:
             packed.check_bilinear({encode(slots, m): c for m, c in terms.items()},
-                                  slots, *({slots.unit[v]} for v in vs))
+                                  slots, *(slots.unit[v] for v in vs))
         witnesses.add(exc.value.witness)
     assert witnesses == {"M(2,1)*N(3,1)"}
 
