@@ -32,16 +32,19 @@ and the identity holds for it too.  That grouping relation is a property
 of the step rules, tested exhaustively in tier 1; the lift itself reads
 and checks single letters only, two identities per D.
 
-The induction holds whatever T_D the identities are checked with, so T_D
-need not be solved at every D.  The solves of the refined sandwich words
-1^a 2^d2 1^c and 2^a 1^d1 2^c of D give a T_D that depends on D only
-through its rank bound k = min(D), so T is solved once per k, at the
-diagonal (k, k), and every D of rank bound k is checked with it: a T that
-did not fit some D would break an identity there.  The E-side sandwich
-rows of dim itself are checked to reach every orbit rank, since m expands
-the stalk functions of dim in them.  The lift of a function with E-side
-values f is the row vector f . T_D; m_coefficients reads it at the generic
-columns only.
+The induction holds whatever T_D the identities are checked with, so T
+is solved from the identities themselves.  T_D is given the T of its rank
+bound k = min(D), solved at the diagonal (k, k) from T_(k-1) on both its
+children: the two single letters there are 2k equations, one per letter
+and child orbit, in the k + 1 unknown rows of T_(k,k).  Peeling 1^1 keeps
+each rank r < k, with count k - r, and peeling 2^1 takes rank k to k - 1,
+with count k, so the system has full rank and one solution when it is
+consistent.  Every identity at every D <= dim is then checked, the
+diagonal ones too: a T that did not fit some D would break one there.
+The E-side sandwich rows of dim itself are checked to reach every orbit
+rank, since m expands the stalk functions of dim in them; no pair-side
+count row is built.  The lift of a function with E-side values f is the
+row vector f . T_D; m_coefficients reads it at the generic columns only.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .core import ConormalComponent, DimVector, Orbit, orbit_dim
-from .qcount import Word, _count_row, _pi_index, step_matrix
+from .qcount import Word, _pi_index, euler_counts, step_matrix
 
 
 def sandwich_words(dim: DimVector) -> list[Word]:
@@ -73,26 +76,12 @@ def _refined(word: Word) -> Word:
     return tuple((v, 1) for v, b in word for _ in range(b))
 
 
-def sandwich_rows(dim: DimVector) -> dict:
-    """The count rows the lift is solved and checked from, read from the
-    count memo of qcount, one row (a tuple of ints) per sandwich word, each
-    that of the word's single-letter refinement, so prod b! times the
-    word's own: for each diagonal sub-dimension (k, k) with
-    k <= min(d1, d2), the E-side and the pair-side rows of its words; for
-    `dim` off the diagonal, its E-side rows, with None for the pair side.
-    Keyed in (d1, d2) order, `dim` last.  A row and its pair-side row are
-    scaled alike, so the solved T is that of the grouped rows."""
-    def side_rows(sub, side):
-        return [_count_row(_refined(w), *sub, side)
-                for w in sandwich_words(sub)]
-
-    rows = {}
-    for k in range(dim.rank_bound + 1):
-        sub = DimVector(k, k)
-        rows[sub] = (side_rows(sub, "E"), side_rows(sub, "Pi"))
-    if dim not in rows:
-        rows[dim] = (side_rows(dim, "E"), None)
-    return rows
+def sandwich_rows(dim: DimVector) -> list[list[int]]:
+    """The E-side count rows of the sandwich words of `dim`, in word order,
+    each that of the word's single-letter refinement, so prod b! times the
+    word's own: the rows that transfer_matrix checks to reach every orbit
+    rank of `dim`."""
+    return [euler_counts(_refined(w), dim, "E") for w in sandwich_words(dim)]
 
 
 class ConstructibleFnE(namedtuple("ConstructibleFnE", "dim values")):
@@ -181,41 +170,43 @@ class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
 
     Row per orbit rank, column per pair class in pi_classes order.  `u` is
     a tuple of tuples of ints and `scale` the least positive int that makes
-    scale * T integral.  `mismatch` names the first intertwining identity
-    that fails, as `dim (a,c), letter v^1, orbit r', class (r,s): <lhs> !=
-    <rhs>` with r' an orbit rank of the child dimension and (r,s) a pair
-    class of (a,c); None means that every single-letter identity holds, so
-    every word of every content up to `dim`, single-letter or, through the
-    grouping relation, grouped, satisfies mat_pi = mat_e . T there.
+    scale * T integral; both are those of T_(k,k), k = min(d1, d2), solved
+    from its two single-letter identities.  `mismatch` names the first
+    intertwining identity that fails, as `dim (a,c), letter v^1, orbit r',
+    class (r,s): <lhs> != <rhs>` with r' an orbit rank of the child
+    dimension and (r,s) a pair class of (a,c); None means that every
+    single-letter identity holds, so every word of every content up to
+    `dim`, single-letter or, through the grouping relation, grouped,
+    satisfies mat_pi = mat_e . T there.
     """
 
     __slots__ = ()
 
     def section_failures(self) -> list[int]:
         """Ranks r whose (r, 0) column of T is not the unit vector at r."""
-        index = _pi_index(*self.dim)
+        index = _pi_index(self.dim.rank_bound)
         return [r for r in range(self.dim.rank_bound + 1)
                 if any(row[index[r, 0]] != (self.scale if rp == r else 0)
                        for rp, row in enumerate(self.u))]
 
 
 def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
-    """Solve T once per rank bound k <= min(d1, d2), at (k, k), give every
-    sub-dimension D <= dim the T of rank bound min(D), then check the
-    intertwining identity of each single letter at each D exactly.
+    """Solve T once per rank bound k <= min(d1, d2), at (k, k), from the
+    single-letter identities there, give every sub-dimension D <= dim the
+    T of rank bound min(D), then check every single-letter identity at
+    each D exactly.
 
-    `rows` maps each (k, k), and `dim`, to its (E-side, pair-side) count
-    rows, as sandwich_rows builds them; other keys are ignored.  Raises
-    SpanningError at the first of these, in (d1, d2) order, whose E-side
-    rows do not reach every orbit rank.
+    `rows` are the E-side count rows of `dim`, as sandwich_rows builds
+    them.  Raises SpanningError at the first (k, k) whose identities do not
+    fix T there, and then at `dim` when `rows` do not reach every orbit
+    rank.
     """
-    if rows is None:
-        rows = sandwich_rows(dim)
-    # rank bound k -> (integer rows u, scale s) with T_D = u / s
-    solved = [_solve_transfer(DimVector(k, k), *rows[DimVector(k, k)])
-              for k in range(dim.rank_bound + 1)]
-    if dim.d1 != dim.d2:
-        _spanning_basis(dim, rows[dim][0])
+    # rank bound k -> (integer rows u, scale s) with T_D = u / s; the empty
+    # word counts 1 on both sides of (0, 0)
+    solved = [([[1]], 1)]
+    for k in range(1, dim.rank_bound + 1):
+        solved.append(_solve_diagonal(k, *solved[-1]))
+    _spanning_basis(dim, sandwich_rows(dim) if rows is None else rows)
     scaled = {DimVector(a, c): solved[min(a, c)]
               for a in range(dim.d1 + 1) for c in range(dim.d2 + 1)}
     u, scale = solved[-1]
@@ -225,8 +216,8 @@ def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
 
 def _spanning_basis(sub: DimVector, rows) -> ratlin.Basis:
     """The echelon basis of `rows` with pivots only in the first
-    rank_bound + 1 columns, the E columns; raises SpanningError when it has
-    fewer rows than that."""
+    rank_bound + 1 columns, the orbit columns; raises SpanningError when it
+    has fewer rows than that."""
     n_orbits = sub.rank_bound + 1
     basis = ratlin.echelon(rows, n_orbits, width=n_orbits)[1]
     if len(basis) < n_orbits:
@@ -236,15 +227,42 @@ def _spanning_basis(sub: DimVector, rows) -> ratlin.Basis:
     return basis
 
 
-def _solve_transfer(sub: DimVector, mat_e, mat_pi):
-    """(u, s) with T_D = u / s solving mat_pi = mat_e . T_D on D = sub.
+def _pair_side(u_child, sub: DimVector, v: int, factor: int = 1):
+    """factor * (u_child . S^Pi_{v,1}(sub)^T), a row per row of u_child
+    and a column per pair class of sub, built one class at a time from the
+    columns of u_child that the class peels to."""
+    child_cols = list(zip(*u_child))
+    cols = []
+    for steps in step_matrix(sub, v, 1, "Pi"):
+        col = (0,) * len(u_child)
+        for j, n in steps:
+            n *= factor
+            col = [x + n * y for x, y in zip(col, child_cols[j])]
+        cols.append(col)
+    return list(map(list, zip(*cols)))
 
-    One elimination of the rows (E-side | pair-side), with pivots only in
-    the E columns, picks the first rank_bound + 1 rows independent on the
-    E side and solves the square system they form for all pair classes at
-    once.  Raises SpanningError when fewer rows are independent."""
-    basis = _spanning_basis(sub, [[*e, *p] for e, p in zip(mat_e, mat_pi)])
-    return ratlin.read_off(basis, sub.rank_bound + 1)
+
+def _solve_diagonal(k: int, u_child, child_scale: int):
+    """(u, s) with T_(k,k) = u / s, solved from the two single-letter
+    identities at (k, k) given T_(k-1) = u_child / child_scale, the T of
+    both children.
+
+    Scaled by child_scale, row j of S^E_{v,1}^T . T = T_child . S^Pi_{v,1}^T
+    is one equation: the counts with which the orbits of (k, k) peel to
+    child orbit j, times child_scale, against row j of
+    u_child . S^Pi_{v,1}^T.  One elimination with pivots in the orbit
+    columns solves them; SpanningError names (k, k) when an orbit's row is
+    left free."""
+    sub = DimVector(k, k)
+    equations = []
+    for v in (1, 2):
+        coefficients = [[0] * (k + 1) for _ in u_child]
+        for r, steps in enumerate(step_matrix(sub, v, 1, "E")):
+            for j, n in steps:
+                coefficients[j][r] = n * child_scale
+        equations += [c + p for c, p in
+                      zip(coefficients, _pair_side(u_child, sub, v))]
+    return ratlin.read_off(_spanning_basis(sub, equations), k + 1)
 
 
 def _first_broken_identity(scaled) -> str | None:
@@ -261,23 +279,13 @@ def _first_broken_identity(scaled) -> str | None:
             u_child, child_scale = scaled[
                 DimVector(sub.d1 - 1, sub.d2) if v == 1
                 else DimVector(sub.d1, sub.d2 - 1)]
-            # scale * (u_child . S_pi^T), one class of sub at a time, from
-            # the columns of u_child that the class peels to
-            child_cols = list(zip(*u_child))
-            lhs_cols = []
-            for steps in step_matrix(sub, v, 1, "Pi"):
-                col = (0,) * len(u_child)
-                for j, n in steps:
-                    n *= scale
-                    col = [x + n * y for x, y in zip(col, child_cols[j])]
-                lhs_cols.append(col)
+            lhs = _pair_side(u_child, sub, v, scale)
             # child_scale * (S_e^T . u), one orbit rank of sub at a time
             rhs = [[0] * width for _ in u_child]
             for u_row, steps in zip(u, step_matrix(sub, v, 1, "E")):
                 for j, n in steps:
                     n *= child_scale
                     rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]
-            lhs = list(map(list, zip(*lhs_cols)))
             if lhs != rhs:
                 return _first_entry_witness(sub, v, lhs, rhs,
                                             scale * child_scale)
@@ -288,7 +296,7 @@ def _first_entry_witness(sub, v, lhs, rhs, den) -> str:
     """The witness text of the first unequal entry of lhs and rhs, two
     sides of the identity at (sub, v^1) scaled by den."""
     for rp, (l_row, r_row) in enumerate(zip(lhs, rhs)):
-        for (r, s), lv, rv in zip(_pi_index(*sub), l_row, r_row):
+        for (r, s), lv, rv in zip(_pi_index(sub.rank_bound), l_row, r_row):
             if lv != rv:
                 return (f"dim ({sub.d1},{sub.d2}), letter {v}^1, "
                         f"orbit {rp}, class ({r},{s}): "
@@ -305,7 +313,7 @@ def m_coefficients(dim: DimVector, *,
     if transfer is None:
         transfer = transfer_matrix(dim)
     bound = dim.rank_bound
-    index = _pi_index(*dim)
+    index = _pi_index(bound)
     generic = []
     for rp in range(bound + 1):
         c = ConormalComponent(Orbit(dim, rp)).generic_class

@@ -6,16 +6,12 @@ number of F_q-points is a polynomial in q whose value at q = 1 is its Euler
 characteristic.  Only those q = 1 values are used, and at q = 1 a Gaussian
 binomial is the binomial math.comb and every power of q is 1, so each step
 of the peeling is a product of two binomials; step_matrix holds those
-products for one peeled letter, built in one pass per side and vertex.  The
-peeling runs as a word recursion, memoised per suffix as one row over all
-classes of the suffix's content, the only memo of rows; step matrices are
-cached too, since the lift reads only single letters v^1, four matrices per
-dimension vector, each met by several suffix rows and by one identity.
-bases.sandwich_rows reads the rows of the single-letter refinements of its
-words straight from that memo; euler_counts is the entry that checks a
-word against its dimension vector first.  A word is a tuple of (vertex,
-multiplicity) letters, innermost first.  The q-polynomials themselves are
-the test suite's reference.
+products for one peeled letter, built in one pass per side and vertex.
+euler_counts applies the step matrices of a word's letters in one loop.
+Nothing of a count outlives its call: only the class index of each rank
+bound is memoised.  A word is a tuple of (vertex, multiplicity) letters,
+innermost first.  The q-polynomials themselves are the test suite's
+reference.
 """
 
 from __future__ import annotations
@@ -35,14 +31,13 @@ def word_content(word: Word) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _pi_index(d1: int, d2: int) -> dict:
-    """(r, s) -> position of the pair class in pi_classes order."""
-    k = min(d1, d2)
+def _pi_index(k: int) -> dict:
+    """(r, s) -> position of the pair class in pi_classes order, on every
+    dimension vector of rank bound k."""
     return {(r, s): i for i, (r, s) in enumerate(
         (r, s) for r in range(k + 1) for s in range(k - r + 1))}
 
 
-@lru_cache(maxsize=None)
 def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
     """The q = 1 step matrix S_{vertex,b}(dim), one sparse row per class of
     `dim` in class order: (child index, count) for peeling a b-dimensional
@@ -57,8 +52,7 @@ def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
     within the child's rank bound.
 
     The count row of a word (vertex, b) + rest is S times the count row of
-    rest on the child dimension.  Cached: the lift asks only for b = 1, so
-    at most 4 (d1 + 1)(d2 + 1) matrices up to (d1, d2)."""
+    rest on the child dimension."""
     d1, d2 = dim
     # the rank bound of the child dimension
     k = min(d1 - b, d2) if vertex == 1 else min(d1, d2 - b)
@@ -71,33 +65,18 @@ def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
                    for t in range(max(0, b - (d2 - r), r - k),
                                   min(b, r) + 1)])
             for r in range(min(d1, d2) + 1)])
+    child, classes = _pi_index(k), _pi_index(min(d1, d2))
     if vertex == 1:
-        child = _pi_index(d1 - b, d2)
         return tuple([
             tuple([(child[r, s - t], comb(s, t) * comb(d1 - r - s, b - t))
                    for t in range(max(0, b - (d1 - r - s), r + s - k),
                                   min(b, s) + 1)])
-            for r, s in _pi_index(d1, d2)])
-    child = _pi_index(d1, d2 - b)
+            for r, s in classes])
     return tuple([
         tuple([(child[r - t, s], comb(r, t) * comb(d2 - r - s, b - t))
                for t in range(max(0, b - (d2 - r - s), r + s - k),
                               min(b, r) + 1)])
-        for r, s in _pi_index(d1, d2)])
-
-
-@lru_cache(maxsize=None)
-def _count_row(word: Word, d1: int, d2: int, side: str) -> tuple[int, ...]:
-    """Euler characteristics of flags of type `word` on every class of its
-    content (d1, d2), in class order, for a well-formed word of that
-    content; euler_counts is the validated entry."""
-    if not word:
-        return (1,)  # the single class of dimension (0, 0)
-    (vertex, mult), rest = word[0], word[1:]
-    below = (_count_row(rest, d1 - mult, d2, side) if vertex == 1
-             else _count_row(rest, d1, d2 - mult, side))
-    return tuple([sum([n * below[j] for j, n in row])
-                  for row in step_matrix((d1, d2), vertex, mult, side)])
+        for r, s in classes])
 
 
 def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:
@@ -106,7 +85,10 @@ def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:
     in pi_classes order for side "Pi".
 
     The leftmost letter is the innermost subrepresentation; the word's
-    vertex content must be `dim`.
+    vertex content must be `dim`.  The row of (vertex, b) + rest is
+    S_{vertex,b}(dim) times the row of rest on the child dimension, so the
+    loop starts from the one class of (0, 0), with count 1, and applies the
+    step matrices from the last letter to the first.
     """
     word = tuple((int(v), int(m)) for v, m in word)
     if any(v not in (1, 2) or m < 1 for v, m in word):
@@ -116,4 +98,12 @@ def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:
             f"word content {word_content(word)} does not match {dim}")
     if side not in ("E", "Pi"):
         raise ValueError(f"side must be 'E' or 'Pi', got {side!r}")
-    return list(_count_row(word, dim.d1, dim.d2, side))
+    row, d1, d2 = [1], 0, 0
+    for vertex, mult in reversed(word):
+        if vertex == 1:
+            d1 += mult
+        else:
+            d2 += mult
+        row = [sum([n * row[j] for j, n in steps])
+               for steps in step_matrix((d1, d2), vertex, mult, side)]
+    return row

@@ -9,11 +9,12 @@ Gauss-Jordan solve in Fractions that shares no code with it, and the tangent
 space of the conormal variety; the expansion of a constructible function
 in flag monomials and the smallness test of the resolutions behind
 canonical_fn; the transfer matrix as Fractions and the lift of a function
-through it; the sandwich count rows of every sub-dimension, by
-euler_counts, where semican.bases builds pair-side rows only on the
-diagonal; the lift solved by two eliminations per dimension vector and
-its intertwining identities checked entry by entry, the references of the
-one elimination and the whole-matrix comparison of semican.bases; the word
+through it; the sandwich count rows of every sub-dimension, both sides,
+by euler_counts, where semican.bases builds only the E-side rows of its
+dimension vector; the lift solved from those rows by two eliminations per
+dimension vector, the reference of the T that semican.bases solves from
+the single-letter identities at the diagonal, and the identities checked
+entry by entry, the reference of its whole-matrix comparison; the word
 sweep that checks the lift row by row, mat_pi = mat_e . T on every
 composition and sandwich word; the listed
 separation instances, whose order `instances_at` and `matchings` must

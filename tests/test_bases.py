@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -222,20 +224,24 @@ def test_kernel_invariance():
                     assert sum(v * c for v, c in zip(vec, col)) == 0
 
 
-def test_lift_independent_of_solution():
-    # different word orders change the pivoted rows, not the lift, nor the
-    # T that any sub-dimension's own rows give
+def test_lift_independent_of_solution(monkeypatch):
+    # reversed sandwich rows change the pivoted rows, not the T that any
+    # sub-dimension's own rows give; reversed identity equations at the
+    # diagonal, or reversed E rows of dim, change neither T nor the lift
     for d1, d2 in [(2, 1), (2, 2), (3, 2)]:
         dim = DimVector(d1, d2)
-        rows = every_sandwich_rows(dim)
-        reversed_rows = {sub: (mat_e[::-1], mat_pi[::-1])
-                         for sub, (mat_e, mat_pi) in rows.items()}
-        for sub, (mat_e, mat_pi) in rows.items():
-            assert bases._solve_transfer(sub, *reversed_rows[sub]) == \
-                bases._solve_transfer(sub, mat_e, mat_pi), sub
+        for sub, (mat_e, mat_pi) in every_sandwich_rows(dim).items():
+            assert two_pass_transfer(sub, mat_e[::-1], mat_pi[::-1]) == \
+                two_pass_transfer(sub, mat_e, mat_pi), sub
         f = canonical_fn(dim, dim.rank_bound - 1)
-        assert _lift(f) == _lift(f, reversed_rows)
-        assert transfer_matrix(dim, reversed_rows).mismatch is None
+        want = transfer_matrix(dim)
+        assert _lift(f) == _lift(f, sandwich_rows(dim)[::-1])
+        real = bases._spanning_basis
+        monkeypatch.setattr(bases, "_spanning_basis",
+                            lambda sub, rows: real(sub, rows[::-1]))
+        assert transfer_matrix(dim) == want
+        assert want.mismatch is None
+        monkeypatch.undo()
 
 
 def test_transfer_matrix_integral_with_identity_section():
@@ -271,18 +277,31 @@ def _sides(witness):
 
 
 def test_transfer_matrix_witnesses(monkeypatch):
-    dim = DimVector(2, 2)
-    rows = sandwich_rows(dim)
+    real = bases.step_matrix
 
-    # one corrupted pair-side count in the first sandwich row, which the
-    # solve always picks: T_(2,2) is off, so the identities that peel a
-    # letter off (2, 2) fail, and so does the word sweep
-    mat_e, mat_pi = rows[dim]
-    j = pi_classes(dim).index(PiModClass(dim, 0, 2))
-    mat_pi = [list(row) for row in mat_pi]
-    mat_pi[0][j] += 1
-    t = transfer_matrix(dim, {**rows, dim: (mat_e, mat_pi)})
-    assert t.mismatch.startswith("dim (2,2), letter ")
+    def corrupting(at, letter, cls=0, entry=0):
+        # one pair-side step count of `letter` at `at`, class index `cls`,
+        # off by one
+        def corrupted(sub, vertex, b, side):
+            steps = real(sub, vertex, b, side)
+            if (sub, (vertex, b), side) != (at, letter, "Pi"):
+                return steps
+            row = list(steps[cls])
+            child, n = row[entry]
+            row[entry] = (child, n + 1)
+            return steps[:cls] + (tuple(row),) + steps[cls + 1:]
+        return corrupted
+
+    # one corrupted pair-side count of 1^1 at class (1, 1) of the diagonal
+    # (2, 2), which T_(2,2) is solved from: T_(2,2) is off, the identities
+    # there no longer fit it, and the word sweep over the true counts fails
+    dim = DimVector(2, 2)
+    j = pi_classes(dim).index(PiModClass(dim, 1, 1))
+    monkeypatch.setattr(bases, "step_matrix", corrupting(dim, (1, 1), j))
+    t = transfer_matrix(dim)
+    monkeypatch.undo()
+    assert t.mismatch == \
+        "dim (2,2), letter 2^1, orbit 0, class (1,1): 1 != 2"
     lhs, rhs = _sides(t.mismatch)
     assert lhs != rhs
     assert first_sweep_mismatch(t, spanning_words(dim)) is not None
@@ -291,73 +310,74 @@ def test_transfer_matrix_witnesses(monkeypatch):
                        match=re.escape(f"kernel_invariance ({t.mismatch})")):
         cc_multiplicities(dim, transfer=t)
 
-    # one corrupted pair-side step count at the sub-dimension (3, 3) of
-    # (4, 3), of either single letter: the rows, and so T, stay right, and
-    # that letter's identity catches it
-    real = bases.step_matrix
+    # the step rules are the model the identities check: a corrupted count
+    # that one T still fits at every D <= (2, 2) breaks no identity, and
+    # only the word sweep over the true counts (and, in tier 1, the
+    # q-polynomial oracle of the step rules) sees it
+    j = pi_classes(dim).index(PiModClass(dim, 0, 2))
+    monkeypatch.setattr(bases, "step_matrix", corrupting(dim, (1, 1), j))
+    t = transfer_matrix(dim)
+    monkeypatch.undo()
+    assert t.mismatch is None and t.section_failures() == []
+    assert first_sweep_mismatch(t, spanning_words(dim)) is not None
 
-    def corrupting(letter):
-        def corrupted(sub, vertex, b, side):
-            steps = real(sub, vertex, b, side)
-            if (sub, (vertex, b), side) != (DimVector(3, 3), letter, "Pi"):
-                return steps
-            (child, n), *rest = steps[0]
-            return (((child, n + 1), *rest),) + steps[1:]
-        return corrupted
-
-    for letter, witness in [
-            ((2, 1), "dim (3,3), letter 2^1, orbit 0, class (0,0): 4 != 3"),
-            ((1, 1), "dim (3,3), letter 1^1, orbit 0, class (0,0): 4 != 3")]:
-        monkeypatch.setattr(bases, "step_matrix", corrupting(letter))
-        assert transfer_matrix(DimVector(4, 3)).mismatch == witness
+    # one corrupted pair-side step count at the diagonal (3, 3) of (4, 3),
+    # of either single letter: both feed the solve of T_(3,3), so the
+    # identities at (3, 3) fail whichever letter it is, and a corrupted 1^1
+    # also moves the section column (0, 0)
+    for letter, witness, section in [
+            ((2, 1), "dim (3,3), letter 2^1, orbit 0, class (0,0): 4 != 3",
+             []),
+            ((1, 1), "dim (3,3), letter 2^1, orbit 0, class (0,0): 3 != 4",
+             [0])]:
+        monkeypatch.setattr(bases, "step_matrix",
+                            corrupting(DimVector(3, 3), letter))
+        t = transfer_matrix(DimVector(4, 3))
+        assert (t.mismatch, t.section_failures()) == (witness, section)
     monkeypatch.undo()
 
-    # a grouped step is read neither by the rows nor by the identities:
+    # a grouped step is read neither by the solve nor by the identities:
     # corrupting 1^2 at (3, 3) everywhere leaves the lift as it is
     want = transfer_matrix(DimVector(4, 3))
-    monkeypatch.setattr(bases, "step_matrix", corrupting((1, 2)))
-    monkeypatch.setattr(qcount, "step_matrix", corrupting((1, 2)))
-    qcount._count_row.cache_clear()
-    try:
-        assert transfer_matrix(DimVector(4, 3)) == want
-    finally:
-        monkeypatch.undo()
-        qcount._count_row.cache_clear()
+    monkeypatch.setattr(bases, "step_matrix",
+                        corrupting(DimVector(3, 3), (1, 2)))
+    monkeypatch.setattr(qcount, "step_matrix",
+                        corrupting(DimVector(3, 3), (1, 2)))
+    assert transfer_matrix(DimVector(4, 3)) == want
+    monkeypatch.undo()
 
-    truncated = {sub: (mat_e[:1], mat_pi[:1]) for sub, (mat_e, mat_pi)
-                 in sandwich_rows(DimVector(1, 1)).items()}
+    truncated = sandwich_rows(DimVector(1, 1))[:1]
     with pytest.raises(SpanningError) as exc:
         transfer_matrix(DimVector(1, 1), truncated)
     assert exc.value.dim == DimVector(1, 1) and exc.value.missing == [1]
 
 
 def test_sandwich_rows_match_euler_counts():
-    # the rows come straight from the count memo, as the rows of the words'
-    # single-letter refinements; euler_counts of those refined words, which
-    # checks each word against its dimension vector first, is the oracle.
-    # Both sides at each diagonal (k, k), the E side alone at dim off it
+    # the rows are the E-side euler_counts rows of the words' single-letter
+    # refinements, of dim alone
     for dim in [DimVector(6, 6), DimVector(6, 3), DimVector(2, 5)]:
-        oracle = every_sandwich_rows(dim, refine=True)
-        rows = sandwich_rows(dim)
-        diagonal = [DimVector(k, k) for k in range(dim.rank_bound + 1)]
-        assert list(rows) == diagonal + ([dim] if dim not in diagonal
-                                         else [])
-        for sub, (mat_e, mat_pi) in rows.items():
-            want_e, want_pi = oracle[sub]
-            assert [list(row) for row in mat_e] == want_e, sub
-            if sub in diagonal:
-                assert [list(row) for row in mat_pi] == want_pi, sub
-            else:
-                assert mat_pi is None
+        want_e, _ = every_sandwich_rows(dim, refine=True)[dim]
+        assert sandwich_rows(dim) == want_e, dim
+
+
+def _solved_diagonal(k):
+    """(u, scale) of T_(j,j) for every j <= k, solved as transfer_matrix
+    solves them."""
+    solved = [([[1]], 1)]
+    for j in range(1, k + 1):
+        solved.append(bases._solve_diagonal(j, *solved[-1]))
+    return solved
 
 
 def test_one_elimination_matches_two_passes():
-    # one elimination of (E | Pi) with pivots in the E columns gives the
-    # (u, scale) of picking rows by echelon and then solve_square
-    for sub, (mat_e, mat_pi) in every_sandwich_rows(DimVector(8, 8)).items():
-        assert bases._solve_transfer(sub, mat_e, mat_pi) == \
-            two_pass_transfer(sub, mat_e, mat_pi), sub
-    # rank-deficient rows: the same SpanningError, with the same ranks
+    # one elimination of the identity equations at each diagonal (k, k)
+    # gives the (u, scale) of picking (k, k)'s own sandwich rows by echelon
+    # and then solve_square
+    rows = every_sandwich_rows(DimVector(8, 8))
+    for k, solved in enumerate(_solved_diagonal(8)):
+        sub = DimVector(k, k)
+        assert solved == two_pass_transfer(sub, *rows[sub]), sub
+    # rank-deficient E rows: the same SpanningError, with the same ranks
     rows = every_sandwich_rows(DimVector(4, 3))
     cases = 0
     for sub, (mat_e, mat_pi) in rows.items():
@@ -368,23 +388,55 @@ def test_one_elimination_matches_two_passes():
         for keep in keeps:
             e, p = [mat_e[i] for i in keep], [mat_pi[i] for i in keep]
             try:
-                want = two_pass_transfer(sub, e, p)
+                two_pass_transfer(sub, e, p)
             except SpanningError as exc:
                 with pytest.raises(SpanningError) as got:
-                    bases._solve_transfer(sub, e, p)
+                    transfer_matrix(sub, e)
                 assert got.value.dim == exc.dim == sub
                 assert got.value.missing == exc.missing, (sub, keep)
                 cases += 1
             else:
-                assert bases._solve_transfer(sub, e, p) == want
+                assert transfer_matrix(sub, e) == transfer_matrix(sub)
     assert cases > 20
+
+
+def test_transfer_matrix_closed_form():
+    # at every rank bound k <= 24 the solved T has scale 1 and
+    # T[r'][(r, s)] = (-1)^(r' - r) C(s, r' - r), zero for r' < r
+    for k, (u, scale) in enumerate(_solved_diagonal(24)):
+        assert scale == 1, k
+        want = [[(-1) ** (rp - r) * math.comb(s, rp - r) if rp >= r else 0
+                 for r, s in qcount._pi_index(k)]
+                for rp in range(k + 1)]
+        assert u == want, k
+
+
+def test_rank_deficient_identities_raise_spanning_error(monkeypatch):
+    # with the E step of 2^1 at (k, k) dropping rank k, no equation there
+    # holds the row of rank k, and the solve names (k, k)
+    real = bases.step_matrix
+    for k in range(1, 5):
+        at = DimVector(k, k)
+
+        def dropping(sub, vertex, b, side, at=at, k=k):
+            steps = real(sub, vertex, b, side)
+            if (sub, vertex, side) != (at, 2, "E"):
+                return steps
+            return steps[:k] + ((),)
+
+        monkeypatch.setattr(bases, "step_matrix", dropping)
+        for dim in [DimVector(4, 4), DimVector(5, 4)]:
+            with pytest.raises(SpanningError) as exc:
+                transfer_matrix(dim)
+            assert exc.value.dim == at and exc.value.missing == [k], dim
+        monkeypatch.undo()
 
 
 def test_one_solve_per_rank_bound_matches_every_own_solve(monkeypatch):
     # T is solved once per rank bound k, at (k, k), and every D <= dim is
     # checked with the T of min(D); at every D <= (8, 8) that is the T that
-    # D's own sandwich rows give.  Off the diagonal, dim's E rows take one
-    # more elimination, for spanning
+    # D's own sandwich rows give.  dim's E rows take one more elimination,
+    # for spanning
     calls = {}
 
     def recording(module, name):
@@ -395,16 +447,15 @@ def test_one_solve_per_rank_bound_matches_every_own_solve(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, record)
 
-    recording(bases, "_solve_transfer")
+    recording(bases, "_solve_diagonal")
     recording(bases, "_first_broken_identity")
     recording(ratlin, "echelon")
     for dim in [DimVector(8, 8), DimVector(3, 6)]:
         calls.clear()
         assert transfer_matrix(dim).mismatch is None
         k = dim.rank_bound
-        assert calls["_solve_transfer"] == [DimVector(j, j)
-                                            for j in range(k + 1)]
-        assert len(calls["echelon"]) == k + 1 + (dim.d1 != dim.d2)
+        assert calls["_solve_diagonal"] == list(range(1, k + 1))
+        assert len(calls["echelon"]) == k + 1
         (scaled,) = calls["_first_broken_identity"]
         oracle = every_sandwich_rows(dim)
         assert list(scaled) == list(oracle)
@@ -412,26 +463,31 @@ def test_one_solve_per_rank_bound_matches_every_own_solve(monkeypatch):
             assert scaled[sub] == two_pass_transfer(sub, mat_e, mat_pi), sub
 
 
-def test_spanning_checked_at_an_off_diagonal_dim():
+def test_spanning_checked_at_an_off_diagonal_dim(monkeypatch):
     # dim = (3, 2) solves nothing at (3, 2), but m expands its stalk
     # functions in its sandwich E rows, so a truncated set of them fails
     dim = DimVector(3, 2)
     rows = sandwich_rows(dim)
-    mat_e, mat_pi = rows[dim]
-    assert mat_pi is None
     oracle_e, oracle_pi = every_sandwich_rows(dim)[dim]
     with pytest.raises(SpanningError) as want:
         two_pass_transfer(dim, oracle_e[:1], oracle_pi[:1])
     with pytest.raises(SpanningError) as exc:
-        transfer_matrix(dim, {**rows, dim: (mat_e[:1], None)})
+        transfer_matrix(dim, rows[:1])
     assert exc.value.dim == dim
     assert exc.value.missing == want.value.missing == [1, 2]
-    # a diagonal sub-dimension fails first, in (d1, d2) order
-    e, p = rows[DimVector(1, 1)]
+    # a rank-deficient diagonal sub-dimension fails first, in (d1, d2) order
+    real = bases.step_matrix
+
+    def dropping(sub, vertex, b, side):
+        steps = real(sub, vertex, b, side)
+        if (sub, vertex, side) != (DimVector(1, 1), 2, "E"):
+            return steps
+        return steps[:1] + ((),)
+
+    monkeypatch.setattr(bases, "step_matrix", dropping)
     with pytest.raises(SpanningError) as exc:
-        transfer_matrix(dim, {**rows, DimVector(1, 1): (e[:1], p[:1]),
-                              dim: (mat_e[:1], None)})
-    assert exc.value.dim == DimVector(1, 1)
+        transfer_matrix(dim, rows[:1])
+    assert exc.value.dim == DimVector(1, 1) and exc.value.missing == [1]
 
 
 def _scaled(dim):
@@ -495,23 +551,43 @@ def test_identity_witness_matches_entry_scan(monkeypatch):
 
 
 def test_lift_reads_single_letters_only(monkeypatch):
-    # every step matrix the lift asks for, for its count rows and for its
-    # identities, peels a single letter; the grouping relation (tested in
-    # test_qcount) carries the identities to grouped words
-    calls = []
+    # every step matrix the lift asks for, for its count rows, its solve
+    # and its identities, peels a single letter; the grouping relation
+    # (tested in test_qcount) carries the identities to grouped words.  The
+    # count rows, the only ones read through qcount, are E-side rows: no
+    # pair-side count row is built
+    calls = {}
     for module in (bases, qcount):
-        def record(dim, vertex, b, side, real=module.step_matrix):
-            calls.append((dim, vertex, b, side))
+        def record(dim, vertex, b, side, real=module.step_matrix,
+                   name=module.__name__):
+            calls[name].append((dim, vertex, b, side))
             return real(dim, vertex, b, side)
         monkeypatch.setattr(module, "step_matrix", record)
     for dim in [DimVector(8, 8), DimVector(3, 6)]:
         for run in (transfer_matrix, cc_multiplicities):
-            calls.clear()
-            qcount._count_row.cache_clear()
+            calls.update({"semican.bases": [], "semican.qcount": []})
             run(dim)
-            assert {(v, side) for _, v, _, side in calls} == \
+            both = calls["semican.bases"] + calls["semican.qcount"]
+            assert {(v, side) for _, v, _, side in both} == \
                 {(v, side) for v in (1, 2) for side in ("E", "Pi")}, dim
-            assert all(b == 1 for _, _, b, _ in calls), dim
+            assert all(b == 1 for _, _, b, _ in both), dim
+            assert calls["semican.qcount"], dim
+            assert {side for *_, side in calls["semican.qcount"]} == {"E"}
+
+
+def test_lift_holds_no_memory_after_it_returns():
+    # nothing of the lift outlives cc_multiplicities but the class index of
+    # each rank bound: under 1 MB is still held after (20, 20)
+    qcount._pi_index.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cc_multiplicities(DimVector(20, 20))
+        gc.collect()  # also empties the interpreter's free lists
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
 
 
 def test_cc_multiplicities_checks_the_section_identity():

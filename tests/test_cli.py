@@ -16,7 +16,7 @@ import semican.ratlin as ratlin
 import semican.separation as separation
 import semican.verify as verify
 from semican.bases import ExpansionMatrix
-from semican.core import DimVector, PiModClass, compositions, pi_classes
+from semican.core import DimVector, compositions
 from semican.sympoly import BilinearityError
 
 
@@ -251,28 +251,30 @@ def test_verify_reports_failure_with_exit_2(capsys, monkeypatch):
 
 
 def test_verify_lift_failure_names_word(capsys, monkeypatch):
-    # a corrupted pair-side count at class (0, 2) in the first sandwich row
-    # of (2, 2), which the solve picks: the witness names the dimension, the
+    # a corrupted pair-side count of the letter 2^1 at class (0, 0) of the
+    # diagonal (2, 2), which T_(2,2) is solved from: the identities there
+    # no longer fit one T, and the witness names the dimension, the
     # letter, the orbit and the class
     dim = DimVector(2, 2)
-    j = pi_classes(dim).index(PiModClass(dim, 0, 2))
-    real = verify.sandwich_rows
+    real = bases.step_matrix
 
-    def corrupted(d):
-        rows = real(d)
-        mat_e, mat_pi = rows[dim]
-        mat_pi = [list(row) for row in mat_pi]
-        mat_pi[0][j] += 1
-        rows[dim] = (mat_e, mat_pi)
-        return rows
+    def corrupted(sub, vertex, b, side):
+        steps = real(sub, vertex, b, side)
+        if (sub, vertex, side) != (dim, 2, "Pi"):
+            return steps
+        (child, n), *rest = steps[0]
+        return (((child, n + 1), *rest),) + steps[1:]
 
-    monkeypatch.setattr(verify, "sandwich_rows", corrupted)
+    monkeypatch.setattr(bases, "step_matrix", corrupted)
     code, out, err = run(capsys, "verify", "--d1", "2", "--d2", "2",
                          "--skip-wreg")
     assert code == 2
     report = json.loads(out)
     assert report["verdict"] == "FAIL" and not report["kernel_ok"]
     assert report["section_ok"]
+    assert report["failed_checks"] == [
+        "kernel_invariance (dim (2,2), letter 2^1, orbit 0, class (0,0): "
+        "3 != 2)"]
     witness = report["failed_checks"][0]
     assert re.fullmatch(r"kernel_invariance \(dim \(2,2\), letter [12]\^\d, "
                         r"orbit \d, class \(\d,\d\): \S+ != \S+\)", witness)
@@ -281,6 +283,9 @@ def test_verify_lift_failure_names_word(capsys, monkeypatch):
 
 
 def test_verify_corrupted_step_matrix_exits_2(capsys, monkeypatch):
+    # every pair-side step matrix off by one in its first count: T is solved
+    # from them, so its (0, 0) column is no longer the unit vector, and the
+    # first identity, at (0, 1), fails
     real = bases.step_matrix
 
     def corrupted(dim, vertex, b, side):
@@ -295,10 +300,12 @@ def test_verify_corrupted_step_matrix_exits_2(capsys, monkeypatch):
                          "--skip-wreg")
     assert code == 2
     report = json.loads(out)
-    assert report["section_ok"] and not report["kernel_ok"]
-    witness = report["failed_checks"][0]
-    assert witness.startswith("kernel_invariance (dim (")
-    assert f"FAILED: {witness}" in err
+    assert not report["section_ok"] and not report["kernel_ok"]
+    assert report["failed_checks"] == [
+        "section_identity (r=0)",
+        "kernel_invariance (dim (0,1), letter 2^1, orbit 0, class (0,0): "
+        "2 != 1)"]
+    assert "FAILED: section_identity (r=0)" in err
 
 
 def _patched_entry(real, row, col, value):
