@@ -153,11 +153,12 @@ def cmd_separate(args) -> int:
             # every composition has the empty matching: never an empty list
             parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},'
                      '\n  "reports": [\n    ']
-            parts += report_texts(comp, matchings(comp), depth=2)
+            parts.append(",\n    ".join(
+                report_texts(comp, matchings(comp), depth=2)))
             parts.append("\n  ]\n}")
             out = "".join(parts)
         else:
-            report = "".join(report_texts(comp, [_parse_y0(args.y0)]))
+            [report] = report_texts(comp, [_parse_y0(args.y0)])
             # schema_version is the last key, before the closing "\n}"
             out = (report[:-2] + ',\n  "schema_version": '
                    f'{SCHEMA_VERSION}\n}}')

@@ -72,7 +72,8 @@ def add_into(out: dict, p: dict, scale: int = 1, shift: int = 0) -> None:
 
 
 def nonzero(p: dict) -> dict:
-    return {m: c for m, c in p.items() if c}
+    """p less its zero coefficients: p itself when it has none."""
+    return {m: c for m, c in p.items() if c} if 0 in p.values() else p
 
 
 def mul(a: dict, b: dict) -> dict:
@@ -101,7 +102,7 @@ def coefficient_of(p: dict, unit: int) -> dict:
 def substitute(p: dict, mapping: dict) -> dict:
     """Simultaneously replace each variable `unit` by `mapping[unit]`."""
     if not mapping:
-        return nonzero(p)
+        return nonzero(dict(p))
     hits = mask(mapping)
     out: dict = {}
     for mono, c in p.items():
@@ -110,19 +111,20 @@ def substitute(p: dict, mapping: dict) -> dict:
             out[mono] = out.get(mono, 0) + c
             continue
         rest = mono - hit
-        term = None
-        while hit:
+        value = mapping.get(hit)
+        if value is not None:  # one substituted variable, to the power 1
+            for m, v in value.items():
+                m += rest
+                out[m] = out.get(m, 0) + c * v
+            continue
+        term = {rest: c}  # times all the factors but one, lowest first
+        while value is None:
             shift = ((hit & -hit).bit_length() - 1) // FIELD_BITS * FIELD_BITS
-            e = (hit >> shift) & FIELD_MASK
-            hit -= e << shift
-            value = mapping[1 << shift]
-            if term is None:  # the first factor: rest * c * value
-                term = {rest + m: c * v for m, v in value.items()}
-                e -= 1
-            for _ in range(e):
-                term = mul(term, value)
-        for m, tc in term.items():
-            out[m] = out.get(m, 0) + tc
+            term = mul(term, mapping[1 << shift])
+            hit -= 1 << shift
+            value = mapping.get(hit)
+        for m, tc in term.items():  # times the last one
+            add_into(out, value, scale=tc, shift=m)
     return nonzero(out)
 
 
@@ -138,11 +140,11 @@ def check_bilinear(p: dict, slots: Slots, w1: int, w2: int, vc: int) -> None:
     through `slots`, in the term order of the reports.
     """
     row_mask, col_mask = FIELD_MASK * w1, FIELD_MASK * w2
-    other = ~(row_mask | col_mask | FIELD_MASK * vc)
+    inside = row_mask | col_mask | FIELD_MASK * vc
     bad = []
     for m in p:
         r, s = m & row_mask, m & col_mask
-        if (m & other or not r & w1 or r & (r - 1)
+        if (m & inside != m or not r & w1 or r & (r - 1)
                 or not s & w2 or s & (s - 1)):
             bad.append(m)
     if bad:

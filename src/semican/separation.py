@@ -17,14 +17,16 @@ import json
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from . import packed
 from .core import DimVector, compositions
-from .sympoly import BilinearityError, Mono, VarId, _mono_str, join_terms
+from .sympoly import BilinearityError, VarId, _mono_str, join_terms
 
 _quote = json.encoder.encode_basestring_ascii  # as json.dumps quotes a str
+_COLUMN = itemgetter(1)
 
 
 class SeparationError(RuntimeError):
@@ -80,8 +82,8 @@ class _Layout:
     row, col).  `templates[entry]` lists the trace terms of one y0 entry
     (ia, ja) as (x_row, x_col, monomial): the X*N, X*M and X*M*N families
     tied to the entry, of which a composition keeps the terms whose X is
-    admissible.  No term belongs to two entries.  `split(i_set, j_set)` is
-    the W1/W2/Vc split of every M, N and X by the rows I and columns J of
+    admissible.  No term belongs to two entries.  `split(i_bits, j_bits)`
+    is the W1/W2/Vc split of every M, N and X by the rows I and columns J of
     a matching, built once per (I, J) and kept: C(d1 + d2, d1) pairs at
     most.  `names` is the reports' memo of monomial texts
     (`_MonomialNames`), and `reports[depth]` their tables (`_ReportTable`).
@@ -128,10 +130,11 @@ class _Layout:
         self.names = _MonomialNames(self.slots)
         self.reports: dict[int, _ReportTable] = {}
 
-    def split(self, i_set, j_set) -> tuple[int, int, int]:
+    def split(self, i_bits: int, j_bits: int) -> tuple[int, int, int]:
         """The unit masks (W1, W2, Vc) of every M, N and X of (d1, d2), for
-        a matching with rows `i_set` and columns `j_set`, before the
-        change of variables.
+        a matching with rows I and columns J, before the change of
+        variables.  `i_bits` and `j_bits` have bit i set for each i in I
+        and J.
 
         M(j, i) is in W1 when i is a row of I and j is not; N(j, i) is in
         W2 when j is a column of J and i is not; X(i, j) is in W1 when j is
@@ -139,24 +142,24 @@ class _Layout:
         rest is Vc.  Nothing here depends on the composition: a chart
         removes the X it does not admit (`_PackedChart.keep`).
         """
-        key = i_set, j_set
+        key = i_bits, j_bits
         masks = self._splits.get(key)
         if masks is None:
             w1 = w2 = vc = 0
             for u, j, i in self.m_vars:
-                if j not in i_set and i in i_set:
+                if not i_bits >> j & 1 and i_bits >> i & 1:
                     w1 += u
                 else:
                     vc += u
             for u, j, i in self.n_vars:
-                if j in j_set and i not in j_set:
+                if j_bits >> j & 1 and not j_bits >> i & 1:
                     w2 += u
                 else:
                     vc += u
             for u, i, j in self.x_vars:
-                if i not in j_set and j in i_set:
+                if not j_bits >> i & 1 and i_bits >> j & 1:
                     w1 += u
-                elif i in j_set and j not in i_set:
+                elif j_bits >> i & 1 and not i_bits >> j & 1:
                     w2 += u
                 else:
                     vc += u
@@ -264,7 +267,7 @@ class NormalFormY(namedtuple("NormalFormY", "entries")):
         return cls(frozenset(entries))
 
     def sorted_entries(self) -> list[tuple[int, int]]:
-        return sorted(self.entries, key=lambda e: e[1])
+        return sorted(self.entries, key=_COLUMN)
 
 
 def validate_matching(shape: FlagShape, y0: NormalFormY) -> None:
@@ -361,7 +364,8 @@ def matchings(composition) -> list[NormalFormY]:
     shape = flag_shape(composition)
     before = _twos_before(shape.composition)
     ranks = list(range(_count_matchings(before, shape.d2)))
-    return [NormalFormY(frozenset(entries))
+    # a matching by construction: `_make` skips the checks of NormalFormY()
+    return [NormalFormY._make((frozenset(entries),))
             for entries in _matchings_at(before, shape.d2, ranks)]
 
 
@@ -381,7 +385,7 @@ def instances_at(dim: DimVector, indices) -> list[tuple[tuple, NormalFormY]]:
                                             wanted):
         picked = _matchings_at(before, dim.d2, [r - base for r in ranks])
         for r, entries in zip(ranks, picked):
-            found[r] = a, NormalFormY(frozenset(entries))
+            found[r] = a, NormalFormY._make((frozenset(entries),))
     if len(found) < len(wanted):
         raise IndexError(f"instance index {wanted[-1]} out of range for "
                          f"({dim.d1}, {dim.d2})")
@@ -398,43 +402,38 @@ def _matchings_at(before: list[int], d2: int, ranks: list[int]) -> list:
     later rows, less its column.
     """
     out: list[tuple] = []
-
-    def walk(free, row, entries, size, base, ranks):
-        cols = {c for _, c in entries}
-        if size < 2:  # a block of one matching each
-            last = [()] if not size else [
-                ((i + 1, j),) for i in range(row, len(before))
-                for j in range(before[i] + 1, d2 + 1) if j not in cols]
-            out.extend(entries + last[r - base] for r in ranks)
-            return
-
-        def next_entries():
-            for i in range(row, len(before)):
-                for j in range(before[i] + 1, d2 + 1):
-                    if j not in cols:
-                        rest = [f - (j > b) for f, b in zip(free, before)]
-                        yield ((i + 1, j), rest), _rook_numbers(
-                            rest[:i:-1], size - 1)[-1]
-
-        for (entry, rest), start, part in _blocks(next_entries(), base, ranks):
-            walk(rest, entry[0], entries + (entry,), size - 1, start, part)
-
     free = [d2 - b for b in before]  # the free columns of each row
     sizes = _rook_numbers(free[::-1], len(before))
     for size, start, part in _blocks(enumerate(sizes), 0, ranks):
-        walk(free, 0, (), size, start, part)
+        _walk(before, d2, out, free, 0, (), size, start, part)
     return out
 
 
+def _walk(before, d2, out, free, row, entries, size, base, ranks):
+    """Append to `out` the matchings of these ranks, from `base` on, that
+    add `size` entries to `entries` in rows `row` (from 0) on."""
+    cols = {c for _, c in entries}
+    if size < 2:  # a block of one matching each
+        last = [()] if not size else [
+            ((i + 1, j),) for i in range(row, len(before))
+            for j in range(before[i] + 1, d2 + 1) if j not in cols]
+        out.extend(entries + last[r - base] for r in ranks)
+        return
+    nexts = ((((i + 1, j), rest), _rook_numbers(rest[:i:-1], size - 1)[-1])
+             for i in range(row, len(before))
+             for j in range(before[i] + 1, d2 + 1) if j not in cols
+             for rest in ([f - (j > b) for f, b in zip(free, before)],))
+    for (entry, rest), start, part in _blocks(nexts, base, ranks):
+        _walk(before, d2, out, rest, entry[0], entries + (entry,), size - 1,
+              start, part)
+
+
 def _coupled_pairs(shape: FlagShape, entries):
-    """The set T: pairs (alpha', alpha) of y0 entries coupled through x."""
+    """The set T: pairs (alpha', alpha) of y0 entries coupled through x,
+    X(j', i) admissible, in the order of `entries` for alpha' then alpha."""
+    s, t = shape.s_slots, shape.t_slots
     return [(ap, al) for ap in entries for al in entries
-            if shape.adm_x(ap[1], al[0])]
-
-
-def _fiber(t_pairs, al):
-    """The alpha' coupled to alpha, by decreasing column."""
-    return sorted((ap for ap, a2 in t_pairs if a2 == al), key=lambda e: -e[1])
+            if s[ap[1] - 1] < t[al[0] - 1]]
 
 
 def _separation_error(composition, entries, exc) -> SeparationError:
@@ -449,15 +448,17 @@ def _separation_error(composition, entries, exc) -> SeparationError:
 class PackedSeparation(NamedTuple):
     """The polynomials of one separation on the packed kernel.
 
-    `changes` maps each coupled M and X unit monomial to its expression in
-    the new variables, `definitions` each primed unit monomial to its
-    definition in the original ones; both are empty when T is.  `w1`, `w2`
-    and `vc` are the unit masks of the variable groups: the chart's split
-    (`_Layout.split`) with each coupled M and X replaced by its primed
-    copy, M' into W1 and X' into W2.
+    `entries` are the y0 entries by column.  `changes` maps each coupled M
+    and X unit monomial to its expression in the new variables,
+    `definitions` each primed unit monomial to its definition in the
+    original ones; both are empty when T is.  `w1`, `w2` and `vc` are the
+    unit masks of the variable groups: the chart's split (`_Layout.split`)
+    with each coupled M and X replaced by its primed copy, M' into W1 and
+    X' into W2.
     """
 
     chart: _PackedChart
+    entries: list
     t_pairs: list
     trace: dict[int, int]
     separated: dict[int, int]
@@ -468,21 +469,21 @@ class PackedSeparation(NamedTuple):
     vc: int
 
 
-def _packed_inversion(table, entries, t_pairs):
+def _packed_inversion(table, entries, fibers):
     """Triangular elimination of the coupled lower-unipotent variables.
 
-    Returns (m_expr, mp_def): the expression of each coupled M variable in
-    the new M' variables, keyed by its (row, col), and the definition of
-    each M' in the original ones, keyed by unit monomial.  Processing each
-    fiber by decreasing second matching column makes the system triangular,
-    so the inversion is formal and exact.
+    `fibers` maps each y0 entry alpha to the alpha' coupled to it, by
+    decreasing column.  Returns (m_expr, mp_def): the expression of each
+    coupled M variable in the new M' variables and the definition of each
+    M' in the original ones, both keyed by unit monomial.  Processing each
+    fiber in that order makes the system triangular, so the inversion is
+    formal and exact.
     """
     mt, mpt, nt = table["M"], table["Mp"], table["N"]
-    m_expr: dict[tuple[int, int], dict] = {}
+    m_expr: dict[int, dict] = {}
     mp_def: dict[int, dict] = {}
-    for al in entries:
-        ia, ja = al
-        for ip, jp in _fiber(t_pairs, al):
+    for (ia, ja), fiber in fibers.items():
+        for ip, jp in fiber:
             n = nt[ja][jp]
             mp = mpt[ia][ip]
             defn = {mt[ia][ip]: 1, n: 1}
@@ -491,44 +492,44 @@ def _packed_inversion(table, entries, t_pairs):
                 if ib < ia and jb > jp:
                     n = nt[jb][jp]
                     cross = mt[ia][ib]
-                    packed.add_into(defn, {cross: 1}, shift=n)
-                    packed.add_into(expr, m_expr.get((ia, ib), {cross: 1}),
+                    defn[cross + n] = defn.get(cross + n, 0) + 1
+                    # a coupled (ib, jb) came earlier in the fiber, so
+                    # its M is already expressed
+                    packed.add_into(expr, m_expr.get(cross, {cross: 1}),
                                     scale=-1, shift=n)
-            m_expr[ia, ip] = packed.nonzero(expr)
+            m_expr[mt[ia][ip]] = packed.nonzero(expr)
             mp_def[mp] = packed.nonzero(defn)
     return m_expr, mp_def
 
 
-def _packed_x_change(table, j_set, t_pairs, m_expr):
+def _packed_x_change(table, j_bits, fibers, m_expr):
     """Change of the coupled X variables absorbing the mixed X U N terms.
 
     Returns (x_expr, xp_def), both keyed by unit monomial.
     """
-    mpt, nt, xt, xpt = table["Mp"], table["N"], table["X"], table["Xp"]
+    mt, mpt, nt = table["M"], table["Mp"], table["N"]
+    xt, xpt = table["X"], table["Xp"]
     x_expr: dict[int, dict] = {}
     xp_def: dict[int, dict] = {}
-    for ap, al in t_pairs:
-        ia, ja = al
-        ip, jp = ap
-        correction: dict = {}
-        for app, a2 in t_pairs:
-            if a2 != al or app[1] > jp:
-                continue
-            if app == ap:
-                u = {0: 1}
-            else:
-                u = packed.coefficient_of(m_expr[ia, app[0]], mpt[ia][ip])
-            # X(i, ia) is admissible for each i < app[1]: the s_slots
-            # increase, and X(app[1], ia) is, as (app, al) is in T
-            for i in range(1, app[1]):
-                if i not in j_set:
-                    packed.add_into(correction, u,
-                                    shift=xt[i][ia] + nt[app[1]][i])
-        correction = packed.nonzero(correction)
-        # correction has degree >= 2, so neither X nor X' cancels into it
-        x, xp = xt[jp][ia], xpt[jp][ia]
-        x_expr[x] = {xp: 1, **{m: -c for m, c in correction.items()}}
-        xp_def[xp] = {x: 1, **correction}
+    for (ia, _), fiber in fibers.items():
+        for k, (ip, jp) in enumerate(fiber):
+            correction: dict = {}
+            # the alpha'' of the fiber with column <= jp: this alpha' and
+            # those after it
+            for ipp, jpp in fiber[k:]:
+                u = {0: 1} if ipp == ip else packed.coefficient_of(
+                    m_expr[mt[ia][ipp]], mpt[ia][ip])
+                # X(i, ia) is admissible for each i < jpp: the s_slots
+                # increase, and X(jpp, ia) is, as (alpha'', alpha) is in T
+                for i in range(1, jpp):
+                    if not j_bits >> i & 1:
+                        packed.add_into(correction, u,
+                                        shift=xt[i][ia] + nt[jpp][i])
+            correction = packed.nonzero(correction)
+            # correction has degree >= 2, so neither X nor X' cancels into it
+            x, xp = xt[jp][ia], xpt[jp][ia]
+            x_expr[x] = {xp: 1, **{m: -c for m, c in correction.items()}}
+            xp_def[xp] = {x: 1, **correction}
     return x_expr, xp_def
 
 
@@ -546,20 +547,23 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
         validate_matching(shape, y0)  # raises, naming the first bad entry
     entries = y0.sorted_entries()
     trace: dict[int, int] = {}
+    i_bits = j_bits = 0
     for entry in entries:
         trace.update(chart.piece(entry))
-    t_pairs = _coupled_pairs(shape, entries)
-    j_set = frozenset(j for _, j in entries)
-    w1, w2, vc = chart.layout.split(frozenset(i for i, _ in entries), j_set)
+        i_bits |= 1 << entry[0]
+        j_bits |= 1 << entry[1]
+    w1, w2, vc = chart.layout.split(i_bits, j_bits)
     keep = chart.keep
     w1, w2, vc = w1 & keep, w2 & keep, vc & keep
+    t_pairs = _coupled_pairs(shape, entries)
     if t_pairs:
+        fibers: dict = {}  # alpha -> its alpha', by decreasing column
+        for ap, al in reversed(t_pairs):
+            fibers.setdefault(al, []).append(ap)
         table = chart.table
-        m_expr, mp_def = _packed_inversion(table, entries, t_pairs)
-        x_expr, xp_def = _packed_x_change(table, j_set, t_pairs, m_expr)
-        mt = table["M"]
-        changes = {mt[ia][ip]: p for (ia, ip), p in m_expr.items()}
-        changes.update(x_expr)
+        m_expr, mp_def = _packed_inversion(table, entries, fibers)
+        x_expr, xp_def = _packed_x_change(table, j_bits, fibers, m_expr)
+        changes = {**m_expr, **x_expr}
         # one substitution for both maps equals one map after the other: no
         # key of either occurs in the other's values (the M expressions hold
         # M, M' and N; the X expressions X', N and the X of rows outside J)
@@ -567,19 +571,17 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
         definitions = {**mp_def, **xp_def}
         # the coupled M and X, in Vc by the split (both indices of each are
         # in I or J), give way to M' in W1 and X' in W2
-        mpt, xt, xpt = table["Mp"], table["X"], table["Xp"]
-        for (ip, jp), (ia, _) in t_pairs:
-            vc -= mt[ia][ip] + xt[jp][ia]
-            w1 += mpt[ia][ip]
-            w2 += xpt[jp][ia]
+        vc -= sum(changes)
+        w1 += sum(mp_def)
+        w2 += sum(xp_def)
     else:  # nothing changes: the separated polynomial is the trace
         separated, changes, definitions = trace, {}, {}
     try:
         packed.check_bilinear(separated, chart.slots, w1, w2, vc)
     except BilinearityError as exc:
         raise _separation_error(composition, entries, exc) from exc
-    return PackedSeparation(chart, t_pairs, trace, separated, changes,
-                            definitions, w1, w2, vc)
+    return PackedSeparation(chart, entries, t_pairs, trace, separated,
+                            changes, definitions, w1, w2, vc)
 
 
 def certify(composition, y0: NormalFormY) -> bool:
@@ -594,23 +596,39 @@ def certify(composition, y0: NormalFormY) -> bool:
 
 
 class _MonomialNames(dict):
-    """Packed monomial -> (decoded monomial, its text, the text quoted as
-    a JSON string), filled on first use.
+    """Packed monomial m -> (sort key, its text, the text quoted as a JSON
+    string, m), filled on first use.
 
-    One per dimension vector, kept by its `_Layout`: every composition of
-    the vector shares its slot table, so a monomial is decoded and rendered
+    The key holds 3 bytes per factor of the decoded monomial: its field
+    index in 2 bytes, big-endian, then its exponent.  Field order is
+    `VarId` order, so keys sort as the tuple monomials do.  One per
+    dimension vector, kept by its `_Layout`: every composition of the
+    vector shares its slot table, so a monomial is decoded and rendered
     once however many reports, and calls, hold it.
     """
 
     def __init__(self, slots: packed.Slots):
         super().__init__()
         self.slots = slots
+        self._field = {v: k.to_bytes(2, "big")
+                       for k, v in enumerate(slots.variables)}
 
-    def __missing__(self, m: int) -> tuple[Mono, str, str]:
+    def __missing__(self, m: int) -> tuple[bytes, str, str, int]:
         mono = self.slots.decode(m)
         text = _mono_str(mono)
-        entry = self[m] = (mono, text, _quote(text))
+        key = b"".join([self._field[v] + bytes((e,)) for v, e in mono])
+        entry = self[m] = (key, text, _quote(text), m)
         return entry
+
+
+def _render(named: _MonomialNames, p: dict[int, int]) -> str:
+    """The quoted text of a polynomial, its terms in tuple-monomial order."""
+    if len(p) == 1:
+        [(m, c)] = p.items()
+        if c == 1:
+            return named[m][2]
+    terms = sorted(map(named.__getitem__, p))  # by sort key
+    return _quote(join_terms([(text, p[m]) for _, text, _, m in terms]))
 
 
 # the keys of a separation report, in order
@@ -631,26 +649,30 @@ class _ReportTable:
     """The texts that the reports of one dimension vector share at one
     nesting depth, kept by its `_Layout` in `reports[depth]`.
 
-    `n0` ... `n3` start the lines of a report's braces and of its three
-    nested levels; `keys` are the texts that open each field;
-    `entries[0]` and `entries[1]` are the texts of each y0 entry (i, j)
-    in the y0 list and in a set_t pair.  `group(mask)` is memoised: the
-    index of each unit of a unit mask in its group, and the group's name
-    array.  Few groups occur however many reports hold them.
+    `n0`, `n1` and `n2` start the lines of a report's braces, of its
+    fields and of the items of a field's list; `pair` is the %-format of a
+    list of two such items; `entries[0]` and `entries[1]`
+    are the texts of each y0 entry (i, j) in the y0 list and in a set_t
+    pair.  Two memos, as few of their keys occur however many reports hold
+    them: `group(mask)`, the index of each unit of a unit mask in its group
+    and the group's name array, and `form(rows, cols)`, the fixed text of
+    a whole report whose `b_matrix` has that shape, in the pieces that go
+    before, between and after the texts of its first nine fields and then
+    of its cells, row by row.
     """
 
     def __init__(self, names: _MonomialNames, d1: int, d2: int, depth: int):
         self.names = names
         self.n0 = n0 = "\n" + "  " * depth
-        self.n1, self.n2, self.n3 = n1, n2, n3 = (
-            n0 + "  ", n0 + "    ", n0 + "      ")
-        self.keys = [("," if k else "{") + n1 + _quote(key) + ": "
-                     for k, key in enumerate(_REPORT_KEYS)]
+        self.n1, self.n2 = n1, n2 = n0 + "  ", n0 + "    "
+        n3 = n2 + "  "
+        self.pair = "[" + n3 + "%s," + n3 + "%s" + n2 + "]"
         self.entries = [
             {(i, j): _array((str(i), str(j)), newline)
              for i in range(1, d1 + 1) for j in range(1, d2 + 1)}
             for newline in (n2, n3)]
         self._groups: dict[int, tuple[dict[int, int], str]] = {}
+        self._forms: dict[tuple[int, int], list[str]] = {}
 
     def group(self, mask: int) -> tuple[dict[int, int], str]:
         found = self._groups.get(mask)
@@ -664,23 +686,36 @@ class _ReportTable:
                 _array([self.names[u][2] for u in units], self.n1))
         return found
 
+    def form(self, rows: int, cols: int) -> list[str]:
+        found = self._forms.get((rows, cols))
+        if found is None:
+            row = _array(["%s"] * cols, self.n2)
+            values = ["%s"] * 9 + [_array((str(rows), str(cols)), self.n1),
+                                   _array([row] * rows, self.n1)]
+            found = self._forms[rows, cols] = "".join(
+                ("," if k else "{") + self.n1 + _quote(key) + ": " + value
+                for k, (key, value) in enumerate(zip(_REPORT_KEYS, values))
+            ).split("%s")
+            found[-1] += self.n0 + "}"
+        return found
+
 
 def report_texts(composition, matchings, depth: int = 0) -> list[str]:
-    """The JSON text of the separation report of each matching, as parts.
+    """The JSON text of the separation report of each matching.
 
-    The one producer of separation reports: `separate` prints these parts
-    and `report_dicts` parses them.  Joined, they are the reports' texts,
-    separated by "," and a line break, each exactly the bytes
+    The one producer of separation reports: `separate` prints these texts
+    and `report_dicts` parses them.  Each is exactly the bytes
     `json.dumps(report, indent=2)` writes for a report at nesting `depth`:
     every line break is followed by two spaces per level.  Every field is
     rendered straight from `separate_packed`'s polynomials and unit masks
     through the tables of its dimension vector: the slot table's monomial
-    texts (`_MonomialNames`) and, at this depth, the `_ReportTable`, which
-    renders each variable group once.  Terms come in sorted tuple-monomial
-    order.  `b_matrix` is the bilinear form, the certificate: a cell is the
-    part of the separated trace with one W1 and one W2 factor, split off
-    by the fields of the two masks, as a polynomial in Vc.  Raises
-    SeparationError like `separate_packed`, before any report is returned.
+    texts and sort keys (`_MonomialNames`) and, at this depth, the
+    `_ReportTable`, which renders each variable group once and holds the
+    format of the whole report.  Terms come in sorted tuple-monomial order.
+    `b_matrix` is the bilinear form, the certificate: a cell is the part of
+    the separated trace with one W1 and one W2 factor, split off by the
+    fields of the two masks, as a polynomial in Vc.  Raises SeparationError
+    like `separate_packed`, before any report is returned.
     """
     shape = flag_shape(composition)
     layout = shape.packed_chart.layout
@@ -688,76 +723,63 @@ def report_texts(composition, matchings, depth: int = 0) -> list[str]:
     if table is None:
         table = layout.reports[depth] = _ReportTable(
             layout.names, shape.d1, shape.d2, depth)
-    named = layout.names
-    n0, n1, n2 = table.n0, table.n1, table.n2
+    named, n1, pair = layout.names, table.n1, table.pair
     y0_texts, pair_texts = table.entries
     zero = _quote(join_terms([]))
-
-    def render(p: dict[int, int]) -> str:
-        if len(p) == 1:  # nothing to sort
-            for term in p.items():
-                return cell(term)
-        terms = sorted([(*named[m], c) for m, c in p.items()])
-        return _quote(join_terms([(text, c) for _, text, _, c in terms]))
-
-    def cell(term) -> str:
-        """The text of a nonzero b_matrix cell: one (monomial,
-        coefficient) or a polynomial of several terms."""
-        if type(term) is dict:
-            return render(term)
-        m, c = term
-        if c == 1:
-            return named[m][2]
-        return _quote(join_terms([(named[m][1], c)]))
-
     composition_text = _array([str(v) for v in shape.composition], n1)
-    parts: list[str] = []
+    texts: list[str] = []
     for y0 in matchings:
         sep = separate_packed(shape.composition, y0)
         row_of, rows_text = table.group(sep.w1)
         col_of, cols_text = table.group(sep.w2)
         row_mask, col_mask = (packed.FIELD_MASK * sep.w1,
                               packed.FIELD_MASK * sep.w2)
-        matrix = [[None] * len(col_of) for _ in row_of]
+        cols = len(col_of)
+        cells = [zero] * (len(row_of) * cols)  # row by row
+        several = []
         for m, c in sep.separated.items():
             # W1 and W2 are disjoint, and each monomial is one unit of each
             # times a monomial in Vc
             r, s = m & row_mask, m & col_mask
-            row, j = matrix[row_of[r]], col_of[s]
-            if row[j] is None:
-                row[j] = m - r - s, c
-            elif type(row[j]) is dict:
-                row[j][m - r - s] = c
-            else:  # a cell of several terms gets its polynomial
-                row[j] = dict([row[j], (m - r - s, c)])
-        trace = render(sep.trace)
-        changes = sorted([named[u][1], render(p)]
-                         for u, p in sep.changes.items())
-        values = (
+            k = row_of[r] * cols + col_of[s]
+            if cells[k] is not zero:
+                several.append(k)
+            elif c == 1:
+                cells[k] = named[m - r - s][2]
+            else:
+                cells[k] = _render(named, {m - r - s: c})
+        if several:  # rare: the cells of several terms, rendered whole
+            polys: dict = {k: {} for k in several}
+            for m, c in sep.separated.items():
+                r, s = m & row_mask, m & col_mask
+                polys.get(row_of[r] * cols + col_of[s], {})[m - r - s] = c
+            for k, p in polys.items():
+                cells[k] = _render(named, p)
+        trace = _render(named, sep.trace)
+        changes = sorted(sep.changes.items(), key=lambda t: named[t[0]][1])
+        values = [
             composition_text,
-            _array([y0_texts[e] for e in y0.sorted_entries()], n1),
-            _array([_array([pair_texts[a], pair_texts[b]], n2)
+            _array([y0_texts[e] for e in sep.entries], n1),
+            _array([pair % (pair_texts[a], pair_texts[b])
                     for a, b in sorted(sep.t_pairs)], n1),
-            rows_text,
-            cols_text,
-            table.group(sep.vc)[1],
+            rows_text, cols_text, table.group(sep.vc)[1],
             trace,
-            trace if sep.separated is sep.trace else render(sep.separated),
-            _array([_array([_quote(u), p], n2) for u, p in changes], n1),
-            _array((str(len(row_of)), str(len(col_of))), n1),
-            _array([_array([zero if t is None else cell(t) for t in row], n2)
-                    for row in matrix], n1),
-        )
-        if parts:
-            parts.append("," + n0)
-        for key, value in zip(table.keys, values):
-            parts += key, value
-        parts.append(n0 + "}")
-    return parts
+            trace if sep.separated is sep.trace
+            else _render(named, sep.separated),
+            _array([pair % (named[u][2], _render(named, p))
+                    for u, p in changes], n1),
+            *cells]
+        # the report's fixed pieces, one more than its values, alternate
+        # with them: refill a list of their joint length
+        pieces = table.form(len(row_of), cols)
+        text = pieces + values
+        text[::2], text[1::2] = pieces, values
+        texts.append("".join(text))
+    return texts
 
 
 def report_dicts(composition, matchings) -> list[dict]:
     """The JSON report of the separation of each matching, in order: the
     texts of `report_texts`, parsed, so exactly what `separate` prints."""
-    return json.loads("[" + "".join(report_texts(composition, matchings))
+    return json.loads("[" + ",".join(report_texts(composition, matchings))
                       + "]")

@@ -52,7 +52,7 @@ from semican.geom import PairPoint, _conormal_rows
 from semican.packed import Slots
 from semican.qcount import Word, euler_counts, step_matrix, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
-                                _coupled_pairs, _fiber, _separation_error,
+                                _coupled_pairs, _separation_error,
                                 flag_shape, validate_matching)
 from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
                              join_terms)
@@ -1091,6 +1091,11 @@ class SeparationReport:
     change_of_variables: tuple[tuple[str, str], ...]
     bilinear: BilinearForm
     definitions: dict[VarId, RefPoly]
+
+
+def _fiber(t_pairs, al):
+    """The alpha' coupled to alpha, by decreasing column."""
+    return sorted((ap for ap, a2 in t_pairs if a2 == al), key=lambda e: -e[1])
 
 
 def _inversion(shape: FlagShape, entries):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import pickle
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from semican import packed
 from semican.core import (DimVector, PiModClass, compositions,
                           representative_pair)
 import semican.verify as verify
 from semican.separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
-                                _blocks, certify, count_instances, flag_shape,
-                                instances_at, matchings, report_dicts,
+                                _blocks, _MonomialNames, certify,
+                                count_instances, flag_shape, instances_at,
+                                matchings, report_dicts, report_texts,
                                 separate_packed, validate_matching)
 from semican.sympoly import VarId
 
@@ -594,6 +597,51 @@ def test_report_serializes():
     data = json.loads(blob)
     assert data["trace_poly"] == decode_separation(sep).trace.to_str()
     assert data["b_shape"] == [sep.w1.bit_count(), sep.w2.bit_count()]
+
+
+def test_monomial_sort_keys_sort_as_tuple_monomials():
+    # the reports order terms by the byte keys of `_MonomialNames`, which
+    # must sort as the decoded tuple monomials do; (10, 10) has 335 slots,
+    # so its field indices take both bytes of a key
+    rng = random.Random(31)
+    for d in (4, 10):
+        slots = flag_shape((1,) * d + (2,) * d).packed_chart.slots
+        n = len(slots.variables)
+        assert n == (50 if d == 4 else 335)
+        names = _MonomialNames(slots)
+        edges = [0, 1, n - 1] + ([255, 256] if n > 256 else [])
+        monos = set()
+        for _ in range(40):
+            # few fields per pool: shared first factors and prefixes
+            pool = sorted({*rng.sample(range(n), 4), *rng.sample(edges, 2)})
+            for _ in range(25):
+                fields = rng.sample(pool, rng.randint(0, len(pool)))
+                monos.add(sum(rng.choice((1, 2, 3, 255))
+                              << (packed.FIELD_BITS * f) for f in fields))
+        monos = list(monos)
+        rng.shuffle(monos)
+        assert len(monos) > 500
+        assert sorted(monos, key=lambda m: names[m][0]) \
+            == sorted(monos, key=slots.decode), d
+
+
+def test_calls_leave_no_cyclic_garbage():
+    # what each call builds is freed by reference counting alone: the
+    # cyclic collector finds nothing after it
+    a = (1, 2, 2, 1, 1, 2, 2, 1)
+    y0 = NormalFormY.of((1, 2), (3, 3), (2, 4))
+    calls = [(matchings, (a,)),
+             (instances_at, (DimVector(4, 4), [5, 900, 2000])),
+             (report_texts, (a, [y0])),
+             (certify, (a, y0))]
+    gc.collect()
+    gc.disable()
+    try:
+        for call, args in calls:
+            call(*args)
+            assert gc.collect() == 0, call.__name__
+    finally:
+        gc.enable()
 
 
 def test_readme_library_example(capsys):

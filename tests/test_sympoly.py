@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semican import packed, sympoly
@@ -252,7 +252,18 @@ def test_bilinear_witness_is_first_in_term_order():
 # the packed kernel against the RefPoly reference
 
 
+_X11, _X21, _M21, _N32 = map(RefPoly.var, _vars)
+_B = _X21 + RefPoly.const(2) * _N32
+_C = _X11 * _N32 - RefPoly.const(3)
+
+
 @given(polys(), polys(), polys())
+# `substitute` takes a monomial with one mapped variable, to the power 1,
+# on its own path; a mapped variable squared, or two mapped variables in
+# one monomial, go through the general loop
+@example(_X11 * _X11 * _N32 + _X21 * _X21, _B, _C)
+@example(_X11 * _M21 * _N32 + _X21 * _M21, _B, _C)
+@example(_X11 * _N32 + _X21 + _M21, _B, _C)
 @settings(max_examples=60, deadline=None)
 def test_packed_arithmetic_matches_multipoly(a, b, c):
     # degree <= 6 per polynomial, so <= 36 after substituting into a
