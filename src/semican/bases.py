@@ -28,9 +28,10 @@ both sides S_{v,1}(D) . S_{v,1}(D - e_v) ... S_{v,1}(D - (b-1) e_v) ==
 b! S_{v,b}(D) (Lusztig, Semicanonical bases arising from enveloping
 algebras, Adv. Math. 151, 2000).  The row of a grouped word is therefore
 1 / prod b! times the row of its single-letter refinement, on both sides,
-and the identity holds for it too.  That grouping relation is a property
-of the step rules, tested exhaustively in tier 1; the lift itself reads
-and checks single letters only, two identities per D.
+and the identity holds for it too.  Neither the grouped rule S_{v,b} nor
+that grouping relation is library code: both live in tests/oracles.py and
+the relation is tested exhaustively in tier 1.  The lift reads and checks
+single letters only, two identities per D.
 
 The induction holds whatever T_D the identities are checked with, so T
 is solved from the identities themselves.  T_D is given the T of its rank
@@ -233,7 +234,7 @@ def _pair_side(u_child, sub: DimVector, v: int, factor: int = 1):
     columns of u_child that the class peels to."""
     child_cols = list(zip(*u_child))
     cols = []
-    for steps in step_matrix(sub, v, 1, "Pi"):
+    for steps in step_matrix(sub, v, "Pi"):
         col = (0,) * len(u_child)
         for j, n in steps:
             n *= factor
@@ -257,7 +258,7 @@ def _solve_diagonal(k: int, u_child, child_scale: int):
     equations = []
     for v in (1, 2):
         coefficients = [[0] * (k + 1) for _ in u_child]
-        for r, steps in enumerate(step_matrix(sub, v, 1, "E")):
+        for r, steps in enumerate(step_matrix(sub, v, "E")):
             for j, n in steps:
                 coefficients[j][r] = n * child_scale
         equations += [c + p for c, p in
@@ -282,7 +283,7 @@ def _first_broken_identity(scaled) -> str | None:
             lhs = _pair_side(u_child, sub, v, scale)
             # child_scale * (S_e^T . u), one orbit rank of sub at a time
             rhs = [[0] * width for _ in u_child]
-            for u_row, steps in zip(u, step_matrix(sub, v, 1, "E")):
+            for u_row, steps in zip(u, step_matrix(sub, v, "E")):
                 for j, n in steps:
                     n *= child_scale
                     rhs[j] = [x + n * y for x, y in zip(rhs[j], u_row)]

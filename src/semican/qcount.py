@@ -1,23 +1,19 @@
 """Euler characteristics of flag fibres, over Python ints.
 
-Every fibre met while peeling grouped subrepresentations off a
-rank-classified representation is an iterated Grassmannian bundle, so its
-number of F_q-points is a polynomial in q whose value at q = 1 is its Euler
-characteristic.  Only those q = 1 values are used, and at q = 1 a Gaussian
-binomial is the binomial math.comb and every power of q is 1, so each step
-of the peeling is a product of two binomials; step_matrix holds those
-products for one peeled letter, built in one pass per side and vertex.
-euler_counts applies the step matrices of a word's letters in one loop.
-Nothing of a count outlives its call: only the class index of each rank
-bound is memoised.  A word is a tuple of (vertex, multiplicity) letters,
-innermost first.  The q-polynomials themselves are the test suite's
-reference.
+Peeling a line off a rank-classified representation at vertex v keeps its
+class or lowers one rank by 1.  The lines of each kind form a projective
+space, whose Euler characteristic, its number of F_q-points at q = 1, is
+affine in d_v.  step_matrix holds those counts for the letter v^1, and
+euler_counts applies the step matrices of a word's letters in one loop.  A
+word is a tuple of (vertex, multiplicity) letters, innermost first, and
+only single letters are read.  Only the class index of each rank bound is
+memoised.  The grouped rule, the grouping relation and the q-polynomials
+are the test suite's reference, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from .core import DimVector
 
@@ -38,44 +34,45 @@ def _pi_index(k: int) -> dict:
         (r, s) for r in range(k + 1) for s in range(k - r + 1))}
 
 
-def step_matrix(dim: DimVector, vertex: int, b: int, side: str):
-    """The q = 1 step matrix S_{vertex,b}(dim), one sparse row per class of
-    `dim` in class order: (child index, count) for peeling a b-dimensional
-    sub at `vertex`, children indexed in the class order of their dimension.
+def step_matrix(dim: DimVector, vertex: int, side: str):
+    """The q = 1 step matrix S_{v,1}(dim) of the letter v^1, one sparse row
+    per class of `dim` in class order: (child index, count) for peeling a
+    line at `vertex`, children indexed in the class order of their
+    dimension, the kept class first, each exactly when its count is
+    nonzero (which keeps it within the child's rank bound).
 
-    On side "E" the class is a rank r.  At vertex 1 the sub lies in ker x;
-    at vertex 2 it meets im x in dimension t, which lowers r by t.  On side
-    "Pi" the class is a pair (x, y) with ranks (r, s) and x y = 0 = y x.  At
-    vertex 1 the sub lies in ker x and meets im y in dimension t, which
-    lowers s by t; at vertex 2 it lies in ker y and meets im x, which lowers
-    r.  Each range of t keeps both binomials nonzero and the child class
-    within the child's rank bound.
-
-    The count row of a word (vertex, b) + rest is S times the count row of
+    On side "E" the class is a rank r: at vertex 1, r -> r with count
+    d1 - r (lines in ker x); at vertex 2, r -> r with d2 - r and r -> r - 1
+    with r (lines in im x).  On side "Pi" it is a pair (x, y) of ranks
+    (r, s) with x y = 0 = y x: at vertex 1, (r, s) -> (r, s) with
+    d1 - r - s and (r, s) -> (r, s - 1) with s (lines in im y); at vertex
+    2, (r, s) -> (r, s) with d2 - r - s and (r, s) -> (r - 1, s) with r.
+    The count row of a word (vertex, 1) + rest is S times the count row of
     rest on the child dimension."""
     d1, d2 = dim
-    # the rank bound of the child dimension
-    k = min(d1 - b, d2) if vertex == 1 else min(d1, d2 - b)
+    n = min(d1, d2)
     if side == "E":
         if vertex == 1:
-            return tuple([((r, comb(d1 - r, b)),) if r <= d1 - b else ()
-                          for r in range(min(d1, d2) + 1)])
-        return tuple([
-            tuple([(r - t, comb(r, t) * comb(d2 - r, b - t))
-                   for t in range(max(0, b - (d2 - r), r - k),
-                                  min(b, r) + 1)])
-            for r in range(min(d1, d2) + 1)])
-    child, classes = _pi_index(k), _pi_index(min(d1, d2))
+            return tuple([((r, d1 - r),) if r < d1 else ()
+                          for r in range(n + 1)])
+        return tuple([((r, d2 - r), (r - 1, r)) if 0 < r < d2
+                      else ((r - 1, r),) if r else ((r, d2),)
+                      for r in range(n + 1)])
+    classes = _pi_index(n)
     if vertex == 1:
+        child = _pi_index(min(d1 - 1, d2))
         return tuple([
-            tuple([(child[r, s - t], comb(s, t) * comb(d1 - r - s, b - t))
-                   for t in range(max(0, b - (d1 - r - s), r + s - k),
-                                  min(b, s) + 1)])
+            ((child[r, s], d1 - r - s), (child[r, s - 1], s))
+            if s and r + s < d1
+            else ((child[r, s - 1], s),) if s
+            else ((child[r, s], d1 - r - s),) if r + s < d1 else ()
             for r, s in classes])
+    child = _pi_index(min(d1, d2 - 1))
     return tuple([
-        tuple([(child[r - t, s], comb(r, t) * comb(d2 - r - s, b - t))
-               for t in range(max(0, b - (d2 - r - s), r + s - k),
-                              min(b, r) + 1)])
+        ((child[r, s], d2 - r - s), (child[r - 1, s], r))
+        if r and r + s < d2
+        else ((child[r - 1, s], r),) if r
+        else ((child[r, s], d2 - r - s),) if r + s < d2 else ()
         for r, s in classes])
 
 
@@ -84,11 +81,10 @@ def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:
     class of `dim` in class order: orbit ranks for side "E", pair classes
     in pi_classes order for side "Pi".
 
-    The leftmost letter is the innermost subrepresentation; the word's
-    vertex content must be `dim`.  The row of (vertex, b) + rest is
-    S_{vertex,b}(dim) times the row of rest on the child dimension, so the
-    loop starts from the one class of (0, 0), with count 1, and applies the
-    step matrices from the last letter to the first.
+    The leftmost letter is the innermost subrepresentation; every letter
+    is a single letter v^1, and the word's vertex content must be `dim`.
+    The loop starts from the one class of (0, 0), with count 1, and
+    applies the step matrices from the last letter to the first.
     """
     word = tuple((int(v), int(m)) for v, m in word)
     if any(v not in (1, 2) or m < 1 for v, m in word):
@@ -98,12 +94,13 @@ def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:
             f"word content {word_content(word)} does not match {dim}")
     if side not in ("E", "Pi"):
         raise ValueError(f"side must be 'E' or 'Pi', got {side!r}")
+    for v, m in word:
+        if m != 1:
+            raise ValueError(f"grouped letter {v}^{m} in {word}: "
+                             f"euler_counts reads single letters only")
     row, d1, d2 = [1], 0, 0
-    for vertex, mult in reversed(word):
-        if vertex == 1:
-            d1 += mult
-        else:
-            d2 += mult
+    for vertex, _ in reversed(word):
+        d1, d2 = (d1 + 1, d2) if vertex == 1 else (d1, d2 + 1)
         row = [sum([n * row[j] for j, n in steps])
-               for steps in step_matrix((d1, d2), vertex, mult, side)]
+               for steps in step_matrix((d1, d2), vertex, side)]
     return row

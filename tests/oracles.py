@@ -3,14 +3,17 @@
 They recompute, by a different route, what the library relies on: the
 counting polynomials in q of flags of subrepresentations (Gaussian
 binomials, one-step and grouped steps, the word evaluator), whose values at
-q = 1 the integer counts of semican.qcount must equal; pivot columns,
-kernels, pivoted and square solutions read off `ratlin.echelon`, a
-Gauss-Jordan solve in Fractions that shares no code with it, and the tangent
-space of the conormal variety; the expansion of a constructible function
-in flag monomials and the smallness test of the resolutions behind
-canonical_fn; the transfer matrix as Fractions and the lift of a function
-through it; the sandwich count rows of every sub-dimension, both sides,
-by euler_counts, where semican.bases builds only the E-side rows of its
+q = 1 the integer counts of semican.qcount must equal, and the grouped step
+matrices at q = 1 with the flag counts of grouped words built on them,
+which the library does not have; the single-letter subrepresentations of
+each class's representative pair over F_p, counted by brute force; pivot
+columns, kernels, pivoted and square solutions read off `ratlin.echelon`,
+a Gauss-Jordan solve in Fractions that shares no code with it, and the
+tangent space of the conormal variety; the expansion of a constructible
+function in flag monomials and the smallness test of the resolutions
+behind canonical_fn; the transfer matrix as Fractions and the lift of a
+function through it; the sandwich count rows of every sub-dimension, both
+sides, by word_counts, where semican.bases builds only the E-side rows of its
 dimension vector; the lift solved from those rows by two eliminations per
 dimension vector, the reference of the T that semican.bases solves from
 the single-letter identities at the diagonal, and the identities checked
@@ -35,6 +38,7 @@ numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -46,11 +50,12 @@ import numpy as np
 
 from semican import ratlin
 from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
-                           sandwich_words)
-from semican.core import DimVector, Orbit, PiModClass, compositions, pi_classes
+                           _refined, sandwich_words)
+from semican.core import (DimVector, Orbit, PiModClass, compositions,
+                          enumerate_orbits, pi_classes, representative_pair)
 from semican.geom import PairPoint, _conormal_rows
 from semican.packed import Slots
-from semican.qcount import Word, euler_counts, step_matrix, word_content
+from semican.qcount import Word, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _coupled_pairs, _separation_error,
                                 flag_shape, validate_matching)
@@ -350,6 +355,107 @@ def transitions(word: Word, cls, side: str) -> dict:
     return front
 
 
+@lru_cache(maxsize=None)
+def grouped_step(dim: DimVector, vertex: int, b: int, side: str):
+    """The grouped step matrix S_{vertex,b}(dim) at q = 1: per class of
+    `dim` in class order, ((child index, count), ...) from the grouped
+    polynomials at 1, children indexed in the class order of their
+    dimension and sorted by class.  The library builds S_{v,1} only, as
+    closed forms; this is the reference for every b."""
+    classes = enumerate_orbits if side == "E" else pi_classes
+    child = (DimVector(dim.d1 - b, dim.d2) if vertex == 1
+             else DimVector(dim.d1, dim.d2 - b))
+    index = {c: i for i, c in enumerate(classes(child))}
+    return tuple(tuple((index[s.child], s.count.at_one())
+                       for s in sub_grouped(c, vertex, b, side))
+                 for c in classes(dim))
+
+
+def word_counts(word: Word, dim: DimVector, side: str) -> list[int]:
+    """Euler characteristics of the flags of type `word`, grouped letters
+    too, one per class of `dim` in class order: the grouped steps of its
+    letters, the last letter first, applied to the one class of (0, 0)."""
+    if word_content(word) != (dim.d1, dim.d2):
+        raise ValueError(
+            f"word content {word_content(word)} does not match {dim}")
+    row, d1, d2 = [1], 0, 0
+    for vertex, b in reversed(word):
+        d1, d2 = (d1 + b, d2) if vertex == 1 else (d1, d2 + b)
+        row = [sum(n * row[j] for j, n in steps)
+               for steps in grouped_step(DimVector(d1, d2), vertex, b, side)]
+    return row
+
+
+# ---------------------------------------------------------------------------
+# single-letter subrepresentations over F_p, by brute force
+
+
+def rank_mod(vectors, p: int) -> int:
+    """Dimension over F_p of the span of `vectors`."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _lines(d: int, p: int):
+    """A spanning vector of each line of F_p^d: first nonzero entry 1."""
+    for v in itertools.product(range(p), repeat=d):
+        nonzero = [c for c in v if c]
+        if nonzero and nonzero[0] == 1:
+            yield v
+
+
+def _apply(m, v, p: int) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) % p for row in m)
+
+
+def brute_single_letter(cls, vertex: int, p: int) -> dict:
+    """{child class: number of lines} over F_p for peeling one line at
+    `vertex` off `core.representative_pair` of `cls`: an Orbit (the pair
+    with y = 0, read as x alone) or a PiModClass.
+
+    A line L at vertex 1 is a subrepresentation when x L = 0, one at
+    vertex 2 when y L = 0; the child is the class of the quotient by L.  A
+    map out of the quotient keeps the rank of the map it comes from, since
+    L lies in its kernel; a map into it has rank dim(im + L) - 1, both
+    ranks by elimination over F_p."""
+    dim = cls.dim
+    pair = cls if isinstance(cls, PiModClass) else PiModClass(dim, cls.r, 0)
+    x, y = representative_pair(pair)  # x: V1 -> V2 as d2 rows, y the other
+    x_cols, y_cols = list(zip(*x)), list(zip(*y))
+    rank_x, rank_y = rank_mod(x_cols, p), rank_mod(y_cols, p)
+    out: dict = {}
+    for v in _lines(dim.d1 if vertex == 1 else dim.d2, p):
+        if vertex == 1:
+            if any(_apply(x, v, p)):
+                continue
+            child_dim = DimVector(dim.d1 - 1, dim.d2)
+            r, s = rank_x, rank_mod(y_cols + [v], p) - 1
+        else:
+            if any(_apply(y, v, p)):
+                continue
+            child_dim = DimVector(dim.d1, dim.d2 - 1)
+            r, s = rank_mod(x_cols + [v], p) - 1, rank_y
+        child = (PiModClass(child_dim, r, s) if isinstance(cls, PiModClass)
+                 else Orbit(child_dim, r))
+        out[child] = out.get(child, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # linear algebra read off `ratlin.echelon`, and one solve that shares no code
 # with it
@@ -449,8 +555,8 @@ def spanning_words(dim: DimVector) -> list[Word]:
 
 def monomial_matrix(dim: DimVector, words, side: str) -> list[list[int]]:
     """Row per word, column per class of `dim` on `side` ("E" or "Pi"):
-    flag counts at q = 1."""
-    return [euler_counts(w, dim, side) for w in words]
+    flag counts at q = 1, grouped letters too."""
+    return [word_counts(w, dim, side) for w in words]
 
 
 def transfer_entries(t: TransferMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -475,17 +581,12 @@ def solve_square(a, b) -> tuple[list[list[int]], int]:
         [list(ra) + list(rb) for ra, rb in zip(a, b)], width=n)[1], n)
 
 
-def refined_word(word: Word) -> Word:
-    """`word` with each letter v^b written as b letters v^1."""
-    return tuple((v, 1) for v, b in word for _ in range(b))
-
-
 def every_sandwich_rows(dim: DimVector, refine: bool = False) -> dict:
     """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
-    pair-side euler_counts rows of the sandwich words of D, or with
+    pair-side word_counts rows of the sandwich words of D, or with
     `refine` of their single-letter refinements."""
     def words(sub):
-        return [refined_word(w) if refine else w for w in sandwich_words(sub)]
+        return [_refined(w) if refine else w for w in sandwich_words(sub)]
 
     return {sub: tuple(monomial_matrix(sub, words(sub), side)
                        for side in ("E", "Pi"))
@@ -508,14 +609,15 @@ def two_pass_transfer(sub: DimVector, mat_e, mat_pi):
                         [mat_pi[i] for i in picked])
 
 
-def first_broken_identity(scaled, steps=step_matrix,
+def first_broken_identity(scaled, steps=grouped_step,
                           single=False) -> str | None:
     """The witness of the first intertwining identity
     T_child . S^Pi^T == S^E^T . T_D that fails, over the (u, s) of each D
     in `scaled`, in the order of `scaled` and then by letter, compared
-    entry by entry; None when all hold.  `steps` gives the step matrices.
-    With `single`, only the single letters v^1 are checked, as the library
-    does; otherwise every letter v^b with b <= d_v."""
+    entry by entry; None when all hold.  `steps(D, v, b, side)` gives the
+    step matrices.  With `single`, only the single letters v^1 are
+    checked, as the library does; otherwise every letter v^b with
+    b <= d_v."""
     for sub, (u, scale) in scaled.items():
         classes = pi_classes(sub)
         for v, top in ((1, sub.d1), (2, sub.d2)):
@@ -551,9 +653,9 @@ def first_sweep_mismatch(t: TransferMatrix, words):
     scale = math.lcm(*(v.denominator for row in entries for v in row))
     cols = [[int(v * scale) for v in col] for col in zip(*entries)]
     for w in words:
-        row_e = euler_counts(w, dim, "E")
+        row_e = word_counts(w, dim, "E")
         for cls, col, lhs in zip(pi_classes(dim), cols,
-                                 euler_counts(w, dim, "Pi")):
+                                 word_counts(w, dim, "Pi")):
             rhs = sum(e * c for e, c in zip(row_e, col))
             if rhs != lhs * scale:
                 return w, cls, Fraction(lhs), Fraction(rhs, scale)

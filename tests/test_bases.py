@@ -282,9 +282,9 @@ def test_transfer_matrix_witnesses(monkeypatch):
     def corrupting(at, letter, cls=0, entry=0):
         # one pair-side step count of `letter` at `at`, class index `cls`,
         # off by one
-        def corrupted(sub, vertex, b, side):
-            steps = real(sub, vertex, b, side)
-            if (sub, (vertex, b), side) != (at, letter, "Pi"):
+        def corrupted(sub, vertex, side):
+            steps = real(sub, vertex, side)
+            if (sub, (vertex, 1), side) != (at, letter, "Pi"):
                 return steps
             row = list(steps[cls])
             child, n = row[entry]
@@ -334,16 +334,6 @@ def test_transfer_matrix_witnesses(monkeypatch):
                             corrupting(DimVector(3, 3), letter))
         t = transfer_matrix(DimVector(4, 3))
         assert (t.mismatch, t.section_failures()) == (witness, section)
-    monkeypatch.undo()
-
-    # a grouped step is read neither by the solve nor by the identities:
-    # corrupting 1^2 at (3, 3) everywhere leaves the lift as it is
-    want = transfer_matrix(DimVector(4, 3))
-    monkeypatch.setattr(bases, "step_matrix",
-                        corrupting(DimVector(3, 3), (1, 2)))
-    monkeypatch.setattr(qcount, "step_matrix",
-                        corrupting(DimVector(3, 3), (1, 2)))
-    assert transfer_matrix(DimVector(4, 3)) == want
     monkeypatch.undo()
 
     truncated = sandwich_rows(DimVector(1, 1))[:1]
@@ -418,8 +408,8 @@ def test_rank_deficient_identities_raise_spanning_error(monkeypatch):
     for k in range(1, 5):
         at = DimVector(k, k)
 
-        def dropping(sub, vertex, b, side, at=at, k=k):
-            steps = real(sub, vertex, b, side)
+        def dropping(sub, vertex, side, at=at, k=k):
+            steps = real(sub, vertex, side)
             if (sub, vertex, side) != (at, 2, "E"):
                 return steps
             return steps[:k] + ((),)
@@ -478,8 +468,8 @@ def test_spanning_checked_at_an_off_diagonal_dim(monkeypatch):
     # a rank-deficient diagonal sub-dimension fails first, in (d1, d2) order
     real = bases.step_matrix
 
-    def dropping(sub, vertex, b, side):
-        steps = real(sub, vertex, b, side)
+    def dropping(sub, vertex, side):
+        steps = real(sub, vertex, side)
         if (sub, vertex, side) != (DimVector(1, 1), 2, "E"):
             return steps
         return steps[:1] + ((),)
@@ -532,16 +522,18 @@ def test_identity_witness_matches_entry_scan(monkeypatch):
     # one corrupted step count of a single letter, on each side
     for letter, side in [((1, 1), "Pi"), ((2, 1), "Pi"), ((2, 1), "E")]:
 
-        def corrupted(sub, vertex, b, side_, letter=letter, side=side):
-            steps = step_matrix(sub, vertex, b, side_)
-            if (sub, (vertex, b), side_) != (DimVector(4, 3), letter, side):
+        def corrupted(sub, vertex, side_, letter=letter, side=side):
+            steps = step_matrix(sub, vertex, side_)
+            if (sub, (vertex, 1), side_) != (DimVector(4, 3), letter, side):
                 return steps
             k = next(i for i, row in enumerate(steps) if row)
             (child, n), *rest = steps[k]
             return steps[:k] + (((child, n + 1), *rest),) + steps[k + 1:]
 
         monkeypatch.setattr(bases, "step_matrix", corrupted)
-        want = first_broken_identity(scaled, corrupted, single=True)
+        want = first_broken_identity(
+            scaled, lambda sub, v, b, side_: corrupted(sub, v, side_),
+            single=True)
         assert want is not None and want.startswith(
             f"dim (4,3), letter {letter[0]}^1, ")
         assert bases._first_broken_identity(scaled) == want
@@ -552,25 +544,25 @@ def test_identity_witness_matches_entry_scan(monkeypatch):
 
 def test_lift_reads_single_letters_only(monkeypatch):
     # every step matrix the lift asks for, for its count rows, its solve
-    # and its identities, peels a single letter; the grouping relation
-    # (tested in test_qcount) carries the identities to grouped words.  The
-    # count rows, the only ones read through qcount, are E-side rows: no
-    # pair-side count row is built
+    # and its identities, peels a single letter, the only letter the
+    # library has a step rule for; the grouping relation (tested in
+    # test_qcount against the oracle's grouped rule) carries the identities
+    # to grouped words.  The count rows, the only ones read through qcount,
+    # are E-side rows: no pair-side count row is built
     calls = {}
     for module in (bases, qcount):
-        def record(dim, vertex, b, side, real=module.step_matrix,
+        def record(dim, vertex, side, real=module.step_matrix,
                    name=module.__name__):
-            calls[name].append((dim, vertex, b, side))
-            return real(dim, vertex, b, side)
+            calls[name].append((dim, vertex, side))
+            return real(dim, vertex, side)
         monkeypatch.setattr(module, "step_matrix", record)
     for dim in [DimVector(8, 8), DimVector(3, 6)]:
         for run in (transfer_matrix, cc_multiplicities):
             calls.update({"semican.bases": [], "semican.qcount": []})
             run(dim)
             both = calls["semican.bases"] + calls["semican.qcount"]
-            assert {(v, side) for _, v, _, side in both} == \
+            assert {(v, side) for _, v, side in both} == \
                 {(v, side) for v in (1, 2) for side in ("E", "Pi")}, dim
-            assert all(b == 1 for _, _, b, _ in both), dim
             assert calls["semican.qcount"], dim
             assert {side for *_, side in calls["semican.qcount"]} == {"E"}
 

@@ -258,8 +258,8 @@ def test_verify_lift_failure_names_word(capsys, monkeypatch):
     dim = DimVector(2, 2)
     real = bases.step_matrix
 
-    def corrupted(sub, vertex, b, side):
-        steps = real(sub, vertex, b, side)
+    def corrupted(sub, vertex, side):
+        steps = real(sub, vertex, side)
         if (sub, vertex, side) != (dim, 2, "Pi"):
             return steps
         (child, n), *rest = steps[0]
@@ -288,8 +288,8 @@ def test_verify_corrupted_step_matrix_exits_2(capsys, monkeypatch):
     # first identity, at (0, 1), fails
     real = bases.step_matrix
 
-    def corrupted(dim, vertex, b, side):
-        steps = real(dim, vertex, b, side)
+    def corrupted(dim, vertex, side):
+        steps = real(dim, vertex, side)
         if side != "Pi":
             return steps
         (child, n), *rest = steps[0]

@@ -13,7 +13,7 @@ from semican.core import (ConormalComponent, DimVector, Orbit, PiModClass,
 from semican.geom import PairPoint
 from semican.separation import NormalFormY, flag_shape
 
-from oracles import QPoly, gauss_binom, kernel_basis
+from oracles import QPoly, gauss_binom, kernel_basis, rank_mod
 
 
 def test_enumerate_orbits():
@@ -39,23 +39,6 @@ def _rank_locus_count(d1, d2, r) -> QPoly:
 
 def _brute_rank_count(d1, d2, r, q):
     # enumerate all d2 x d1 matrices over F_q and count by rank
-    def rank_mod(mat):
-        m = [row[:] for row in mat]
-        rank = 0
-        for c in range(d1):
-            piv = next((i for i in range(rank, d2) if m[i][c] % q), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = pow(m[rank][c], -1, q)
-            m[rank] = [v * inv % q for v in m[rank]]
-            for i in range(d2):
-                if i != rank and m[i][c] % q:
-                    f = m[i][c]
-                    m[i] = [(v - f * p) % q for v, p in zip(m[i], m[rank])]
-            rank += 1
-        return rank
-
     total = 0
     n = d1 * d2
     for code in range(q**n):
@@ -67,7 +50,7 @@ def _brute_rank_count(d1, d2, r, q):
                 row.append(c % q)
                 c //= q
             mat.append(row)
-        if rank_mod(mat) == r:
+        if rank_mod(mat, q) == r:
             total += 1
     return total
 

@@ -1,18 +1,21 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semican.bases import _refined
 from semican.core import (DimVector, Orbit, PiModClass, enumerate_orbits,
                           pi_classes)
 from semican.qcount import euler_counts, step_matrix, word_content
 
-from oracles import (QPoly, StepCount, eval_word, gauss_binom, q_factorial,
-                     q_int, spanning_words, sub_grouped, sub_simple_E,
-                     sub_simple_Pi, transitions)
+from oracles import (QPoly, StepCount, brute_single_letter, eval_word,
+                     gauss_binom, grouped_step, q_factorial, q_int,
+                     spanning_words, sub_grouped, sub_simple_E, sub_simple_Pi,
+                     transitions, word_counts)
 
 # ---------------------------------------------------------------------------
 # QPoly ring
@@ -242,7 +245,9 @@ def test_eval_word_content_mismatch():
 
 
 def test_euler_counts_match_eval_word_at_one():
-    # the integer q = 1 count is the counting polynomial evaluated at 1
+    # the integer q = 1 count is the counting polynomial evaluated at 1; a
+    # grouped word counts 1 / prod b! times its single-letter refinement,
+    # and the oracle's grouped steps count it directly
     for d1 in range(5):
         for d2 in range(5):
             dim = DimVector(d1, d2)
@@ -251,7 +256,10 @@ def test_euler_counts_match_eval_word_at_one():
                 for w in spanning_words(dim):
                     expected = [eval_word(w, c, side).at_one()
                                 for c in classes]
-                    assert euler_counts(w, dim, side) == expected
+                    flags = math.prod(math.factorial(b) for _, b in w)
+                    assert euler_counts(_refined(w), dim, side) == \
+                        [flags * n for n in expected]
+                    assert word_counts(w, dim, side) == expected
 
 
 def test_euler_counts_validation():
@@ -266,9 +274,20 @@ def test_euler_counts_validation():
     assert euler_counts((), DimVector(0, 0), "Pi") == [1]
 
 
+def test_euler_counts_reject_grouped_letters():
+    # the library peels single letters only; a grouped letter is named
+    for side in ("E", "Pi"):
+        with pytest.raises(ValueError, match=re.escape("grouped letter 2^2")):
+            euler_counts(((1, 1), (2, 2)), DimVector(1, 2), side)
+        with pytest.raises(ValueError, match=re.escape("grouped letter 1^3")):
+            euler_counts(((1, 3),), DimVector(3, 0), side)
+
+
 def test_step_matrix_matches_grouped_polynomials_at_one():
     # each integer step count is the oracle's grouped count at q = 1, with
-    # its child indexed in the class order of the child dimension
+    # its child indexed in the class order of the child dimension: the
+    # library's closed forms at b = 1, the oracle's q = 1 table at every
+    # other b
     for d1 in range(7):
         for d2 in range(7):
             dim = DimVector(d1, d2)
@@ -283,7 +302,8 @@ def test_step_matrix_matches_grouped_polynomials_at_one():
                                          for s in sub_grouped(c, vertex, b,
                                                               side)))
                             for c in classes(dim))
-                        got = step_matrix(dim, vertex, b, side)
+                        got = step_matrix(dim, vertex, side) if b == 1 \
+                            else grouped_step(dim, vertex, b, side)
                         assert tuple(tuple(sorted(row)) for row in got) == \
                             expected, (dim, vertex, b, side)
 
@@ -293,8 +313,9 @@ def test_grouping_relation():
     # peeling b single letters, and chi(Fl(b)) = b!, so on both sides
     #   S_{v,1}(D) . S_{v,1}(D - e_v) ... S_{v,1}(D - (b-1) e_v)
     #       == b! S_{v,b}(D),
-    # composed here as sparse rows.  This carries the lift's single-letter
-    # identities to grouped words
+    # composed here as sparse rows: the library's single letters on the
+    # left, the oracle's grouped rule at q = 1 on the right.  This carries
+    # the lift's single-letter identities to grouped words
     cases = 0
     for d1 in range(11):
         for d2 in range(11):
@@ -307,7 +328,7 @@ def test_grouping_relation():
                     for b in range(1, top + 1):
                         child = DimVector(d1 - b + 1, d2) if vertex == 1 \
                             else DimVector(d1, d2 - b + 1)
-                        steps = step_matrix(child, vertex, 1, side)
+                        steps = step_matrix(child, vertex, side)
                         composed = []
                         for row in product:
                             out = {}
@@ -316,12 +337,41 @@ def test_grouping_relation():
                                     out[k] = out.get(k, 0) + n * m
                             composed.append(out)
                         product = composed
-                        grouped = step_matrix(dim, vertex, b, side)
                         grouped = [{k: math.factorial(b) * m for k, m in row}
-                                   for row in grouped]
+                                   for row in grouped_step(dim, vertex, b,
+                                                           side)]
                         assert product == grouped, (dim, vertex, b, side)
                         cases += 1
     assert cases == 2420
+
+
+def test_step_counts_match_brute_force_over_fp():
+    # the step polynomials are hand-derived; count the lines instead.  At
+    # core.representative_pair of every class with d1, d2 <= 4, every line
+    # at vertex v that is a subrepresentation is enumerated over F_2 and
+    # F_3, and its quotient's class read off by elimination over F_p.  The
+    # representative stands for its whole class because pair classes are a
+    # complete invariant: the indecomposable modules of the preprojective
+    # algebra of A2 with x y = 0 = y x are S1, S2, x (1 -> 2) and y
+    # (2 -> 1), so a pair is fixed up to isomorphism by its dimension
+    # vector and the ranks r of x and s of y (and an E orbit by r alone)
+    cases = 0
+    for d1 in range(5):
+        for d2 in range(5):
+            dim = DimVector(d1, d2)
+            for cls in enumerate_orbits(dim) + pi_classes(dim):
+                simple = sub_simple_Pi if isinstance(cls, PiModClass) \
+                    else sub_simple_E
+                for vertex, top in ((1, d1), (2, d2)):
+                    if not top:
+                        continue
+                    for p in (2, 3):
+                        want = {s.child: s.count(p)
+                                for s in simple(cls, vertex)}
+                        assert brute_single_letter(cls, vertex, p) == want, \
+                            (cls, vertex, p)
+                        cases += 1
+    assert cases == 600
 
 
 def _words_for(d1, d2, max_group=2):
