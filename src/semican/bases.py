@@ -13,7 +13,7 @@ The monomial values are q = 1 flag counts (integers, from qcount).  The lift
 is linear, so on each dimension vector D it is one transfer matrix T_D with
 mat_pi = mat_e . T_D on the count rows of the words of content D, held in
 ints as (u, s) with T_D = u / s; Fractions are built only for the entries
-of m.  The count row of a word (v, 1) + rest is the row of rest times the
+of m.  The count row of a word (v,) + rest is the row of rest times the
 transpose of the step matrix S_{v,1}(D) of qcount.step_matrix, so by
 induction on word length from T_(0,0) = [[1]] the identity holds for every
 single-letter word of every content D <= dim exactly when, for every such
@@ -42,10 +42,14 @@ each rank r < k, with count k - r, and peeling 2^1 takes rank k to k - 1,
 with count k, so the system has full rank and one solution when it is
 consistent.  Every identity at every D <= dim is then checked, the
 diagonal ones too: a T that did not fit some D would break one there.
-The E-side sandwich rows of dim itself are checked to reach every orbit
-rank, since m expands the stalk functions of dim in them; no pair-side
-count row is built.  The lift of a function with E-side values f is the
-row vector f . T_D; m_coefficients reads it at the generic columns only.
+
+The stalk function of orbit r is the E-side row of the word w_r of its
+small resolution (Zelevinsky, Small resolutions of singularities of
+Schubert varieties, 1983) over the prod b! of its grouped letters.  These
+min(d1, d2) + 1 rows are unitriangular; transfer_matrix checks that they
+reach every orbit rank of dim, and no pair-side count row is built.  The
+lift of E-side values f is f . T_D; m_coefficients reads it at the
+generic columns only.
 """
 
 from __future__ import annotations
@@ -56,33 +60,32 @@ from fractions import Fraction
 
 from . import ratlin
 from .core import ConormalComponent, DimVector, Orbit, orbit_dim
-from .qcount import Word, _pi_index, euler_counts, step_matrix
+from .qcount import _pi_index, euler_counts, step_matrix
 
 
-def sandwich_words(dim: DimVector) -> list[Word]:
-    """The words 1^a 2^d2 1^c and 2^a 1^d1 2^c of content `dim`, without
-    empty letters, sorted; the one word of (0, 0) is empty."""
-    words = set()
-    for outer, n_outer, inner, n_inner in ((1, dim.d1, 2, dim.d2),
-                                           (2, dim.d2, 1, dim.d1)):
-        for a in range(n_outer + 1):
-            letters = ((outer, a), (inner, n_inner), (outer, n_outer - a))
-            words.add(tuple((v, m) for v, m in letters if m))
-    return sorted(words)
+def resolution_words(dim: DimVector) -> list[tuple[int, ...]]:
+    """The word w_r of the small resolution of each orbit closure r, in
+    rank order: 1^(d1-r) 2^d2 1^r when d1 <= d2, whose flags start with a
+    (d1 - r)-subspace of ker x, and 2^r 1^d1 2^(d2-r) otherwise, whose
+    flags start with an r-subspace of V2 containing im x."""
+    d1, d2 = dim
+    if d1 <= d2:
+        return [(1,) * (d1 - r) + (2,) * d2 + (1,) * r
+                for r in range(d1 + 1)]
+    return [(2,) * r + (1,) * d1 + (2,) * (d2 - r) for r in range(d2 + 1)]
 
 
-def _refined(word: Word) -> Word:
-    """The single-letter refinement of `word`: each v^b becomes b letters
-    v^1."""
-    return tuple((v, 1) for v, b in word for _ in range(b))
+def resolution_rows(dim: DimVector) -> list[list[int]]:
+    """The E-side count rows of resolution_words(dim): row r is
+    _flags(dim, r) times the stalk function of orbit r."""
+    return [euler_counts(w, dim, "E") for w in resolution_words(dim)]
 
 
-def sandwich_rows(dim: DimVector) -> list[list[int]]:
-    """The E-side count rows of the sandwich words of `dim`, in word order,
-    each that of the word's single-letter refinement, so prod b! times the
-    word's own: the rows that transfer_matrix checks to reach every orbit
-    rank of `dim`."""
-    return [euler_counts(_refined(w), dim, "E") for w in sandwich_words(dim)]
+def _flags(dim: DimVector, r: int) -> int:
+    """(k - r)! K! r!, k = min(d1, d2) and K = max(d1, d2): the prod b!
+    of w_r, complete flags per flag of its grouped type at q = 1."""
+    k, big = dim.rank_bound, max(dim)
+    return math.factorial(k - r) * math.factorial(big) * math.factorial(r)
 
 
 class ConstructibleFnE(namedtuple("ConstructibleFnE", "dim values")):
@@ -145,24 +148,21 @@ class ConjectureViolation(AssertionError):
     """A structural consequence of the multiplicity identity failed."""
 
 
-def _stalk_values(dim: DimVector, r: int) -> list[int]:
-    """The values of canonical_fn(dim, r), as ints."""
-    n = dim.rank_bound
-    return [math.comb(n - rp, n - r) if rp <= r else 0
-            for rp in range(n + 1)]
-
-
 def canonical_fn(dim: DimVector, r: int) -> ConstructibleFnE:
     """Stalk Euler characteristics of the IC sheaf of the rank-r orbit closure,
     normalized to 1 on the open stratum.
 
-    Computed through the small resolution whose fiber over a rank-r' point is
-    a Grassmannian; the value at r' <= r is the binomial C(d1-r', d1-r) (with
-    d1, d2 swapped when d2 < d1).  The resolution on the side of the smaller
-    dimension is always small: for d1 <= d2 its condition reduces to
-    d2 - d1 + r - r' > 0 for every r' < r."""
-    return ConstructibleFnE(
-        dim, tuple(Fraction(v) for v in _stalk_values(dim, r)))
+    Read from the small resolution whose fiber over a rank-r' point is a
+    Grassmannian, counted by the flags of the resolution word w_r: its
+    E-side row divided by _flags(dim, r), which is C(k - r', k - r) at
+    r' <= r and 0 above, with k = min(d1, d2).  The resolution on the side
+    of the smaller dimension is always small: for d1 <= d2 its condition
+    reduces to d2 - d1 + r - r' > 0 for every r' < r.  Raises ValueError
+    when r is not an orbit rank of `dim`."""
+    Orbit(dim, r)
+    scale = _flags(dim, r)
+    row = euler_counts(resolution_words(dim)[r], dim, "E")
+    return ConstructibleFnE(dim, tuple(Fraction(v, scale) for v in row))
 
 
 class TransferMatrix(namedtuple("TransferMatrix", "dim u scale mismatch")):
@@ -197,7 +197,7 @@ def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
     T of rank bound min(D), then check every single-letter identity at
     each D exactly.
 
-    `rows` are the E-side count rows of `dim`, as sandwich_rows builds
+    `rows` are the E-side count rows of `dim`, as resolution_rows builds
     them.  Raises SpanningError at the first (k, k) whose identities do not
     fix T there, and then at `dim` when `rows` do not reach every orbit
     rank.
@@ -207,7 +207,7 @@ def transfer_matrix(dim: DimVector, rows=None) -> TransferMatrix:
     solved = [([[1]], 1)]
     for k in range(1, dim.rank_bound + 1):
         solved.append(_solve_diagonal(k, *solved[-1]))
-    _spanning_basis(dim, sandwich_rows(dim) if rows is None else rows)
+    _spanning_basis(dim, resolution_rows(dim) if rows is None else rows)
     scaled = {DimVector(a, c): solved[min(a, c)]
               for a in range(dim.d1 + 1) for c in range(dim.d2 + 1)}
     u, scale = solved[-1]
@@ -305,14 +305,19 @@ def _first_entry_witness(sub, v, lhs, rhs, den) -> str:
 
 
 def m_coefficients(dim: DimVector, *,
-                   transfer: TransferMatrix | None = None) -> ExpansionMatrix:
+                   transfer: TransferMatrix | None = None,
+                   rows=None) -> ExpansionMatrix:
     """m[r', r] = value of the lifted IC stalk function of orbit r at the
     generic pair class (r', min - r') of the r'-component.
 
-    That value is f_r . T at the generic column, so only those columns of
-    u are read, in ints, and divided by the scale once per entry."""
+    That value is f_r . T at the generic column, with f_r row r of `rows`
+    (resolution_rows(dim) unless given) over _flags(dim, r), so only those
+    columns of u are read, in ints, and divided by scale * _flags(dim, r)
+    once per entry."""
+    if rows is None:
+        rows = resolution_rows(dim)
     if transfer is None:
-        transfer = transfer_matrix(dim)
+        transfer = transfer_matrix(dim, rows)
     bound = dim.rank_bound
     index = _pi_index(bound)
     generic = []
@@ -320,10 +325,10 @@ def m_coefficients(dim: DimVector, *,
         c = ConormalComponent(Orbit(dim, rp)).generic_class
         j = index[c.r, c.s]
         generic.append([row[j] for row in transfer.u])
-    stalks = [_stalk_values(dim, r) for r in range(bound + 1)]
+    scales = [transfer.scale * _flags(dim, r) for r in range(bound + 1)]
     entries = tuple(
-        tuple(Fraction(sum([f * t for f, t in zip(f_r, col)]), transfer.scale)
-              for f_r in stalks)
+        tuple(Fraction(sum([f * t for f, t in zip(row, col)]), scale)
+              for row, scale in zip(rows, scales))
         for col in generic)
     return ExpansionMatrix(dim, entries)
 
@@ -369,9 +374,10 @@ def cc_multiplicities(dim: DimVector, *,
     unitriangular, n also nonnegative.  The first witness of a failure
     (lift_failures, then structure_failures) raises ConjectureViolation.
     """
+    rows = resolution_rows(dim)
     if transfer is None:
-        transfer = transfer_matrix(dim)
-    m = m_coefficients(dim, transfer=transfer)
+        transfer = transfer_matrix(dim, rows)
+    m = m_coefficients(dim, transfer=transfer, rows=rows)
     n = sign_twist(dim, m)
     failures = lift_failures(transfer) + structure_failures(m, n)
     if failures:

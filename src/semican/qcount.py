@@ -5,10 +5,11 @@ class or lowers one rank by 1.  The lines of each kind form a projective
 space, whose Euler characteristic, its number of F_q-points at q = 1, is
 affine in d_v.  step_matrix holds those counts for the letter v^1, and
 euler_counts applies the step matrices of a word's letters in one loop.  A
-word is a tuple of (vertex, multiplicity) letters, innermost first, and
-only single letters are read.  Only the class index of each rank bound is
-memoised.  The grouped rule, the grouping relation and the q-polynomials
-are the test suite's reference, in tests/oracles.py.
+word is a composition, a tuple of the vertices 1 and 2 with the innermost
+letter first, as core.compositions yields it.  Only the class index of
+each rank bound is memoised.  Grouped words, their rule, the grouping
+relation and the q-polynomials are the test suite's reference, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import DimVector
-
-Word = tuple[tuple[int, int], ...]  # ((vertex, multiplicity), ...)
-
-
-def word_content(word: Word) -> tuple[int, int]:
-    c1 = sum(m for v, m in word if v == 1)
-    c2 = sum(m for v, m in word if v == 2)
-    return c1, c2
 
 
 @lru_cache(maxsize=None)
@@ -47,7 +40,7 @@ def step_matrix(dim: DimVector, vertex: int, side: str):
     (r, s) with x y = 0 = y x: at vertex 1, (r, s) -> (r, s) with
     d1 - r - s and (r, s) -> (r, s - 1) with s (lines in im y); at vertex
     2, (r, s) -> (r, s) with d2 - r - s and (r, s) -> (r - 1, s) with r.
-    The count row of a word (vertex, 1) + rest is S times the count row of
+    The count row of a word (vertex,) + rest is S times the count row of
     rest on the child dimension."""
     d1, d2 = dim
     n = min(d1, d2)
@@ -76,30 +69,25 @@ def step_matrix(dim: DimVector, vertex: int, side: str):
         for r, s in classes])
 
 
-def euler_counts(word: Word, dim: DimVector, side: str) -> list[int]:
+def euler_counts(word, dim: DimVector, side: str) -> list[int]:
     """Euler characteristics of the fibres of flags of type `word`, one per
     class of `dim` in class order: orbit ranks for side "E", pair classes
     in pi_classes order for side "Pi".
 
-    The leftmost letter is the innermost subrepresentation; every letter
-    is a single letter v^1, and the word's vertex content must be `dim`.
-    The loop starts from the one class of (0, 0), with count 1, and
-    applies the step matrices from the last letter to the first.
+    `word` is a composition: its letters are the vertices 1 and 2, the
+    leftmost the innermost subrepresentation, and its content must be
+    `dim`.  The loop starts from the one class of (0, 0), with count 1,
+    and applies the step matrices from the last letter to the first.
     """
-    word = tuple((int(v), int(m)) for v, m in word)
-    if any(v not in (1, 2) or m < 1 for v, m in word):
-        raise ValueError(f"malformed word {word}")
-    if word_content(word) != (dim.d1, dim.d2):
-        raise ValueError(
-            f"word content {word_content(word)} does not match {dim}")
+    if any(v not in (1, 2) for v in word):
+        raise ValueError(f"malformed word {tuple(word)}")
+    content = (word.count(1), word.count(2))
+    if content != (dim.d1, dim.d2):
+        raise ValueError(f"word content {content} does not match {dim}")
     if side not in ("E", "Pi"):
         raise ValueError(f"side must be 'E' or 'Pi', got {side!r}")
-    for v, m in word:
-        if m != 1:
-            raise ValueError(f"grouped letter {v}^{m} in {word}: "
-                             f"euler_counts reads single letters only")
     row, d1, d2 = [1], 0, 0
-    for vertex, _ in reversed(word):
+    for vertex in reversed(word):
         d1, d2 = (d1 + 1, d2) if vertex == 1 else (d1, d2 + 1)
         row = [sum([n * row[j] for j, n in steps])
                for steps in step_matrix((d1, d2), vertex, side)]

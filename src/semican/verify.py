@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 from .bases import (SpanningError, lift_failures, m_coefficients,
-                    sandwich_rows, sign_twist, structure_failures,
+                    resolution_rows, sign_twist, structure_failures,
                     transfer_matrix)
 from .core import (ConormalComponent, DimVector, Orbit, enumerate_orbits,
                    sign_parity)
@@ -45,7 +45,7 @@ def run_verify(d1: int, d2: int, seed: int = 1,
 
     rows = None
     with stage("monomial_matrices"):
-        rows = sandwich_rows(dim)
+        rows = resolution_rows(dim)
 
     transfer = None
     section_ok = kernel_ok = False
@@ -64,7 +64,7 @@ def run_verify(d1: int, d2: int, seed: int = 1,
     m_entries = n_entries = ()
     with stage("m_n_matrices"):
         if transfer is not None:
-            m = m_coefficients(dim, transfer=transfer)
+            m = m_coefficients(dim, transfer=transfer, rows=rows)
             n = sign_twist(dim, m)
             failed.extend(structure_failures(m, n))
             m_entries, n_entries = m.entries, n.entries

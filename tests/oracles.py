@@ -1,6 +1,9 @@
 """Independent reference implementations that only the tests use.
 
-They recompute, by a different route, what the library relies on: the
+They recompute, by a different route, what the library relies on: grouped
+words, tuples of (vertex, multiplicity) letters, with their content, their
+single-letter refinement into the library's word form, a composition, and
+the sandwich words 1^a 2^d2 1^c and 2^a 1^d1 2^c; the
 counting polynomials in q of flags of subrepresentations (Gaussian
 binomials, one-step and grouped steps, the word evaluator), whose values at
 q = 1 the integer counts of semican.qcount must equal, and the grouped step
@@ -13,11 +16,12 @@ tangent space of the conormal variety; the expansion of a constructible
 function in flag monomials and the smallness test of the resolutions
 behind canonical_fn; the transfer matrix as Fractions and the lift of a
 function through it; the sandwich count rows of every sub-dimension, both
-sides, by word_counts, where semican.bases builds only the E-side rows of its
-dimension vector; the lift solved from those rows by two eliminations per
-dimension vector, the reference of the T that semican.bases solves from
-the single-letter identities at the diagonal, and the identities checked
-entry by entry, the reference of its whole-matrix comparison; the word
+sides, by word_counts, where semican.bases builds only the E-side rows of
+the resolution words of its dimension vector; the lift solved from those
+rows by two eliminations per dimension vector, the reference of the T
+that semican.bases solves from the single-letter identities at the
+diagonal, and the identities checked entry by entry, the reference of its
+whole-matrix comparison; the word
 sweep that checks the lift row by row, mat_pi = mat_e . T on every
 composition and sandwich word; the listed
 separation instances, whose order `instances_at` and `matchings` must
@@ -49,18 +53,47 @@ from typing import NamedTuple
 import numpy as np
 
 from semican import ratlin
-from semican.bases import (ConstructibleFnE, SpanningError, TransferMatrix,
-                           _refined, sandwich_words)
+from semican.bases import ConstructibleFnE, SpanningError, TransferMatrix
 from semican.core import (DimVector, Orbit, PiModClass, compositions,
                           enumerate_orbits, pi_classes, representative_pair)
 from semican.geom import PairPoint, _conormal_rows
 from semican.packed import Slots
-from semican.qcount import Word, word_content
 from semican.separation import (FlagShape, NormalFormY, PackedSeparation,
                                 _coupled_pairs, _separation_error,
                                 flag_shape, validate_matching)
 from semican.sympoly import (BilinearityError, Mono, VarId, _mono_str,
                              join_terms)
+
+# ---------------------------------------------------------------------------
+# grouped words
+
+
+Word = tuple[tuple[int, int], ...]  # ((vertex, multiplicity), ...)
+
+
+def word_content(word: Word) -> tuple[int, int]:
+    c1 = sum(m for v, m in word if v == 1)
+    c2 = sum(m for v, m in word if v == 2)
+    return c1, c2
+
+
+def refined(word: Word) -> tuple[int, ...]:
+    """The single-letter refinement of `word` as a composition, the
+    library's word form: each v^b becomes b letters v."""
+    return tuple(v for v, b in word for _ in range(b))
+
+
+def sandwich_words(dim: DimVector) -> list[Word]:
+    """The words 1^a 2^d2 1^c and 2^a 1^d1 2^c of content `dim`, without
+    empty letters, sorted; the one word of (0, 0) is empty."""
+    words = set()
+    for outer, n_outer, inner, n_inner in ((1, dim.d1, 2, dim.d2),
+                                           (2, dim.d2, 1, dim.d1)):
+        for a in range(n_outer + 1):
+            letters = ((outer, a), (inner, n_inner), (outer, n_outer - a))
+            words.add(tuple((v, m) for v, m in letters if m))
+    return sorted(words)
+
 
 # ---------------------------------------------------------------------------
 # point counts over F_q as polynomials in q
@@ -581,14 +614,10 @@ def solve_square(a, b) -> tuple[list[list[int]], int]:
         [list(ra) + list(rb) for ra, rb in zip(a, b)], width=n)[1], n)
 
 
-def every_sandwich_rows(dim: DimVector, refine: bool = False) -> dict:
+def every_sandwich_rows(dim: DimVector) -> dict:
     """Per sub-dimension D <= dim, in (d1, d2) order: the E-side and the
-    pair-side word_counts rows of the sandwich words of D, or with
-    `refine` of their single-letter refinements."""
-    def words(sub):
-        return [_refined(w) if refine else w for w in sandwich_words(sub)]
-
-    return {sub: tuple(monomial_matrix(sub, words(sub), side)
+    pair-side word_counts rows of the sandwich words of D."""
+    return {sub: tuple(monomial_matrix(sub, sandwich_words(sub), side)
                        for side in ("E", "Pi"))
             for sub in (DimVector(a, c) for a in range(dim.d1 + 1)
                         for c in range(dim.d2 + 1))}

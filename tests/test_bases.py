@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import re
@@ -12,15 +13,16 @@ from semican import qcount, ratlin
 from semican.bases import (ConjectureViolation, ConstructibleFnE,
                            ExpansionMatrix, SpanningError, canonical_fn,
                            cc_multiplicities, lift_failures, m_coefficients,
-                           sandwich_rows, sandwich_words, transfer_matrix)
+                           resolution_rows, resolution_words, transfer_matrix)
 from semican.core import DimVector, PiModClass, pi_classes
-from semican.qcount import euler_counts, step_matrix, word_content
+from semican.qcount import euler_counts, step_matrix
 
 from oracles import (every_sandwich_rows, express_in_monomials,
                      first_broken_identity, first_sweep_mismatch,
                      gauss_binom, kernel_basis, lift_values, monomial_matrix,
-                     smallness_check, spanning_words, transfer_entries,
-                     transpose, two_pass_transfer)
+                     sandwich_words, smallness_check, spanning_words,
+                     transfer_entries, transpose, two_pass_transfer,
+                     word_content, word_counts)
 
 
 def _row(dim, word):
@@ -35,6 +37,17 @@ def _lift(f, rows=None):
 
 # ---------------------------------------------------------------------------
 # words
+
+
+def test_resolution_words_contents():
+    assert resolution_words(DimVector(0, 0)) == [()]
+    assert resolution_words(DimVector(1, 1)) == [(1, 2), (2, 1)]
+    assert resolution_words(DimVector(2, 3)) == [
+        (1, 1, 2, 2, 2), (1, 2, 2, 2, 1), (2, 2, 2, 1, 1)]
+    assert resolution_words(DimVector(3, 2)) == [
+        (1, 1, 1, 2, 2), (2, 1, 1, 1, 2), (2, 2, 1, 1, 1)]
+    assert resolution_words(DimVector(0, 3)) == [(2, 2, 2)]
+    assert resolution_words(DimVector(2, 0)) == [(1, 1)]
 
 
 def test_spanning_words_contents():
@@ -55,7 +68,7 @@ def test_spanning_words_contents():
 
 
 def test_monomial_word_validation():
-    for word in (((3, 1),), ((1, 0), (1, 1))):
+    for word in (((3, 1),), ((1, 0), (1, 1)), (3,), (1, 0), ((1, 1),)):
         with pytest.raises(ValueError, match="malformed"):
             euler_counts(word, DimVector(1, 0), "E")
 
@@ -66,11 +79,11 @@ def test_monomial_word_validation():
 
 def test_monomial_matrix_examples():
     dim = DimVector(1, 1)
-    assert _row(dim, ((2, 1), (1, 1))) == [1, 1]
-    assert _row(dim, ((1, 1), (2, 1))) == [1, 0]
+    assert _row(dim, (2, 1)) == [1, 1]
+    assert _row(dim, (1, 2)) == [1, 0]
     dim = DimVector(2, 1)
-    assert _row(dim, ((2, 1), (1, 1), (1, 1))) == [2, 2]
-    assert _row(dim, ((1, 1), (1, 1), (2, 1))) == [2, 0]
+    assert _row(dim, (2, 1, 1)) == [2, 2]
+    assert _row(dim, (1, 1, 2)) == [2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +99,43 @@ def test_canonical_fn_examples():
         assert all(v == 1 for v in top.values)
     f = canonical_fn(DimVector(2, 1), 0)
     assert f.values == (Fraction(1), Fraction(0))
+
+
+def test_canonical_fn_rejects_ranks_out_of_range():
+    # the rank is checked before the resolution word is picked, so -1 does
+    # not read the last orbit's function
+    for dim, r in [(DimVector(2, 2), -1), (DimVector(2, 2), 3),
+                   (DimVector(2, 2), 5), (DimVector(3, 1), 2),
+                   (DimVector(0, 0), 1)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"rank {r} out of range for {dim}")):
+            canonical_fn(dim, r)
+
+
+def _binom(n, k):
+    return math.comb(n, k) if k >= 0 else 0
+
+
+def test_resolution_rows_are_the_fibre_counts():
+    # the count rows of w_r are (k - r)! K! r! times the points of its
+    # resolution fibre at q = 1: C(k - r', k - r) over the rank-r' orbit,
+    # and C(k - r_x - s, k - r - s) over the pair class (r_x, s), the
+    # subspaces between im y and ker x (or their mirror when d1 > d2)
+    cases = 0
+    for d1 in range(9):
+        for d2 in range(9):
+            dim = DimVector(d1, d2)
+            k, big = dim.rank_bound, max(d1, d2)
+            for r, w in enumerate(resolution_words(dim)):
+                flags = (math.factorial(k - r) * math.factorial(big)
+                         * math.factorial(r))
+                assert euler_counts(w, dim, "E") == \
+                    [flags * _binom(k - rp, k - r) for rp in range(k + 1)]
+                pair = euler_counts(w, dim, "Pi")
+                assert pair == [flags * _binom(k - c.r - c.s, k - r - c.s)
+                                for c in pi_classes(dim)], (dim, r)
+                cases += len(pair)
+    assert cases == 4587
 
 
 def test_canonical_fn_grassmannian_cross_oracle():
@@ -164,7 +214,7 @@ def test_express_solution_property():
 def test_half_coefficient_solution_verifies():
     # (2,1): the constant function equals half the value row of one word
     dim = DimVector(2, 1)
-    row = _row(dim, ((2, 1), (1, 1), (1, 1)))
+    row = _row(dim, (2, 1, 1))
     assert [Fraction(1, 2) * v for v in row] == [Fraction(1), Fraction(1)]
 
 
@@ -235,7 +285,7 @@ def test_lift_independent_of_solution(monkeypatch):
                 two_pass_transfer(sub, mat_e, mat_pi), sub
         f = canonical_fn(dim, dim.rank_bound - 1)
         want = transfer_matrix(dim)
-        assert _lift(f) == _lift(f, sandwich_rows(dim)[::-1])
+        assert _lift(f) == _lift(f, resolution_rows(dim)[::-1])
         real = bases._spanning_basis
         monkeypatch.setattr(bases, "_spanning_basis",
                             lambda sub, rows: real(sub, rows[::-1]))
@@ -336,18 +386,26 @@ def test_transfer_matrix_witnesses(monkeypatch):
         assert (t.mismatch, t.section_failures()) == (witness, section)
     monkeypatch.undo()
 
-    truncated = sandwich_rows(DimVector(1, 1))[:1]
+    truncated = resolution_rows(DimVector(1, 1))[:1]
     with pytest.raises(SpanningError) as exc:
         transfer_matrix(DimVector(1, 1), truncated)
     assert exc.value.dim == DimVector(1, 1) and exc.value.missing == [1]
 
 
-def test_sandwich_rows_match_euler_counts():
-    # the rows are the E-side euler_counts rows of the words' single-letter
-    # refinements, of dim alone
+def test_resolution_rows_match_euler_counts():
+    # the rows are the oracle's E-side rows of the resolution words, of dim
+    # alone, and each is prod b! times the row of its grouped form
     for dim in [DimVector(6, 6), DimVector(6, 3), DimVector(2, 5)]:
-        want_e, _ = every_sandwich_rows(dim, refine=True)[dim]
-        assert sandwich_rows(dim) == want_e, dim
+        rows = resolution_rows(dim)
+        words = resolution_words(dim)
+        assert len(rows) == len(words) == dim.rank_bound + 1
+        for w, row in zip(words, rows):
+            single = tuple((v, 1) for v in w)
+            grouped = tuple((v, len(list(run)))
+                            for v, run in itertools.groupby(w))
+            flags = math.prod(math.factorial(b) for _, b in grouped)
+            assert row == word_counts(single, dim, "E"), (dim, w)
+            assert row == [flags * n for n in word_counts(grouped, dim, "E")]
 
 
 def _solved_diagonal(k):
@@ -454,10 +512,10 @@ def test_one_solve_per_rank_bound_matches_every_own_solve(monkeypatch):
 
 
 def test_spanning_checked_at_an_off_diagonal_dim(monkeypatch):
-    # dim = (3, 2) solves nothing at (3, 2), but m expands its stalk
-    # functions in its sandwich E rows, so a truncated set of them fails
+    # dim = (3, 2) solves nothing at (3, 2), but m reads its stalk
+    # functions from its resolution E rows, so a truncated set of them fails
     dim = DimVector(3, 2)
-    rows = sandwich_rows(dim)
+    rows = resolution_rows(dim)
     oracle_e, oracle_pi = every_sandwich_rows(dim)[dim]
     with pytest.raises(SpanningError) as want:
         two_pass_transfer(dim, oracle_e[:1], oracle_pi[:1])

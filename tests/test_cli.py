@@ -340,8 +340,8 @@ def test_verify_n_structure_failure_names_entry(capsys, monkeypatch):
 
 
 def test_verify_spanning_failure(capsys, monkeypatch):
-    real = bases.sandwich_words
-    monkeypatch.setattr(bases, "sandwich_words", lambda dim: real(dim)[:1])
+    real = bases.resolution_words
+    monkeypatch.setattr(bases, "resolution_words", lambda dim: real(dim)[:1])
     code, out, err = run(capsys, "verify", "--d1", "1", "--d2", "1",
                          "--skip-wreg")
     assert code == 2

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semican.bases import _refined
 from semican.core import (DimVector, Orbit, PiModClass, enumerate_orbits,
                           pi_classes)
-from semican.qcount import euler_counts, step_matrix, word_content
+from semican.qcount import euler_counts, step_matrix
 
 from oracles import (QPoly, StepCount, brute_single_letter, eval_word,
-                     gauss_binom, grouped_step, q_factorial, q_int,
+                     gauss_binom, grouped_step, q_factorial, q_int, refined,
                      spanning_words, sub_grouped, sub_simple_E, sub_simple_Pi,
-                     transitions, word_counts)
+                     transitions, word_content, word_counts)
 
 # ---------------------------------------------------------------------------
 # QPoly ring
@@ -257,30 +256,35 @@ def test_euler_counts_match_eval_word_at_one():
                     expected = [eval_word(w, c, side).at_one()
                                 for c in classes]
                     flags = math.prod(math.factorial(b) for _, b in w)
-                    assert euler_counts(_refined(w), dim, side) == \
+                    assert euler_counts(refined(w), dim, side) == \
                         [flags * n for n in expected]
                     assert word_counts(w, dim, side) == expected
 
 
 def test_euler_counts_validation():
     with pytest.raises(ValueError, match="does not match"):
-        euler_counts(((1, 1), (2, 2)), DimVector(1, 1), "E")
+        euler_counts((1, 2, 2), DimVector(1, 1), "E")
     with pytest.raises(ValueError, match="does not match"):
-        euler_counts(((1, 1), (2, 1)), DimVector(2, 1), "Pi")
+        euler_counts((1, 2), DimVector(2, 1), "Pi")
     with pytest.raises(ValueError, match="malformed"):
-        euler_counts(((3, 1),), DimVector(1, 0), "E")
+        euler_counts((3,), DimVector(1, 0), "E")
+    with pytest.raises(ValueError, match="malformed"):
+        euler_counts(((1, 1), (2, 2)), DimVector(1, 1), "E")
     with pytest.raises(ValueError, match="side"):
-        euler_counts(((1, 1), (2, 1)), DimVector(1, 1), "Lambda")
+        euler_counts((1, 2), DimVector(1, 1), "Lambda")
     assert euler_counts((), DimVector(0, 0), "Pi") == [1]
 
 
 def test_euler_counts_reject_grouped_letters():
-    # the library peels single letters only; a grouped letter is named
+    # a library word is a composition of single letters; a word of
+    # (vertex, multiplicity) letters, grouped or not, is malformed
     for side in ("E", "Pi"):
-        with pytest.raises(ValueError, match=re.escape("grouped letter 2^2")):
-            euler_counts(((1, 1), (2, 2)), DimVector(1, 2), side)
-        with pytest.raises(ValueError, match=re.escape("grouped letter 1^3")):
-            euler_counts(((1, 3),), DimVector(3, 0), side)
+        for word, dim in [(((1, 1), (2, 2)), DimVector(1, 2)),
+                          (((1, 3),), DimVector(3, 0)),
+                          (((1, 1), (2, 1)), DimVector(1, 1))]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"malformed word {word}")):
+                euler_counts(word, dim, side)
 
 
 def test_step_matrix_matches_grouped_polynomials_at_one():
