@@ -99,13 +99,14 @@ def enumerate_orbits(dim: DimVector) -> list[Orbit]:
     return [Orbit(dim, r) for r in range(dim.rank_bound + 1)]
 
 
+def _pair_ranks(k: int) -> list[tuple[int, int]]:
+    """The ranks (r, s) with r + s <= k, in pi_classes order."""
+    return [(r, s) for r in range(k + 1) for s in range(k - r + 1)]
+
+
 def pi_classes(dim: DimVector) -> list[PiModClass]:
     """All pair classes (r, s) with r + s <= min(d1, d2), in a fixed order."""
-    out = []
-    for r in range(dim.rank_bound + 1):
-        for s in range(dim.rank_bound - r + 1):
-            out.append(PiModClass(dim, r, s))
-    return out
+    return [PiModClass(dim, r, s) for r, s in _pair_ranks(dim.rank_bound)]
 
 
 def orbit_dim(o: Orbit) -> int:

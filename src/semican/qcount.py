@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import DimVector
+from .core import DimVector, _pair_ranks
 
 
 @lru_cache(maxsize=None)
 def _pi_index(k: int) -> dict:
     """(r, s) -> position of the pair class in pi_classes order, on every
     dimension vector of rank bound k."""
-    return {(r, s): i for i, (r, s) in enumerate(
-        (r, s) for r in range(k + 1) for s in range(k - r + 1))}
+    return {rs: i for i, rs in enumerate(_pair_ranks(k))}
 
 
 def step_matrix(dim: DimVector, vertex: int, side: str):

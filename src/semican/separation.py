@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import namedtuple
-from functools import cached_property, lru_cache
-from operator import itemgetter
+from functools import lru_cache
+from operator import index, itemgetter
 from typing import NamedTuple
-from weakref import WeakValueDictionary
 
 from . import packed
 from .core import DimVector, compositions
@@ -39,14 +38,11 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
     t_slots / s_slots are the 1-based positions of the vertex-1 / vertex-2
     letters, each a tuple of ints.  x (d2 x d1) may be nonzero at (i, j) iff
     s_i < t_j; y (d1 x d2) at (j, i) iff t_j < s_i.  Exactly one of the two
-    holds for every pair.
+    holds for every pair.  Built by `flag_shape`; the tables of its
+    separation are its chart's (`_chart`).
     """
 
-    # no __slots__: the cached_property table lives in the __dict__
-
-    def __reduce__(self):
-        # pickled as its composition alone, without the cached table
-        return flag_shape, (self.composition,)
+    __slots__ = ()
 
     @property
     def d1(self) -> int:
@@ -62,15 +58,11 @@ class FlagShape(namedtuple("FlagShape", "composition t_slots s_slots")):
     def adm_y(self, row: int, col: int) -> bool:
         return self.t_slots[row - 1] < self.s_slots[col - 1]
 
-    @cached_property
-    def packed_chart(self) -> _PackedChart:
-        """The tables of the separation: exponent slots and trace pieces."""
-        return _PackedChart(self)
-
 
 class _Layout:
     """The exponent slots, trace templates and variable splits of one
-    dimension vector.
+    dimension vector, built once by `_layout` and kept for the life of the
+    process.
 
     There is a slot for every M, N and X variable of (d1, d2), X over all
     d2 x d1 entries, and for the primed copy M'/X' of every M and X, so
@@ -167,36 +159,29 @@ class _Layout:
         return masks
 
 
-# the layout of each dimension vector that a live chart holds
-_LAYOUTS: WeakValueDictionary = WeakValueDictionary()
-
-
+@lru_cache(maxsize=None)
 def _layout(d1: int, d2: int) -> _Layout:
-    """The one layout of (d1, d2): every chart keeps its layout, so all
-    live charts of a dimension vector share one, and it goes with them."""
-    layout = _LAYOUTS.get((d1, d2))
-    if layout is None:
-        layout = _LAYOUTS[d1, d2] = _Layout(d1, d2)
-    return layout
+    """The one layout of (d1, d2), kept for the life of the process."""
+    return _Layout(d1, d2)
 
 
 class _PackedChart:
     """One shape's view of its dimension vector's `_Layout`, kept in `layout`.
 
-    It shares the layout's `slots` and `table`.  `keep` is the unit mask
-    of every slot of the layout except the X the shape does not admit.
-    `y_entries` holds the admissible y0 entries (i, j), those with
-    t_i < s_j.  `piece(entry)` holds the trace terms of one y0 entry, each
-    with coefficient 1: the entry's template less the terms whose X is not
-    admissible.  It is built on first use, because a sampled run touches
-    few entries of each shape, and shared after that, so callers must not
-    mutate it.
+    Built by `_chart`, one per composition.  The slot table and the unit
+    tables are the layout's (`layout.slots`, `layout.table`).  `keep` is
+    the unit mask of every slot of the layout except the X the shape does
+    not admit.  `y_entries` holds the admissible y0 entries (i, j), those
+    with t_i < s_j.  `piece(entry)` holds the trace terms of one y0 entry,
+    each with coefficient 1: the entry's template less the terms whose X is
+    not admissible.  It is built on first use, because a sampled run
+    touches few entries of each shape, and shared after that, so callers
+    must not mutate it.
     """
 
     def __init__(self, shape: FlagShape):
         layout = _layout(shape.d1, shape.d2)
         self.shape = shape
-        self.slots, self.table = layout.slots, layout.table
         self.keep = layout.units - sum(
             u for u, i, j in layout.x_vars if not shape.adm_x(i, j))
         t, s = shape.t_slots, shape.s_slots
@@ -227,23 +212,34 @@ MAX_RANK_BOUND = max(k for k in range(packed.FIELD_MASK)
                      if _degree_bound(k) <= packed.FIELD_MASK)
 
 
+def _ints(values, what: str = "composition letters") -> tuple:
+    """The values as ints, each read by `operator.index`: ints, bools and
+    numpy ints pass, and a float raises ValueError instead of being
+    truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be ints: {values}") from None
+
+
 def flag_shape(composition) -> FlagShape:
-    """The FlagShape of a composition.
-
-    Memoised: a composition among the 1024 most recently used gets the same
-    object back, with the tables it has built so far.
-    """
-    return _flag_shape(tuple(composition))
-
-
-@lru_cache(maxsize=1024)  # holds every composition of (6, 6)
-def _flag_shape(composition: tuple) -> FlagShape:
-    a = tuple(int(v) for v in composition)
+    """The FlagShape of a composition, each letter 1 or 2."""
+    a = _ints(composition)
     if any(v not in (1, 2) for v in a):
         raise ValueError(f"composition letters must be 1 or 2: {a}")
     t = tuple(k + 1 for k, v in enumerate(a) if v == 1)
     s = tuple(k + 1 for k, v in enumerate(a) if v == 2)
     return FlagShape(a, t, s)
+
+
+@lru_cache(maxsize=1024)  # holds every composition of (6, 6)
+def _chart(composition: tuple) -> _PackedChart:
+    """The chart of a composition, with the trace pieces it has built so
+    far: a composition among the 1024 most recently used gets the same
+    object back.  Callers pass the letters through `_ints` first, as a
+    float equal to a letter would find that letter's chart here."""
+    return _PackedChart(flag_shape(composition))
 
 
 class NormalFormY(namedtuple("NormalFormY", "entries")):
@@ -261,7 +257,7 @@ class NormalFormY(namedtuple("NormalFormY", "entries")):
 
     @classmethod
     def of(cls, *positions) -> "NormalFormY":
-        entries = [(int(i), int(j)) for i, j in positions]
+        entries = [_ints((i, j), "y0 indices") for i, j in positions]
         if len(set(entries)) != len(entries):
             raise ValueError(f"repeated row or column in {sorted(entries)}")
         return cls(frozenset(entries))
@@ -361,7 +357,7 @@ def count_instances(dim: DimVector) -> int:
 def matchings(composition) -> list[NormalFormY]:
     """Every admissible matching of a composition, the empty one included,
     in instance order."""
-    shape = flag_shape(composition)
+    shape = flag_shape(composition)  # no chart, so no bound on its size
     before = _twos_before(shape.composition)
     ranks = list(range(_count_matchings(before, shape.d2)))
     # a matching by construction: `_make` skips the checks of NormalFormY()
@@ -541,8 +537,8 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     be bilinear in the quadratic variables; for the two-vertex quiver this
     cannot happen.
     """
-    shape = flag_shape(composition)
-    chart = shape.packed_chart
+    chart = _chart(_ints(composition))
+    shape = chart.shape
     if not y0.entries <= chart.y_entries:
         validate_matching(shape, y0)  # raises, naming the first bad entry
     entries = y0.sorted_entries()
@@ -560,7 +556,7 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
         fibers: dict = {}  # alpha -> its alpha', by decreasing column
         for ap, al in reversed(t_pairs):
             fibers.setdefault(al, []).append(ap)
-        table = chart.table
+        table = chart.layout.table
         m_expr, mp_def = _packed_inversion(table, entries, fibers)
         x_expr, xp_def = _packed_x_change(table, j_bits, fibers, m_expr)
         changes = {**m_expr, **x_expr}
@@ -577,7 +573,7 @@ def separate_packed(composition, y0: NormalFormY) -> PackedSeparation:
     else:  # nothing changes: the separated polynomial is the trace
         separated, changes, definitions = trace, {}, {}
     try:
-        packed.check_bilinear(separated, chart.slots, w1, w2, vc)
+        packed.check_bilinear(separated, chart.layout.slots, w1, w2, vc)
     except BilinearityError as exc:
         raise _separation_error(composition, entries, exc) from exc
     return PackedSeparation(chart, entries, t_pairs, trace, separated,
@@ -717,8 +713,8 @@ def report_texts(composition, matchings, depth: int = 0) -> list[str]:
     fields of the two masks, as a polynomial in Vc.  Raises SeparationError
     like `separate_packed`, before any report is returned.
     """
-    shape = flag_shape(composition)
-    layout = shape.packed_chart.layout
+    chart = _chart(_ints(composition))
+    shape, layout = chart.shape, chart.layout
     table = layout.reports.get(depth)
     if table is None:
         table = layout.reports[depth] = _ReportTable(

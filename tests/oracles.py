@@ -1406,7 +1406,7 @@ def decode_separation(sep: PackedSeparation) -> DecodedSeparation:
     """Decode the trace, the separated polynomial, the definitions of the
     primed variables and the unit masks of the variable groups through the
     separation's slot table."""
-    slots = sep.chart.slots
+    slots = sep.chart.layout.slots
 
     def var(unit: int) -> VarId:
         [(v, _)] = slots.decode(unit)

@@ -1,11 +1,11 @@
 import gc
 import itertools
 import json
-import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semican import packed
@@ -13,10 +13,11 @@ from semican.core import (DimVector, PiModClass, compositions,
                           representative_pair)
 import semican.verify as verify
 from semican.separation import (MAX_RANK_BOUND, NormalFormY, SeparationError,
-                                _blocks, _MonomialNames, certify,
-                                count_instances, flag_shape, instances_at,
-                                matchings, report_dicts, report_texts,
-                                separate_packed, validate_matching)
+                                _blocks, _chart, _layout, _MonomialNames,
+                                certify, count_instances, flag_shape,
+                                instances_at, matchings, report_dicts,
+                                report_texts, separate_packed,
+                                validate_matching)
 from semican.sympoly import VarId
 
 from oracles import (RefPoly, _classify, _inversion, _x_change,
@@ -37,7 +38,7 @@ def test_flag_shape_examples():
     sh = flag_shape((1, 2))
     assert not sh.adm_x(1, 1) and sh.adm_y(1, 1)
     sh = flag_shape((1, 2, 2, 1))
-    chart = sh.packed_chart
+    chart = _chart(sh.composition)
     assert {(r, c) for u, r, c in chart.layout.x_vars
             if u & chart.keep} == {(1, 2), (2, 2)}
     assert set(y_positions(sh)) == {(1, 1), (1, 2)}
@@ -92,14 +93,16 @@ def test_flag_shape_reproduces_block_description():
 
 
 def test_flag_shape_shared_per_composition():
-    sh = flag_shape((1, 2, 2, 1))
-    assert flag_shape([1, 2, 2, 1]) is sh
-    chart = sh.packed_chart
+    # one chart per composition, and one layout per dimension vector
+    chart = _chart((1, 2, 2, 1))
+    assert _chart((1, 2, 2, 1)) is chart
+    assert chart.shape == flag_shape([1, 2, 2, 1])
+    layout = chart.layout
+    assert _chart((2, 1, 1, 2)).layout is layout is _layout(2, 2)
 
     def named(group):
-        return [(chart.slots.decode(u)[0][0], r, c) for u, r, c in group]
+        return [(layout.slots.decode(u)[0][0], r, c) for u, r, c in group]
 
-    layout = chart.layout
     m_vars, n_vars, x_vars = map(named, (
         layout.m_vars, layout.n_vars,
         [v for v in layout.x_vars if v[0] & chart.keep]))
@@ -204,17 +207,6 @@ def test_verify_certifies_the_list_sample(monkeypatch, d):
         assert certified == sample_by_list(dim, seed, verify.SEP_SAMPLES)
 
 
-def test_flag_shape_pickles_as_its_composition():
-    comp = (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)
-    shape = flag_shape(comp)
-    size = len(pickle.dumps(shape))
-    for y0 in enumerate_matchings(shape):
-        certify(comp, y0)
-    assert "packed_chart" in vars(shape)
-    assert len(pickle.dumps(shape)) == size
-    assert pickle.loads(pickle.dumps(shape)) == shape
-
-
 def test_matching_validation():
     sh = flag_shape((1, 2, 2, 1))
     with pytest.raises(ValueError):
@@ -223,6 +215,30 @@ def test_matching_validation():
         NormalFormY.of((1, 1), (1, 2))  # repeated row
     with pytest.raises(ValueError, match="repeated row or column"):
         NormalFormY.of((1, 1), (1, 1))  # repeated entry
+
+
+def test_letters_and_indices_are_never_truncated():
+    # a float letter or y0 index is refused, not cut to the int below it:
+    # [1.5, 2.9] is not the composition (1, 2), and (1.9, 1.2) is not the
+    # y0 entry (1, 1), which (1, 2) admits
+    with pytest.raises(ValueError, match=r"composition letters must be "
+                       r"ints: \(1\.5, 2\.9\)"):
+        flag_shape([1.5, 2.9])
+    with pytest.raises(ValueError,
+                       match=r"y0 indices must be ints: \(1\.9, 1\.2\)"):
+        NormalFormY.of((1.9, 1.2))
+    # refused whatever the memo of charts holds: (1.0, 2.0) equals (1, 2)
+    y0 = NormalFormY.of((1, 1))
+    assert certify((1, 2), y0)
+    for comp in ([1.5, 2.9], (1.0, 2.0)):
+        with pytest.raises(ValueError, match="composition letters must be"):
+            certify(comp, y0)
+        with pytest.raises(ValueError, match="composition letters must be"):
+            report_texts(comp, [y0])
+    # what operator.index reads passes: ints, bools and numpy ints
+    assert flag_shape([True, np.int64(2)]) == flag_shape((1, 2))
+    assert NormalFormY.of((np.int8(1), True)) == NormalFormY.of((1, 1))
+    assert certify((1, 2), NormalFormY.of((np.int64(1), np.int64(1))))
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +544,8 @@ def test_group_masks_match_the_reference_split():
     dims = [(d1, d2) for d1 in range(5) for d2 in range(5) if d1 + d2]
     comps = [a for d1, d2 in dims + [(3, 5), (5, 3)]
              for a in compositions(d1, d2)]
-    for d1, d2 in dims + [(3, 5), (5, 3)]:
-        flag_shape((1,) * d1 + (2,) * d2).packed_chart.layout._splits.clear()
+    _chart.cache_clear()
+    _layout.cache_clear()
     for order in (comps, comps[::-1]):
         for a in order:
             shape = flag_shape(a)
@@ -548,17 +564,16 @@ def test_pieces_filter_the_layout_templates():
     # admissible factors, at every admissible y0 entry
     for d1 in range(0, 5):
         for d2 in range(0, 5):
-            comps = [flag_shape(a) for a in compositions(d1, d2)]
-            charts = [sh.packed_chart for sh in comps]
-            # one slot table and one unit table per dimension vector
-            assert len({id(c.slots) for c in charts}) <= 1, (d1, d2)
-            assert len({id(c.table) for c in charts}) <= 1, (d1, d2)
-            for sh, chart in zip(comps, charts):
+            charts = [_chart(a) for a in compositions(d1, d2)]
+            # one layout, so one slot and unit table, per dimension vector
+            assert len({id(c.layout) for c in charts}) <= 1, (d1, d2)
+            for chart in charts:
+                sh = chart.shape
                 assert [(r, c) for u, r, c in chart.layout.x_vars
                         if u & chart.keep] == x_positions(sh)
                 for entry in y_positions(sh):
-                    expected = {encode(chart.slots, mono): c for mono, c
-                                in trace_pieces(sh)[entry].items()}
+                    expected = {encode(chart.layout.slots, mono): c
+                                for mono, c in trace_pieces(sh)[entry].items()}
                     assert chart.piece(entry) == expected, \
                         (sh.composition, entry)
 
@@ -566,9 +581,11 @@ def test_pieces_filter_the_layout_templates():
 def test_packed_chart_guards_exponent_fields():
     # 2 (k + 1)**2 must fit 8 bits: k = min(d1, d2) <= 10
     assert MAX_RANK_BOUND == 10
-    assert flag_shape((1,) * 10 + (2,) * 11).packed_chart.slots.variables
+    assert _chart((1,) * 10 + (2,) * 11).layout.slots.variables
     with pytest.raises(ValueError, match="degree bound 288"):
-        flag_shape((1,) * 11 + (2,) * 11).packed_chart
+        _chart((1,) * 11 + (2,) * 11)
+    # listing the matchings builds no chart, so it has no such bound
+    assert matchings((2,) * 11 + (1,) * 11) == [NormalFormY.of()]
 
 
 def test_separate_rejects_inadmissible_y0():
@@ -605,7 +622,7 @@ def test_monomial_sort_keys_sort_as_tuple_monomials():
     # so its field indices take both bytes of a key
     rng = random.Random(31)
     for d in (4, 10):
-        slots = flag_shape((1,) * d + (2,) * d).packed_chart.slots
+        slots = _layout(d, d).slots
         n = len(slots.variables)
         assert n == (50 if d == 4 else 335)
         names = _MonomialNames(slots)
